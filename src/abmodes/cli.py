@@ -17,7 +17,6 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 from . import __version__
 from ._backend import BACKEND
@@ -34,6 +33,9 @@ from .fluxshell import (
 )
 from .modes import DiracKinematics, make_schrodinger_mode
 from .overlap import (
+    DEFAULT_PANEL_BUDGET,
+    DEFAULT_TOL,
+    DEFAULT_WINDOW_FACTOR,
     closed_form_cross,
     closed_form_same,
     finite_part_estimate,
@@ -71,21 +73,11 @@ class _Parser(argparse.ArgumentParser):
         raise _CliParseError(message)
 
 
-@dataclass
-class RunConfig:
-    tol_quad: float = 1e-9
-    panel_budget: int = 200_000
-    window_factor: float = 40.0
-    fmt: str = "json"
-    out: str = None
-
-    def validate(self):
-        if self.tol_quad <= 0.0 or self.window_factor <= 0.0:
-            raise _CliParseError("tolerances must be positive")
-        if self.panel_budget < 1000:
-            raise _CliParseError("panel budget must be >= 1000")
-        if self.fmt not in ("json", "csv"):
-            raise _CliParseError(f"unknown format {self.fmt!r}")
+def _check_config(args):
+    if args.tol_quad <= 0.0 or args.window_factor <= 0.0:
+        raise _CliParseError("tolerances must be positive")
+    if args.panel_budget < 1000:
+        raise _CliParseError("panel budget must be >= 1000")
 
 
 def _channel(tag: str) -> Channel:
@@ -109,22 +101,22 @@ def _momenta_list(text: str):
     return vals
 
 
-# --- compute functions: Namespace + RunConfig -> (inputs, outputs, diagnostics) ---
+# --- compute functions: Namespace -> (inputs, outputs, diagnostics) ---
 
 
-def _cmd_decompose(args, cfg):
+def _cmd_decompose(args):
     f = decompose(args.phi)
     return {"phi": args.phi}, {"n": f.n, "delta": f.delta}, {}
 
 
-def _cmd_bessel(args, cfg):
+def _cmd_bessel(args):
     out = {"j": bessel_j(args.nu, args.x)}
     if args.prime:
         out["jprime"] = bessel_j_prime(args.nu, args.x)
     return {"nu": args.nu, "x": args.x, "prime": args.prime}, out, {}
 
 
-def _cmd_overlap(args, cfg):
+def _cmd_overlap(args):
     inputs = {
         "delta": args.delta,
         "p": args.p,
@@ -145,9 +137,9 @@ def _cmd_overlap(args, cfg):
             orders[1],
             args.p,
             args.pprime,
-            window_factor=cfg.window_factor,
-            tol=cfg.tol_quad,
-            panel_budget=cfg.panel_budget,
+            window_factor=args.window_factor,
+            tol=args.tol_quad,
+            panel_budget=args.panel_budget,
         )
         outputs["finite_numeric"] = value
         outputs["abs_err"] = abs(value - res.finite_part)
@@ -155,7 +147,7 @@ def _cmd_overlap(args, cfg):
     return inputs, outputs, diags
 
 
-def _cmd_cancel(args, cfg):
+def _cmd_cancel(args):
     flux = _flux_from(args.delta, args.enn)
     channel = _channel(args.channel)
     l = flux.n if channel is Channel.SCHRODINGER_N else flux.n + 1
@@ -191,16 +183,16 @@ def _cmd_cancel(args, cfg):
         value, est = mode_overlap_finite_part_numeric(
             mode_a,
             mode_b,
-            window_factor=cfg.window_factor,
-            tol=cfg.tol_quad,
-            panel_budget=cfg.panel_budget,
+            window_factor=args.window_factor,
+            tol=args.tol_quad,
+            panel_budget=args.panel_budget,
         )
         outputs["finite_numeric"] = value
         diags["est_error"] = est
     return inputs, outputs, diags
 
 
-def _cmd_exponent_fit(args, cfg):
+def _cmd_exponent_fit(args):
     flux = _flux_from(args.delta, args.enn)
     channel = _channel(args.channel)
     l = flux.n if channel is Channel.SCHRODINGER_N else flux.n + 1
@@ -214,7 +206,7 @@ def _cmd_exponent_fit(args, cfg):
     )
 
 
-def _cmd_sae_ratio(args, cfg):
+def _cmd_sae_ratio(args):
     flux = _flux_from(args.delta, args.enn)
     if args.eq == "schrodinger":
         channel = _channel(args.channel)
@@ -249,7 +241,7 @@ def _shell_problem(args):
     return FluxShellProblem(rho0=args.rho0, g=args.g, l=args.l, flux=flux, p=args.p)
 
 
-def _cmd_fluxshell(args, cfg):
+def _cmd_fluxshell(args):
     prob = _shell_problem(args)
     inputs = {"l": args.l, "phi": args.phi, "g": args.g, "p": args.p, "rho0": args.rho0}
     outputs = {
@@ -260,7 +252,7 @@ def _cmd_fluxshell(args, cfg):
     return inputs, outputs, {"x": prob.x}
 
 
-def _cmd_gfactor(args, cfg):
+def _cmd_gfactor(args):
     flux = _flux_from(args.delta, args.enn)
     channel = _channel(args.channel)
     ep = ExtensionParameter.finite(channel, args.alpha)
@@ -279,7 +271,7 @@ def _cmd_gfactor(args, cfg):
     return inputs, outputs, {}
 
 
-def _cmd_solve_g(args, cfg):
+def _cmd_solve_g(args):
     prob = FluxShellProblem(
         rho0=args.rho0, g=0.0, l=args.l, flux=decompose(args.phi), p=args.p
     )
@@ -298,15 +290,15 @@ def _cmd_solve_g(args, cfg):
     ) - args.target}
 
 
-def _cmd_windowed(args, cfg):
+def _cmd_windowed(args):
     value = windowed_overlap(
         args.nu,
         args.mu,
         args.p,
         args.pprime,
         args.window,
-        tol=cfg.tol_quad,
-        panel_budget=cfg.panel_budget,
+        tol=args.tol_quad,
+        panel_budget=args.panel_budget,
     )
     return (
         {"nu": args.nu, "mu": args.mu, "p": args.p, "pprime": args.pprime, "window": args.window},
@@ -324,9 +316,9 @@ def _build_parser():
     common = _Parser(add_help=False)
     common.add_argument("--out", default=None, help="output path (default stdout)")
     common.add_argument("--format", default="json", choices=("json", "csv"))
-    common.add_argument("--tol-quad", type=float, default=1e-9)
-    common.add_argument("--panel-budget", type=int, default=200_000)
-    common.add_argument("--window-factor", type=float, default=40.0)
+    common.add_argument("--tol-quad", type=float, default=DEFAULT_TOL)
+    common.add_argument("--panel-budget", type=int, default=DEFAULT_PANEL_BUDGET)
+    common.add_argument("--window-factor", type=float, default=DEFAULT_WINDOW_FACTOR)
     subs = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     def sub(name, fn, **kwargs):
@@ -429,24 +421,7 @@ def _scan_parser():
         metavar="name=lo:hi:n",
         help="linear grid, or name=log:lo:hi:n for a log grid (once or twice)",
     )
-    sp.add_argument("--out", default=None)
-    sp.add_argument("--format", default="json", choices=("json", "csv"))
-    sp.add_argument("--tol-quad", type=float, default=1e-9)
-    sp.add_argument("--panel-budget", type=int, default=200_000)
-    sp.add_argument("--window-factor", type=float, default=40.0)
     return sp
-
-
-def _config_from(args) -> RunConfig:
-    cfg = RunConfig(
-        tol_quad=args.tol_quad,
-        panel_budget=args.panel_budget,
-        window_factor=args.window_factor,
-        fmt=args.format,
-        out=args.out,
-    )
-    cfg.validate()
-    return cfg
 
 
 def _check_finite(doc, where):
@@ -460,9 +435,9 @@ def _check_finite(doc, where):
         raise NumericalFailureError(f"non-finite value in {where}")
 
 
-def _emit(text: str, cfg: RunConfig):
-    if cfg.out:
-        with open(cfg.out, "w", newline="") as fh:
+def _emit(text: str, out):
+    if out:
+        with open(out, "w", newline="") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -503,7 +478,6 @@ def _parse_grid(spec: str):
 
 def _run_scan(argv, parser):
     args, fixed = _scan_parser().parse_known_args(argv)
-    cfg = _config_from(args)
     if args.sub not in _COMPUTE:
         raise _CliParseError(f"cannot scan subcommand {args.sub!r}")
     grids = [_parse_grid(g) for g in args.grid]
@@ -522,9 +496,10 @@ def _run_scan(argv, parser):
     for point in points:
         argv = [args.sub] + fixed[:]
         for name, value in point:
-            argv += [f"--{name}", repr(value)]
+            argv.append(f"--{name}={value!r}")
         sub_args = parser.parse_args(argv)
-        inputs, outputs, _ = _COMPUTE[args.sub](sub_args, cfg)
+        _check_config(sub_args)
+        inputs, outputs, _ = _COMPUTE[args.sub](sub_args)
         row = dict(inputs)
         row.update(outputs)
         rows.append(row)
@@ -535,18 +510,18 @@ def _run_scan(argv, parser):
         for key in row:
             if key not in header:
                 header.append(key)
-    if cfg.fmt == "csv":
+    if sub_args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
             writer.writerow([_csv_cell(row[k]) if k in row else "" for k in header])
-        _emit(buf.getvalue(), cfg)
+        _emit(buf.getvalue(), sub_args.out)
     else:
         for row in rows:
             _check_finite(row, "scan")
         doc = {"version": __version__, "command": f"scan {args.sub}", "rows": rows}
-        _emit(json.dumps(doc, separators=(",", ":")) + "\n", cfg)
+        _emit(json.dumps(doc, separators=(",", ":")) + "\n", sub_args.out)
     return _EXIT_OK
 
 
@@ -566,13 +541,13 @@ def run(argv) -> int:
         if argv and argv[0] == "scan":
             return _run_scan(argv[1:], parser)
         args = parser.parse_args(argv)
-        cfg = _config_from(args)
-        if cfg.fmt == "csv":
+        _check_config(args)
+        if args.format == "csv":
             raise _CliParseError("csv output is available for scan only")
-        inputs, outputs, diags = _COMPUTE[args.command](args, cfg)
+        inputs, outputs, diags = _COMPUTE[args.command](args)
         diags = dict(diags)
         diags["backend"] = BACKEND
-        _emit(_json_doc(args.command, inputs, outputs, diags), cfg)
+        _emit(_json_doc(args.command, inputs, outputs, diags), args.out)
         return _EXIT_OK
     except NumericalFailureError as exc:
         _error_line(exc)

@@ -27,6 +27,7 @@ conditions; see g_asymptotic for the historical first-order forms, kept
 verbatim for the audit.  Units: lengths in 1/M, momenta in M.
 """
 
+import math
 from dataclasses import dataclass, replace
 
 from .errors import (
@@ -116,21 +117,38 @@ def piecewise_solution(prob: FluxShellProblem, a: float, b: float):
     return evaluator
 
 
-def matching_ratio(prob: FluxShellProblem) -> float:
-    """Exterior coefficient ratio b/a fixed by the shell matching conditions."""
+def _matching_terms(prob: FluxShellProblem):
+    """Coefficients of b/a = -(n0 + g n1)/(d0 + g d1), and the pole-test scale.
+
+    The scale is the size of the denominator's terms at prob.g.
+    """
     x = prob.x
     nu = prob.nu
     order_l = float(abs(prob.l))
     jl = bessel_j(order_l, x)
-    moment_term = bessel_j_prime(order_l, x) - (prob.g * prob.flux.phi / x) * jl
-    num = bessel_j_prime(nu, x) * jl - bessel_j(nu, x) * moment_term
-    den = bessel_j_prime(-nu, x) * jl - bessel_j(-nu, x) * moment_term
-    scale = abs(bessel_j_prime(-nu, x) * jl) + abs(bessel_j(-nu, x) * moment_term)
+    jl_prime = bessel_j_prime(order_l, x)
+    moment = (prob.flux.phi / x) * jl
+
+    def terms(order):
+        # J'_order Jl - J_order (Jl' - g moment), split into its g^0 and g^1 parts
+        j_prime, j = bessel_j_prime(order, x), bessel_j(order, x)
+        size = abs(j_prime * jl) + abs(j * (jl_prime - prob.g * moment))
+        return j_prime * jl - j * jl_prime, moment * j, size
+
+    n0, n1, _ = terms(nu)
+    d0, d1, scale = terms(-nu)
+    return n0, n1, d0, d1, scale
+
+
+def matching_ratio(prob: FluxShellProblem) -> float:
+    """Exterior coefficient ratio b/a fixed by the shell matching conditions."""
+    n0, n1, d0, d1, scale = _matching_terms(prob)
+    den = d0 + prob.g * d1
     if abs(den) < _POLE_REL_TOL * scale:
         raise NumericalPoleError(
-            f"matching denominator vanishes at x = {x:.6g} (g = {prob.g})"
+            f"matching denominator vanishes at x = {prob.x:.6g} (g = {prob.g})"
         )
-    return -num / den
+    return -(n0 + prob.g * n1) / den
 
 
 def resonance_defect(l: int, flux: FluxParameter, g: float) -> float:
@@ -253,57 +271,29 @@ def solve_g(
     target_ratio: float,
     g_lo: float = -10.0,
     g_hi: float = 10.0,
-    *,
-    cells: int = 64,
-    max_iter: int = 200,
 ) -> float:
-    """Invert matching_ratio in g: find g with matching_ratio(g) = target_ratio.
+    """Invert matching_ratio in g: the g in [g_lo, g_hi] that reaches target_ratio.
 
-    Deterministic scan of [g_lo, g_hi] in `cells` equal cells for sign
-    changes of the residual, bisection on the first bracketing cell, then
-    secant polish.  The ratio is a Moebius function of g (one root, one
-    pole); cells containing the pole fail the residual check and are
-    skipped.  NoBracketError when no cell yields a root within tolerance.
+    The ratio is a Moebius function of g, b/a = -(n0 + g n1)/(d0 + g d1)
+    (one root, one pole), so the inverse is closed form:
+    g = -(n0 + T d0)/(n1 + T d1) for the target T.  DomainError when
+    g_hi <= g_lo.  NoBracketError when that g is not finite, lies outside
+    [g_lo, g_hi], sits on the pole, or misses the target by more than
+    1e-10 max(1, |T|) when matching_ratio is evaluated there; a target equal
+    to the g -> infinity limit -n1/d1 is never reached.
     """
     if g_hi <= g_lo:
         raise DomainError(f"empty bracket [{g_lo}, {g_hi}]")
-
-    def residual(g):
-        return matching_ratio(replace(prob_template, g=g)) - target_ratio
-
+    n0, n1, d0, d1, _ = _matching_terms(prob_template)
     tol = 1e-10 * max(1.0, abs(target_ratio))
-    gs = [g_lo + (g_hi - g_lo) * i / cells for i in range(cells + 1)]
-    fs = [residual(g) for g in gs]
-    for i in range(cells):
-        fa, fb = fs[i], fs[i + 1]
-        if fa == 0.0:
-            return gs[i]
-        if fa * fb > 0.0:
-            continue
-        a, b = gs[i], gs[i + 1]
-        for _ in range(max_iter):
-            m = 0.5 * (a + b)
-            fm = residual(m)
-            if fa * fm <= 0.0:
-                b, fb = m, fm
-            else:
-                a, fa = m, fm
-            if b - a <= 1e-15 * max(1.0, abs(m)):
-                break
-        # secant polish inside the bracket
-        x0, x1 = a, b
-        f0, f1 = fa, fb
-        for _ in range(8):
-            if f1 == f0:
-                break
-            x2 = x1 - f1 * (x1 - x0) / (f1 - f0)
-            if not a <= x2 <= b:
-                break
-            x0, f0 = x1, f1
-            x1, f1 = x2, residual(x2)
-        best = x1 if abs(f1) < abs(residual(0.5 * (a + b))) else 0.5 * (a + b)
-        if abs(residual(best)) <= tol:
-            return best
+    den = n1 + target_ratio * d1
+    g = -(n0 + target_ratio * d0) / den if den != 0.0 else math.inf
+    if math.isfinite(g) and g_lo <= g <= g_hi:
+        try:
+            if abs(matching_ratio(replace(prob_template, g=g)) - target_ratio) <= tol:
+                return g
+        except NumericalPoleError:
+            pass
     raise NoBracketError(
         f"no g in [{g_lo}, {g_hi}] reaches matching_ratio = {target_ratio:.6g} "
         f"within tolerance {tol:.1e}"

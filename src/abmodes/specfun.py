@@ -46,8 +46,9 @@ def gamma(x: float) -> float:
 def bessel_j(nu: float, x: float) -> float:
     """Bessel function of the first kind J_nu(x), real order nu.
 
-    x must be >= 0; x = 0 is allowed only for nu >= 0 (J_0(0) = 1, J_nu(0) = 0
-    for nu > 0).  Orders beyond |nu| = MAX_ORDER + 1 are rejected.
+    x must be finite and >= 0; x = 0 is allowed only for nu >= 0
+    (J_0(0) = 1, J_nu(0) = 0 for nu > 0).  Orders beyond |nu| = MAX_ORDER + 1
+    are rejected.
     """
     nu = float(nu)
     x = float(x)
@@ -57,21 +58,21 @@ def bessel_j(nu: float, x: float) -> float:
         raise DomainError(
             f"bessel_j: |nu| = {abs(nu)} exceeds supported cap {MAX_ORDER + 1.0}"
         )
-    if math.isnan(x) or x < 0.0:
-        raise DomainError(f"bessel_j: argument must be >= 0, got {x}")
+    if not math.isfinite(x) or x < 0.0:
+        raise DomainError(f"bessel_j: argument must be finite and >= 0, got {x}")
     if x == 0.0 and nu < 0.0:
         raise DomainError("bessel_j: x = 0 is singular for negative order")
     return bessel_kernel(nu, x)
 
 
 def bessel_j_prime(nu: float, x: float) -> float:
-    """dJ_nu/dx via the recurrence (J_{nu-1}(x) - J_{nu+1}(x)) / 2, x > 0."""
+    """dJ_nu/dx via the recurrence (J_{nu-1}(x) - J_{nu+1}(x)) / 2, finite x > 0."""
     nu = float(nu)
     x = float(x)
     if math.isnan(nu) or abs(nu) > MAX_ORDER:
         raise DomainError(
             f"bessel_j_prime: |nu| must be <= {MAX_ORDER}, got {nu}"
         )
-    if math.isnan(x) or x <= 0.0:
-        raise DomainError(f"bessel_j_prime: argument must be > 0, got {x}")
+    if not math.isfinite(x) or x <= 0.0:
+        raise DomainError(f"bessel_j_prime: argument must be finite and > 0, got {x}")
     return 0.5 * (bessel_kernel(nu - 1.0, x) - bessel_kernel(nu + 1.0, x))

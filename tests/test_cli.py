@@ -216,9 +216,15 @@ class TestExitCodes:
         assert code == 2
 
     def test_bad_domain_is_invalid_input(self):
-        code, _, err = run_cli(["bessel", "--nu", "0.3", "--x", "-1"])
-        assert code == 2
-        assert json.loads(err)["error"] == "DomainError"
+        for argv in (
+            ["bessel", "--nu", "0.3", "--x", "-1"],
+            ["bessel", "--nu", "0.3", "--x", "inf"],
+            ["fluxshell", "--l", "1", "--phi", "0.3", "--g", "0.5", "--p", "1e200",
+             "--rho0", "1e200"],
+        ):
+            code, _, err = run_cli(argv)
+            assert code == 2
+            assert json.loads(err)["error"] == "DomainError"
 
 
 class TestScan:
@@ -252,6 +258,15 @@ class TestScan:
         # deterministic grid order: first grid outer, second inner
         gs = [row["g"] for row in doc["rows"]]
         assert gs == sorted(gs)
+
+    def test_negative_grid_values(self):
+        # -3.8e-05 would read as an option if forwarded as a separate token
+        code, out, err = run_cli(
+            ["scan", "fluxshell", "--grid", "g=-3.8e-05:1.5:2", "--l", "1",
+             "--phi", "0.3", "--p", "1", "--rho0", "0.1"]
+        )
+        assert code == 0, err
+        assert len(json.loads(out)["rows"]) == 2
 
     def test_bad_grid_spec(self):
         code, _, err = run_cli(["scan", "gfactor", "--grid", "alpha=oops"])

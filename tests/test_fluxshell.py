@@ -26,6 +26,7 @@ from abmodes.fluxshell import (
     solve_g,
 )
 from abmodes.sae import Channel, ExtensionParameter
+from abmodes.specfun import bessel_j
 
 
 def problem(l, phi, g, p, rho0):
@@ -76,8 +77,6 @@ class TestPiecewiseSolution:
         # g = 0, b = 0, nearly integer-free flux: interior and exterior match J_0
         prob = problem(0, 1e-6, 0.0, 1.0, 0.5)
         ev = piecewise_solution(prob, 1.0, 0.0)
-        from abmodes.specfun import bessel_j
-
         for rho in (0.1, 0.49, 0.51, 2.0):
             assert ev(rho) == pytest.approx(bessel_j(0.0, prob.p * rho), abs=1e-4)
 
@@ -234,9 +233,17 @@ class TestGAsymptotic:
 
 class TestSolveG:
     def test_round_trip(self):
-        prob = problem(1, 0.3, 0.0, 2.0, 0.5)
-        target = matching_ratio(problem(1, 0.3, 0.7, 2.0, 0.5))
-        assert solve_g(prob, target) == pytest.approx(0.7, abs=1e-8)
+        cases = [
+            (1, 0.3, 2.0, 0.5, 0.7),
+            # the pole (g = 1.198) lies in the bracket between g_lo and the root
+            (0, 0.3, 1.0, 0.5, 2.0),
+            # root and pole only 0.2 apart
+            (0, 0.3, 1.0, 0.5, 1.0),
+        ]
+        for l, phi, p, rho0, g in cases:
+            prob = problem(l, phi, 0.0, p, rho0)
+            target = matching_ratio(problem(l, phi, g, p, rho0))
+            assert solve_g(prob, target) == pytest.approx(g, abs=1e-8)
 
     def test_round_trip_negative_g(self):
         prob = problem(0, 0.3, 0.0, 1.0, 1e-2)
@@ -254,6 +261,10 @@ class TestSolveG:
         prob = problem(1, 0.3, 0.0, 1.0, 1e-2)
         with pytest.raises(NoBracketError):
             solve_g(prob, 5.0, g_lo=0.0, g_hi=1.0)
+        # the ratio's g -> infinity limit -J_nu/J_{-nu} is reached by no finite g
+        limit = -bessel_j(0.3, 0.5) / bessel_j(-0.3, 0.5)
+        with pytest.raises(NoBracketError):
+            solve_g(problem(0, 0.3, 0.0, 1.0, 0.5), limit)
 
     def test_bad_bracket(self):
         prob = problem(1, 0.3, 0.0, 1.0, 1e-2)

@@ -114,6 +114,8 @@ class TestBesselJ:
             bessel_j(6.5, 1.0)
         with pytest.raises(DomainError):
             bessel_j(float("nan"), 1.0)
+        with pytest.raises(DomainError):
+            bessel_j(0.3, float("inf"))
 
     def test_small_x_leading_behavior(self):
         for nu in [0.1, 0.5, 0.9, 2.3]:
@@ -180,3 +182,5 @@ class TestBesselJPrime:
             bessel_j_prime(0.3, -2.0)
         with pytest.raises(DomainError):
             bessel_j_prime(5.5, 1.0)
+        with pytest.raises(DomainError):
+            bessel_j_prime(0.3, float("inf"))
