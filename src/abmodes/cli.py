@@ -7,6 +7,13 @@ All physical inputs are dimensionless: momenta in units of M, radii in
 units of 1/M.  Exit codes: 0 success, 2 invalid input, 3 numerical failure;
 failures print a one-line JSON error object to stderr.
 
+`inputs` echoes the subcommand's own flags in the order they are declared,
+omitting any left at None; the output and tuning flags shared by every
+subcommand (--out, --format, --tol-quad, --panel-budget, --window-factor)
+are not echoed.  The one exception is `sae-ratio`, which echoes only the
+flags of the chosen --eq.  This rule is what lets each `scan` row, which
+holds the echo, re-run as one invocation with the same shared flags.
+
 Floats are serialized with Python's shortest round-trip representation, so
 every printed number parses back to the exact double that was computed.
 """
@@ -95,35 +102,28 @@ def _momenta_list(text: str):
     try:
         vals = [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
-        raise _CliParseError(f"bad momenta list {text!r}")
+        raise argparse.ArgumentTypeError(f"bad momenta list {text!r}")
     if not vals:
-        raise _CliParseError("empty momenta list")
+        raise argparse.ArgumentTypeError("empty momenta list")
     return vals
 
 
-# --- compute functions: Namespace -> (inputs, outputs, diagnostics) ---
+# --- compute functions: Namespace -> (outputs, diagnostics) ---
 
 
 def _cmd_decompose(args):
     f = decompose(args.phi)
-    return {"phi": args.phi}, {"n": f.n, "delta": f.delta}, {}
+    return {"n": f.n, "delta": f.delta}, {}
 
 
 def _cmd_bessel(args):
     out = {"j": bessel_j(args.nu, args.x)}
     if args.prime:
         out["jprime"] = bessel_j_prime(args.nu, args.x)
-    return {"nu": args.nu, "x": args.x, "prime": args.prime}, out, {}
+    return out, {}
 
 
 def _cmd_overlap(args):
-    inputs = {
-        "delta": args.delta,
-        "p": args.p,
-        "pprime": args.pprime,
-        "kind": args.kind,
-        "verify": args.verify,
-    }
     if args.kind == "same":
         res = closed_form_same(args.delta, args.p, args.pprime)
     else:
@@ -144,31 +144,22 @@ def _cmd_overlap(args):
         outputs["finite_numeric"] = value
         outputs["abs_err"] = abs(value - res.finite_part)
         diags["est_error"] = est
-    return inputs, outputs, diags
+    return outputs, diags
 
 
 def _cmd_cancel(args):
     flux = _flux_from(args.delta, args.enn)
     channel = _channel(args.channel)
     l = flux.n if channel is Channel.SCHRODINGER_N else flux.n + 1
-    inputs = {
-        "delta": args.delta,
-        "enn": args.enn,
-        "channel": args.channel,
-        "p": args.p,
-        "pprime": args.pprime,
-        "verify": args.verify,
-    }
-    if args.alpha is not None:
-        inputs["alpha"] = args.alpha
+    coefficients = (args.b_p, args.b_pprime)
+    if args.alpha is not None and coefficients == (None, None):
         ep = ExtensionParameter.finite(channel, args.alpha)
         b_p = schrodinger_ratio(ep, flux, args.p, 1.0)
         b_pp = schrodinger_ratio(ep, flux, args.pprime, 1.0)
-    elif args.b_p is not None and args.b_pprime is not None:
-        inputs["b_p"] = b_p = args.b_p
-        inputs["b_pprime"] = b_pp = args.b_pprime
+    elif args.alpha is None and None not in coefficients:
+        b_p, b_pp = coefficients
     else:
-        raise _CliParseError("give --alpha or both --b-p and --b-pprime")
+        raise _CliParseError("give either --alpha or both --b-p and --b-pprime")
     mode_a = make_schrodinger_mode(l, flux, args.p, 1.0, b_p)
     mode_b = make_schrodinger_mode(l, flux, args.pprime, 1.0, b_pp)
     finite = mode_overlap_finite_part(mode_a, mode_b)
@@ -189,67 +180,40 @@ def _cmd_cancel(args):
         )
         outputs["finite_numeric"] = value
         diags["est_error"] = est
-    return inputs, outputs, diags
+    return outputs, diags
 
 
 def _cmd_exponent_fit(args):
     flux = _flux_from(args.delta, args.enn)
     channel = _channel(args.channel)
     l = flux.n if channel is Channel.SCHRODINGER_N else flux.n + 1
-    momenta = _momenta_list(args.momenta)
-    slope = fit_cancelling_exponent(flux, l, momenta)
+    slope = fit_cancelling_exponent(flux, l, args.momenta)
     expected = 2.0 * flux.delta if channel is Channel.SCHRODINGER_N else 2.0 * (1.0 - flux.delta)
-    return (
-        {"delta": args.delta, "enn": args.enn, "channel": args.channel, "momenta": momenta},
-        {"slope": slope, "expected": expected},
-        {},
-    )
+    return {"slope": slope, "expected": expected}, {}
 
 
 def _cmd_sae_ratio(args):
     flux = _flux_from(args.delta, args.enn)
     if args.eq == "schrodinger":
-        channel = _channel(args.channel)
-        ep = ExtensionParameter.finite(channel, args.alpha)
+        ep = ExtensionParameter.finite(_channel(args.channel), args.alpha)
         ratio = schrodinger_ratio(ep, flux, args.p, 1.0)
-        inputs = {
-            "eq": args.eq,
-            "channel": args.channel,
-            "alpha": args.alpha,
-            "delta": args.delta,
-            "enn": args.enn,
-            "p": args.p,
-        }
     else:
         kin = DiracKinematics.from_momenta(1.0, args.pperp, args.p3, args.s)
         ep = ExtensionParameter.finite(Channel.DIRAC_N, args.alpha)
         ratio = dirac_ratio(ep, flux, kin)
-        inputs = {
-            "eq": args.eq,
-            "alpha": args.alpha,
-            "delta": args.delta,
-            "enn": args.enn,
-            "pperp": args.pperp,
-            "p3": args.p3,
-            "s": args.s,
-        }
-    return inputs, {"ratio": ratio}, {}
-
-
-def _shell_problem(args):
-    flux = decompose(args.phi)
-    return FluxShellProblem(rho0=args.rho0, g=args.g, l=args.l, flux=flux, p=args.p)
+    return {"ratio": ratio}, {}
 
 
 def _cmd_fluxshell(args):
-    prob = _shell_problem(args)
-    inputs = {"l": args.l, "phi": args.phi, "g": args.g, "p": args.p, "rho0": args.rho0}
+    prob = FluxShellProblem(
+        rho0=args.rho0, g=args.g, l=args.l, flux=decompose(args.phi), p=args.p
+    )
     outputs = {
         "matching_ratio": matching_ratio(prob),
         "limit_ratio": limit_ratio(prob),
         "resonance_defect": resonance_defect(args.l, prob.flux, args.g),
     }
-    return inputs, outputs, {"x": prob.x}
+    return outputs, {"x": prob.x}
 
 
 def _cmd_gfactor(args):
@@ -257,18 +221,11 @@ def _cmd_gfactor(args):
     channel = _channel(args.channel)
     ep = ExtensionParameter.finite(channel, args.alpha)
     g = g_from_alpha(ep, flux, args.rho0, 1.0)
-    inputs = {
-        "channel": args.channel,
-        "alpha": args.alpha,
-        "enn": args.enn,
-        "delta": args.delta,
-        "rho0": args.rho0,
-    }
     l = flux.n if channel is Channel.SCHRODINGER_N else flux.n + 1
     outputs = {"g": g, "resonance_defect": resonance_defect(l, flux, g)}
     if args.alpha != 0.0:
         outputs["g_asymptotic"] = g_asymptotic(ep, flux, args.rho0, 1.0)
-    return inputs, outputs, {}
+    return outputs, {}
 
 
 def _cmd_solve_g(args):
@@ -276,16 +233,7 @@ def _cmd_solve_g(args):
         rho0=args.rho0, g=0.0, l=args.l, flux=decompose(args.phi), p=args.p
     )
     g = solve_g(prob, args.target, args.glo, args.ghi)
-    inputs = {
-        "l": args.l,
-        "phi": args.phi,
-        "p": args.p,
-        "rho0": args.rho0,
-        "target": args.target,
-        "glo": args.glo,
-        "ghi": args.ghi,
-    }
-    return inputs, {"g": g}, {"residual": matching_ratio(
+    return {"g": g}, {"residual": matching_ratio(
         FluxShellProblem(rho0=args.rho0, g=g, l=args.l, flux=prob.flux, p=args.p)
     ) - args.target}
 
@@ -300,30 +248,30 @@ def _cmd_windowed(args):
         tol=args.tol_quad,
         panel_budget=args.panel_budget,
     )
-    return (
-        {"nu": args.nu, "mu": args.mu, "p": args.p, "pprime": args.pprime, "window": args.window},
-        {"value": value},
-        {},
-    )
+    return {"value": value}, {}
 
 
-_COMPUTE = {}
+_COMMON = _Parser(add_help=False)
+_COMMON.add_argument("--out", default=None, help="output path (default stdout)")
+_COMMON.add_argument("--format", default="json", choices=("json", "csv"))
+_COMMON.add_argument("--tol-quad", type=float, default=DEFAULT_TOL)
+_COMMON.add_argument("--panel-budget", type=int, default=DEFAULT_PANEL_BUDGET)
+_COMMON.add_argument("--window-factor", type=float, default=DEFAULT_WINDOW_FACTOR)
+
+# namespace entries that no subcommand echoes as an input
+_NOT_ECHOED = {"command", "compute", *vars(_COMMON.parse_args([]))}
+# sae-ratio flags that the chosen --eq does not read
+_SAE_NOT_ECHOED = {"schrodinger": {"pperp", "p3", "s"}, "dirac": {"channel", "p"}}
 
 
 def _build_parser():
     parser = _Parser(prog="abmodes", description=__doc__)
     parser.add_argument("--version", action="version", version=f"abmodes {__version__}")
-    common = _Parser(add_help=False)
-    common.add_argument("--out", default=None, help="output path (default stdout)")
-    common.add_argument("--format", default="json", choices=("json", "csv"))
-    common.add_argument("--tol-quad", type=float, default=DEFAULT_TOL)
-    common.add_argument("--panel-budget", type=int, default=DEFAULT_PANEL_BUDGET)
-    common.add_argument("--window-factor", type=float, default=DEFAULT_WINDOW_FACTOR)
     subs = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     def sub(name, fn, **kwargs):
-        sp = subs.add_parser(name, parents=[common], **kwargs)
-        _COMPUTE[name] = fn
+        sp = subs.add_parser(name, parents=[_COMMON], **kwargs)
+        sp.set_defaults(compute=fn)
         return sp
 
     sp = sub("decompose", _cmd_decompose, help="split flux into integer and fractional parts")
@@ -354,19 +302,21 @@ def _build_parser():
     sp.add_argument("--channel", default="n")
     sp.add_argument("--p", type=float, required=True)
     sp.add_argument("--pprime", type=float, required=True)
+    sp.add_argument("--verify", action="store_true")
     sp.add_argument("--alpha", type=float, default=None)
     sp.add_argument("--b-p", dest="b_p", type=float, default=None)
     sp.add_argument("--b-pprime", dest="b_pprime", type=float, default=None)
-    sp.add_argument("--verify", action="store_true")
 
     sp = sub("exponent-fit", _cmd_exponent_fit, help="fit the cancelling momentum exponent")
     sp.add_argument("--delta", type=float, required=True)
     sp.add_argument("--enn", type=int, default=0)
     sp.add_argument("--channel", default="n")
-    sp.add_argument("--momenta", required=True, help="comma-separated list, units of M")
+    sp.add_argument(
+        "--momenta", type=_momenta_list, required=True, help="comma-separated list, units of M"
+    )
 
     sp = sub("sae-ratio", _cmd_sae_ratio, help="extension-parameter coefficient ratio")
-    sp.add_argument("--eq", choices=("schrodinger", "dirac"), default="schrodinger")
+    sp.add_argument("--eq", choices=tuple(_SAE_NOT_ECHOED), default="schrodinger")
     sp.add_argument("--channel", default="n")
     sp.add_argument("--alpha", type=float, required=True)
     sp.add_argument("--delta", type=float, required=True)
@@ -399,21 +349,16 @@ def _build_parser():
     sp.add_argument("--glo", type=float, default=-10.0)
     sp.add_argument("--ghi", type=float, default=10.0)
 
-    # `scan` is dispatched before the main parse (see run()); registered here
-    # only so it appears in --help
-    subs.add_parser(
+    # no _COMMON parent: the output and tuning flags are left over from this
+    # parse and pass through to the swept subcommand
+    sweepable = tuple(subs.choices)
+    sp = subs.add_parser(
         "scan",
-        add_help=False,
         help="sweep a subcommand over one or two --grid name=lo:hi:n grids "
         "(fixed flags pass through)",
+        description="sweep a subcommand over parameter grids",
     )
-
-    return parser
-
-
-def _scan_parser():
-    sp = _Parser(prog="abmodes scan", description="sweep a subcommand over parameter grids")
-    sp.add_argument("sub", help="subcommand to sweep")
+    sp.add_argument("sub", choices=sweepable, help="subcommand to sweep")
     sp.add_argument(
         "--grid",
         action="append",
@@ -421,7 +366,28 @@ def _scan_parser():
         metavar="name=lo:hi:n",
         help="linear grid, or name=log:lo:hi:n for a log grid (once or twice)",
     )
-    return sp
+
+    return parser
+
+
+_PARSER = _build_parser()
+
+
+def _inputs(args):
+    """The echo of a parsed subcommand; the rule is in the module docstring.
+
+    argparse stores every default, in declaration order, before it reads the
+    command line, so the namespace keeps the order of the declarations.
+    """
+    skip = _NOT_ECHOED | _SAE_NOT_ECHOED.get(getattr(args, "eq", None), set())
+    return {k: v for k, v in vars(args).items() if k not in skip and v is not None}
+
+
+def _compute(args):
+    """(inputs, outputs, diagnostics) of a parsed subcommand."""
+    _check_config(args)
+    outputs, diagnostics = args.compute(args)
+    return _inputs(args), outputs, diagnostics
 
 
 def _check_finite(doc, where):
@@ -476,10 +442,15 @@ def _parse_grid(spec: str):
         raise _CliParseError(f"bad grid spec {spec!r} (want name=lo:hi:n)")
 
 
-def _run_scan(argv, parser):
-    args, fixed = _scan_parser().parse_known_args(argv)
-    if args.sub not in _COMPUTE:
-        raise _CliParseError(f"cannot scan subcommand {args.sub!r}")
+def _grid_flag(name, value):
+    # attached with '=' so that a small negative value is not read as an
+    # option; an integral value goes as an int, which an int flag such as
+    # --l accepts and a float flag reads back as the same double
+    text = repr(int(value)) if value.is_integer() else repr(value)
+    return f"--{name}={text}"
+
+
+def _run_scan(args, fixed):
     grids = [_parse_grid(g) for g in args.grid]
     if len(grids) > 2:
         raise _CliParseError("scan supports one or two grids")
@@ -494,17 +465,14 @@ def _run_scan(argv, parser):
         ]
     rows = []
     for point in points:
-        argv = [args.sub] + fixed[:]
-        for name, value in point:
-            argv.append(f"--{name}={value!r}")
-        sub_args = parser.parse_args(argv)
-        _check_config(sub_args)
-        inputs, outputs, _ = _COMPUTE[args.sub](sub_args)
+        sub_args = _PARSER.parse_args(
+            [args.sub, *fixed, *(_grid_flag(name, value) for name, value in point)]
+        )
+        inputs, outputs, _ = _compute(sub_args)
         row = dict(inputs)
         row.update(outputs)
+        _check_finite(row, "scan")
         rows.append(row)
-    if not rows:
-        raise _CliParseError("empty scan")
     header = []
     for row in rows:
         for key in row:
@@ -518,8 +486,6 @@ def _run_scan(argv, parser):
             writer.writerow([_csv_cell(row[k]) if k in row else "" for k in header])
         _emit(buf.getvalue(), sub_args.out)
     else:
-        for row in rows:
-            _check_finite(row, "scan")
         doc = {"version": __version__, "command": f"scan {args.sub}", "rows": rows}
         _emit(json.dumps(doc, separators=(",", ":")) + "\n", sub_args.out)
     return _EXIT_OK
@@ -535,21 +501,22 @@ def _csv_cell(v):
 
 def run(argv) -> int:
     """Entry point used by tests: parse argv, execute, return the exit code."""
-    argv = list(argv)
-    parser = _build_parser()
     try:
-        if argv and argv[0] == "scan":
-            return _run_scan(argv[1:], parser)
-        args = parser.parse_args(argv)
-        _check_config(args)
+        args, extra = _PARSER.parse_known_args(argv)
+        if args.command == "scan":
+            return _run_scan(args, extra)
+        if extra:
+            _PARSER.error(f"unrecognized arguments: {' '.join(extra)}")
         if args.format == "csv":
             raise _CliParseError("csv output is available for scan only")
-        inputs, outputs, diags = _COMPUTE[args.command](args)
+        inputs, outputs, diags = _compute(args)
         diags = dict(diags)
         diags["backend"] = BACKEND
         _emit(_json_doc(args.command, inputs, outputs, diags), args.out)
         return _EXIT_OK
-    except NumericalFailureError as exc:
+    except (NumericalFailureError, ArithmeticError) as exc:
+        # ArithmeticError: a float overflow or division by zero in a
+        # computation, a numerical failure like the library's own
         _error_line(exc)
         return _EXIT_NUMERICAL
     except AbmodesError as exc:

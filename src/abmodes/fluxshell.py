@@ -144,7 +144,7 @@ def matching_ratio(prob: FluxShellProblem) -> float:
     """Exterior coefficient ratio b/a fixed by the shell matching conditions."""
     n0, n1, d0, d1, scale = _matching_terms(prob)
     den = d0 + prob.g * d1
-    if abs(den) < _POLE_REL_TOL * scale:
+    if abs(den) <= _POLE_REL_TOL * scale:
         raise NumericalPoleError(
             f"matching denominator vanishes at x = {prob.x:.6g} (g = {prob.g})"
         )

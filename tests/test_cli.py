@@ -64,6 +64,47 @@ def test_gfactor_reference_value():
     assert "g_asymptotic" not in doc["outputs"]
 
 
+# flags given out of order: the echo follows the declarations, skips flags
+# left at None and the shared tuning flags, and for sae-ratio keeps only the
+# flags of the chosen equation
+ECHO_ORDER = [
+    (["decompose", "--phi", "2.3"], ["phi"]),
+    (["bessel", "--x", "1.4", "--prime", "--nu", "0.3"], ["nu", "x", "prime"]),
+    (["overlap", "--pprime", "1", "--delta", "0.5", "--p", "2", "--tol-quad", "1e-8"],
+     ["delta", "p", "pprime", "kind", "verify"]),
+    (["windowed", "--window", "3.14159", "--nu", "0.5", "--mu", "0.5", "--p", "1",
+      "--pprime", "2"],
+     ["nu", "mu", "p", "pprime", "window"]),
+    (["cancel", "--alpha", "1", "--delta", "0.3", "--channel", "n", "--p", "1.3",
+      "--pprime", "0.7"],
+     ["delta", "enn", "channel", "p", "pprime", "verify", "alpha"]),
+    (["cancel", "--delta", "0.3", "--b-pprime", "1", "--b-p", "1", "--p", "1.3",
+      "--pprime", "0.7"],
+     ["delta", "enn", "channel", "p", "pprime", "verify", "b_p", "b_pprime"]),
+    (["exponent-fit", "--momenta", "0.5,1,2,4", "--delta", "0.3", "--channel", "n1"],
+     ["delta", "enn", "channel", "momenta"]),
+    (["sae-ratio", "--p", "2", "--alpha", "1", "--delta", "0.5", "--pperp", "3"],
+     ["eq", "channel", "alpha", "delta", "enn", "p"]),
+    (["sae-ratio", "--eq", "dirac", "--alpha", "1", "--delta", "0.5", "--pperp", "1",
+      "--s", "-1", "--p", "7"],
+     ["eq", "alpha", "delta", "enn", "pperp", "p3", "s"]),
+    (["fluxshell", "--rho0", "0.01", "--l", "1", "--phi", "0.3", "--g", "0.5", "--p", "1"],
+     ["l", "phi", "g", "p", "rho0"]),
+    (["gfactor", "--rho0", "0.01", "--delta", "0.4", "--enn", "1", "--alpha", "1.5",
+      "--channel", "n1"],
+     ["channel", "alpha", "enn", "delta", "rho0"]),
+    (["solve-g", "--target", "0.1", "--l", "1", "--phi", "0.3", "--p", "2", "--rho0", "0.5"],
+     ["l", "phi", "p", "rho0", "target", "glo", "ghi"]),
+]
+
+
+@pytest.mark.parametrize("argv,keys", ECHO_ORDER, ids=[" ".join(a[:3]) for a, _ in ECHO_ORDER])
+def test_inputs_echo_order(argv, keys):
+    code, out, err = run_cli(argv)
+    assert code == 0, err
+    assert list(json.loads(out)["inputs"]) == keys
+
+
 def test_determinism_same_backend():
     args = ["overlap", "--delta", "0.25", "--p", "1", "--pprime", "2", "--verify"]
     code1, out1, _ = run_cli(args)
@@ -187,12 +228,24 @@ class TestExitCodes:
         assert obj["error"] == "IntegerFluxError"
 
     def test_resonance_is_numerical_failure(self):
-        code, _, err = run_cli(
-            ["fluxshell", "--l", "0", "--phi", "0.3", "--g", "1", "--p", "1",
-             "--rho0", "0.01"]
-        )
-        assert code == 3
-        assert json.loads(err)["error"] == "ResonantError"
+        # with the float overflows and the underflowed matching pole that
+        # once escaped as tracebacks (exit 1)
+        for argv, error in (
+            (["fluxshell", "--l", "0", "--phi", "0.3", "--g", "1", "--p", "1",
+              "--rho0", "0.01"], "ResonantError"),
+            (["fluxshell", "--l", "1", "--phi", "0.3", "--g", "0.5", "--p", "1",
+              "--rho0", "1e250"], "NumericalPoleError"),
+            (["sae-ratio", "--eq", "dirac", "--alpha", "1", "--delta", "0.5",
+              "--pperp", "1e300"], "OverflowError"),
+            (["sae-ratio", "--alpha", "1", "--delta", "0.7", "--p", "1e300"],
+             "OverflowError"),
+            (["gfactor", "--channel", "n", "--alpha", "1", "--enn", "0",
+              "--delta", "0.7", "--rho0", "1e300"], "OverflowError"),
+        ):
+            code, out, err = run_cli(argv)
+            assert code == 3, err
+            assert out == b""
+            assert json.loads(err)["error"] == error
 
     def test_no_bracket_is_numerical_failure(self):
         code, _, err = run_cli(
@@ -203,9 +256,17 @@ class TestExitCodes:
         assert json.loads(err)["error"] == "NoBracketError"
 
     def test_parse_error(self):
-        code, _, err = run_cli(["decompose"])
-        assert code == 2
-        assert json.loads(err)["error"] == "_CliParseError"
+        for argv in (
+            ["decompose"],
+            ["exponent-fit", "--delta", "0.3", "--momenta", "0.5,x"],
+            ["scan", "scan", "--grid", "alpha=1:2:2"],
+            # --alpha and explicit coefficients are alternatives
+            ["cancel", "--delta", "0.3", "--alpha", "1", "--b-p", "1",
+             "--b-pprime", "1", "--p", "1.3", "--pprime", "0.7"],
+        ):
+            code, _, err = run_cli(argv)
+            assert code == 2
+            assert json.loads(err)["error"] == "_CliParseError"
 
     def test_unknown_command(self):
         code, _, err = run_cli(["frobnicate"])
@@ -260,13 +321,17 @@ class TestScan:
         assert gs == sorted(gs)
 
     def test_negative_grid_values(self):
-        # -3.8e-05 would read as an option if forwarded as a separate token
-        code, out, err = run_cli(
-            ["scan", "fluxshell", "--grid", "g=-3.8e-05:1.5:2", "--l", "1",
-             "--phi", "0.3", "--p", "1", "--rho0", "0.1"]
-        )
-        assert code == 0, err
-        assert len(json.loads(out)["rows"]) == 2
+        # -3.8e-05 would read as an option if forwarded as a separate token;
+        # the integer flag --l needs its grid values forwarded as integers
+        for argv, rows in (
+            (["scan", "fluxshell", "--grid", "g=-3.8e-05:1.5:2", "--l", "1",
+              "--phi", "0.3", "--p", "1", "--rho0", "0.1"], 2),
+            (["scan", "fluxshell", "--grid", "l=0:2:3", "--phi", "0.3",
+              "--g", "0.5", "--p", "1", "--rho0", "0.1"], 3),
+        ):
+            code, out, err = run_cli(argv)
+            assert code == 0, err
+            assert len(json.loads(out)["rows"]) == rows
 
     def test_bad_grid_spec(self):
         code, _, err = run_cli(["scan", "gfactor", "--grid", "alpha=oops"])
@@ -297,3 +362,11 @@ def test_nonfinite_outputs_never_serialized():
             _check_finite({"outputs": {"x": bad}}, "doc")
         with pytest.raises(NumericalFailureError):
             _check_finite({"rows": [{"x": [bad]}]}, "doc")
+    # a CSV scan is checked like a JSON one (the top grid point overflows to inf)
+    code, out, err = run_cli(
+        ["scan", "gfactor", "--grid", "alpha=0:1e308:3", "--format", "csv",
+         "--channel", "n", "--enn", "0", "--delta", "0.5", "--rho0", "0.01"]
+    )
+    assert code == 3
+    assert out == b""
+    assert json.loads(err)["error"] == "NumericalFailureError"

@@ -11,6 +11,7 @@ from abmodes.errors import (
     DomainError,
     InfiniteParameterError,
     NoBracketError,
+    NumericalPoleError,
     ResonantError,
     ZeroAlphaError,
 )
@@ -104,6 +105,11 @@ class TestMatchingRatio:
         r2 = matching_ratio(problem(0, 0.3, 0.0, 1.0, 1e-3))
         measured = math.log(r1 / r2) / math.log(10.0)
         assert measured == pytest.approx(0.6, abs=1e-3)
+
+    def test_underflowed_pole(self):
+        # at x = 1e250 every term of the denominator underflows to zero
+        with pytest.raises(NumericalPoleError):
+            matching_ratio(problem(1, 0.3, 0.5, 1.0, 1e250))
 
     def test_vanishes_as_radius_shrinks(self):
         for l in (-1, 0, 1, 2):
