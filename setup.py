@@ -1,8 +1,10 @@
-"""Build script: compiles the optional Cython kernel extension.
+"""Build script: compiles the optional kernel extension from the tracked C.
 
-The extension is a pure speedup; if Cython or a C compiler is missing the
-package falls back to the pure-Python kernels at import time, so any build
-failure here is demoted to a warning.
+`src/abmodes/_kernels_c.c` is generated from `_kernels_c.pyx` and kept in the
+repository, so building needs only a C compiler, not Cython.  The extension
+returns the same doubles as the pure-Python kernels and is a pure speedup; if
+no C compiler is available the package falls back to the pure-Python kernels
+at import time, so any build failure here is demoted to a warning.
 """
 
 import sys
@@ -21,6 +23,10 @@ class optional_build_ext(build_ext):
             self._warn(exc)
 
     def build_extension(self, ext):
+        # a fused multiply-add rounds once where the Python kernels round
+        # twice; forbid contraction so both return the same doubles
+        if self.compiler.compiler_type != "msvc":
+            ext.extra_compile_args = ["-ffp-contract=off"]
         try:
             super().build_extension(ext)
         except Exception as exc:
@@ -35,23 +41,7 @@ class optional_build_ext(build_ext):
         )
 
 
-def extensions():
-    try:
-        from Cython.Build import cythonize
-    except ImportError:
-        print(
-            "WARNING: Cython not available; skipping the compiled kernel "
-            "(pure-Python fallback will be used).",
-            file=sys.stderr,
-        )
-        return []
-    return cythonize(
-        [Extension("abmodes._kernels_c", ["src/abmodes/_kernels_c.pyx"])],
-        compiler_directives={"language_level": "3"},
-    )
-
-
 setup(
-    ext_modules=extensions(),
+    ext_modules=[Extension("abmodes._kernels_c", ["src/abmodes/_kernels_c.c"])],
     cmdclass={"build_ext": optional_build_ext},
 )

@@ -1,37 +1,19 @@
-"""Kernel backend selection.
+"""Kernel selection: the compiled extension if it imports, else pure Python.
 
-The compiled extension (`abmodes._kernels_c`) is preferred when importable;
-otherwise the pure-Python twin is used.  Override with the environment
-variable ``ABMODES_BACKEND``:
-
-* ``auto`` (default) -- compiled if available, else pure Python;
-* ``c``              -- compiled, ImportError if the extension is missing;
-* ``python``         -- force the pure-Python kernels.
+`abmodes._kernels_c` (built by `setup.py` from the tracked C) and
+`abmodes._kernels_py` return the same doubles, which `tests/test_backends.py`
+checks with `==`; which one runs changes the speed only, never a result.
+`BACKEND` names the one in use.
 """
 
-import os
+try:
+    from . import _kernels_c as _impl  # type: ignore[attr-defined]
 
-_choice = os.environ.get("ABMODES_BACKEND", "auto").lower()
-if _choice not in ("auto", "c", "python"):
-    raise RuntimeError(
-        f"ABMODES_BACKEND must be 'auto', 'c' or 'python', got {_choice!r}"
-    )
-
-if _choice == "python":
+    BACKEND = "c"
+except ImportError:
     from . import _kernels_py as _impl
 
     BACKEND = "python"
-else:
-    try:
-        from . import _kernels_c as _impl  # type: ignore[attr-defined]
-
-        BACKEND = "c"
-    except ImportError:
-        if _choice == "c":
-            raise
-        from . import _kernels_py as _impl
-
-        BACKEND = "python"
 
 gamma_kernel = _impl.gamma
 bessel_kernel = _impl.bessel_j

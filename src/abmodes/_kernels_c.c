@@ -2216,7 +2216,7 @@ int __pyx_module_is_main_abmodes___kernels_c = 0;
 /* Implementation of "abmodes._kernels_c" */
 /* #### Code section: global_var ### */
 /* #### Code section: string_decls ### */
-static const char __pyx_k_Compiled_numerical_kernels_algor[] = "Compiled numerical kernels: algorithmic twin of `abmodes._kernels_py`.\n\nKeep the two files in lockstep; `tests/test_backends.py` cross-checks them.\n";
+static const char __pyx_k_Compiled_numerical_kernels_algor[] = "Compiled numerical kernels: algorithmic twin of `abmodes._kernels_py`.\n\nBoth return the same doubles, as `tests/test_backends.py` checks with ==.\nRegenerate the tracked `_kernels_c.c` with Cython after any edit here.";
 /* #### Code section: decls ### */
 static PyObject *__pyx_pf_7abmodes_10_kernels_c_gamma(CYTHON_UNUSED PyObject *__pyx_self, double __pyx_v_x); /* proto */
 static PyObject *__pyx_pf_7abmodes_10_kernels_c_2bessel_j(CYTHON_UNUSED PyObject *__pyx_self, double __pyx_v_nu, double __pyx_v_x); /* proto */

@@ -1,8 +1,8 @@
 # cython: language_level=3, boundscheck=False, wraparound=False, cdivision=True
 """Compiled numerical kernels: algorithmic twin of `abmodes._kernels_py`.
 
-Keep the two files in lockstep; `tests/test_backends.py` cross-checks them.
-"""
+Both return the same doubles, as `tests/test_backends.py` checks with ==.
+Regenerate the tracked `_kernels_c.c` with Cython after any edit here."""
 
 from libc.math cimport cos, exp, fabs, floor, pow, sin, sqrt
 

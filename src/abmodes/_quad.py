@@ -33,12 +33,16 @@ class PanelBudget:
         self.left = int(panels)
 
     def spend(self, n: int = 1):
+        self.ensure(n)
+        self.left -= n
+
+    def ensure(self, n: float):
+        """Raise ConvergenceError unless n more panels are left."""
         if self.left < n:
             raise ConvergenceError(
                 f"panel budget {self.initial} exhausted; raise the budget or "
                 "relax the tolerance"
             )
-        self.left -= n
 
     @property
     def used(self) -> int:
@@ -82,6 +86,10 @@ def product_quad(
     if hi <= lo:
         return 0.0
     step = math.pi / max(p, pp)
+    # [lo, hi] holds more than (hi - lo) / step - 1 cells and each costs at
+    # least three panels: refuse a range the budget cannot cover before its
+    # break points are built
+    budget.ensure(3.0 * ((hi - lo) / step - 1.0))
     breaks = {lo, hi}
     k = math.floor(lo / step) + 1
     while k * step < hi:

@@ -16,6 +16,9 @@ holds the echo, re-run as one invocation with the same shared flags.
 
 Floats are serialized with Python's shortest round-trip representation, so
 every printed number parses back to the exact double that was computed.
+Standard output is a function of the arguments alone: the compiled and the
+pure-Python kernels return the same doubles, so which of them ran is not part
+of a document (`--version` names it).
 """
 
 import argparse
@@ -266,7 +269,9 @@ _SAE_NOT_ECHOED = {"schrodinger": {"pperp", "p3", "s"}, "dirac": {"channel", "p"
 
 def _build_parser():
     parser = _Parser(prog="abmodes", description=__doc__)
-    parser.add_argument("--version", action="version", version=f"abmodes {__version__}")
+    parser.add_argument(
+        "--version", action="version", version=f"abmodes {__version__} ({BACKEND} kernels)"
+    )
     subs = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     def sub(name, fn, **kwargs):
@@ -425,21 +430,37 @@ def _parse_grid(spec: str):
     try:
         name, rest = spec.split("=", 1)
         parts = rest.split(":")
-        if parts[0] == "log":
-            lo, hi, n = float(parts[1]), float(parts[2]), int(parts[3])
-            if lo <= 0 or hi <= 0:
-                raise _CliParseError(f"log grid bounds must be positive: {spec!r}")
-            vals = [
-                lo * (hi / lo) ** (i / (n - 1)) if n > 1 else lo for i in range(n)
-            ]
-        else:
-            lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
-            vals = [lo + (hi - lo) * i / (n - 1) if n > 1 else lo for i in range(n)]
-        if n < 1:
-            raise _CliParseError(f"grid needs at least one point: {spec!r}")
-        return name, vals
+        log = parts[0] == "log"
+        lo, hi, n = float(parts[log]), float(parts[log + 1]), int(parts[log + 2])
     except (ValueError, IndexError):
         raise _CliParseError(f"bad grid spec {spec!r} (want name=lo:hi:n)")
+    if n < 1:
+        raise _CliParseError(f"grid needs at least one point: {spec!r}")
+    if log and (lo <= 0 or hi <= 0):
+        raise _CliParseError(f"log grid bounds must be positive: {spec!r}")
+    return name, _grid_points(lo, hi, n, log)
+
+
+def _grid_points(lo, hi, n, log):
+    """n points from lo to hi, evenly spaced (in log if log is true).
+
+    The endpoints are exact, and for finite ends every point is finite and
+    inside [lo, hi]: each point is a weighted sum of the ends, because hi - lo
+    and hi / lo overflow for ends near the largest double.
+    """
+    if n == 1:
+        return [lo]
+    a, b = (math.log(lo), math.log(hi)) if log else (lo, hi)
+    bottom, top = min(lo, hi), max(lo, hi)
+    vals = [lo]
+    for i in range(1, n - 1):
+        t = i / (n - 1)
+        v = (1.0 - t) * a + t * b
+        if log:
+            v = math.exp(min(v, max(a, b)))
+        vals.append(min(max(v, bottom), top))
+    vals.append(hi)
+    return vals
 
 
 def _grid_flag(name, value):
@@ -510,8 +531,6 @@ def run(argv) -> int:
         if args.format == "csv":
             raise _CliParseError("csv output is available for scan only")
         inputs, outputs, diags = _compute(args)
-        diags = dict(diags)
-        diags["backend"] = BACKEND
         _emit(_json_doc(args.command, inputs, outputs, diags), args.out)
         return _EXIT_OK
     except (NumericalFailureError, ArithmeticError) as exc:

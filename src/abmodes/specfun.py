@@ -10,7 +10,8 @@ Accuracy envelope (measured against an independent reference):
 relative error ~1e-11 for |nu| <= 2 over (0, 100], degrading to ~6e-10 for
 |nu| up to 5 just above the series/asymptotic crossover; absolute error near
 Bessel zeros ~1e-12 for |nu| <= 2.  Gamma is good to ~2e-12 relative on
-[-5, 10] away from the poles.
+[-5, 10] away from the poles, and to ~1e-13 for |x| > 140 wherever the value
+is a normal double.
 
 All functions are pure and reentrant.
 """
@@ -21,6 +22,11 @@ from ._backend import BACKEND, bessel_kernel, gamma_kernel
 from .errors import DomainError, PoleError
 
 __all__ = ["BACKEND", "MAX_ORDER", "gamma", "bessel_j", "bessel_j_prime"]
+
+# The kernels overflow in their power t**(x - 0.5), t = x + 6.5, from
+# x = 142.3 on, and through the reflection from x = -141.3 down; gamma brings
+# a larger |x| inside this bound by the recurrence Gamma(x + 1) = x Gamma(x).
+_GAMMA_KERNEL_MAX = 140.0
 
 # Orders the library guarantees; bessel_j itself admits one more unit so the
 # derivative recurrence stays inside the cap.
@@ -40,6 +46,21 @@ def gamma(x: float) -> float:
         raise PoleError(f"gamma: pole at non-positive integer x = {x}")
     if x > 171.62:
         raise DomainError(f"gamma: overflow for x = {x} (max 171.62)")
+    if x > _GAMMA_KERNEL_MAX:
+        k = math.ceil(x - _GAMMA_KERNEL_MAX)
+        g = gamma_kernel(x - k)
+        for j in range(k, 0, -1):
+            g *= x - j
+        return g
+    if x < -_GAMMA_KERNEL_MAX:
+        k = math.ceil(-_GAMMA_KERNEL_MAX - x)
+        g = gamma_kernel(x + k)
+        for j in range(k - 1, -1, -1):
+            g /= x + j
+            if g == 0.0:
+                # underflowed; each of the j factors left is negative
+                return -g if j & 1 else g
+        return g
     return gamma_kernel(x)
 
 

@@ -10,14 +10,10 @@ SRC = REPO / "src"
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 
-def run_cli(args, backend=None):
+def run_cli(args):
     """Run the CLI in a subprocess; returns (exit_code, stdout_bytes, stderr_bytes)."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
-    if backend is not None:
-        env["ABMODES_BACKEND"] = backend
-    else:
-        env.pop("ABMODES_BACKEND", None)
     proc = subprocess.run(
         [sys.executable, "-m", "abmodes.cli", *args],
         capture_output=True,

@@ -357,7 +357,7 @@ def test_criterion_10_cli_contract():
     }
     golden_ok = True
     for name, args in golden.items():
-        code, out, _ = run_cli(args, backend="python")
+        code, out, _ = run_cli(args)
         golden_ok &= code == 0 and out == (FIXTURES / name).read_bytes()
     code_a, out_a, _ = run_cli(golden["overlap_verify.json"])
     code_b, out_b, _ = run_cli(golden["overlap_verify.json"])

@@ -7,6 +7,8 @@ import math
 
 import pytest
 
+import abmodes
+from abmodes.cli import _parse_grid
 from conftest import FIXTURES, run_cli
 
 GOLDEN = {
@@ -23,8 +25,7 @@ GOLDEN = {
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_golden_round_trip(name):
-    # fixtures are recorded with the pure-Python backend for byte stability
-    code, out, err = run_cli(GOLDEN[name], backend="python")
+    code, out, err = run_cli(GOLDEN[name])
     assert code == 0, err
     expected = (FIXTURES / name).read_bytes()
     assert out == expected
@@ -241,6 +242,9 @@ class TestExitCodes:
              "OverflowError"),
             (["gfactor", "--channel", "n", "--alpha", "1", "--enn", "0",
               "--delta", "0.7", "--rho0", "1e300"], "OverflowError"),
+            # about 6e299 cells, refused before any break point is built
+            (["windowed", "--nu", "0.5", "--mu", "0.5", "--p", "1", "--pprime", "2",
+              "--window", "1e300"], "ConvergenceError"),
         ):
             code, out, err = run_cli(argv)
             assert code == 3, err
@@ -333,6 +337,21 @@ class TestScan:
             assert code == 0, err
             assert len(json.loads(out)["rows"]) == rows
 
+    def test_grid_ends_near_the_largest_double(self):
+        # hi - lo and hi / lo overflow here; the points must not
+        code, out, err = run_cli(
+            ["scan", "gfactor", "--grid", "alpha=0:1e308:3", "--format", "csv",
+             "--channel", "n", "--enn", "0", "--delta", "0.5", "--rho0", "0.01"]
+        )
+        assert code == 0, err
+        rows = list(csv.DictReader(io.StringIO(out.decode())))
+        assert [r["alpha"] for r in rows] == ["0.0", "5e+307", "1e+308"]
+        for spec, ends in (("a=-1e308:1e308:3", (-1e308, 1e308)),
+                           ("a=log:1e-300:1e300:3", (1e-300, 1e300))):
+            _, vals = _parse_grid(spec)
+            assert (vals[0], vals[-1]) == ends
+            assert all(ends[0] <= v <= ends[1] for v in vals)
+
     def test_bad_grid_spec(self):
         code, _, err = run_cli(["scan", "gfactor", "--grid", "alpha=oops"])
         assert code == 2
@@ -349,7 +368,7 @@ class TestScan:
 def test_version_flag():
     code, out, _ = run_cli(["--version"])
     assert code == 0
-    assert out.startswith(b"abmodes ")
+    assert out == f"abmodes {abmodes.__version__} ({abmodes.BACKEND} kernels)\n".encode()
 
 
 def test_nonfinite_outputs_never_serialized():
@@ -362,9 +381,9 @@ def test_nonfinite_outputs_never_serialized():
             _check_finite({"outputs": {"x": bad}}, "doc")
         with pytest.raises(NumericalFailureError):
             _check_finite({"rows": [{"x": [bad]}]}, "doc")
-    # a CSV scan is checked like a JSON one (the top grid point overflows to inf)
+    # a CSV scan is checked like a JSON one (g is nan at these alpha)
     code, out, err = run_cli(
-        ["scan", "gfactor", "--grid", "alpha=0:1e308:3", "--format", "csv",
+        ["scan", "gfactor", "--grid", "alpha=1.7e308:1.75e308:2", "--format", "csv",
          "--channel", "n", "--enn", "0", "--delta", "0.5", "--rho0", "0.01"]
     )
     assert code == 3

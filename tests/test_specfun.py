@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -42,6 +43,18 @@ class TestGamma:
     def test_domain(self, x):
         with pytest.raises(DomainError):
             gamma(x)
+
+    @pytest.mark.parametrize("x", [142.3, 142.5, 165.0, 171.6, -141.3, -150.3])
+    def test_large_argument_against_mpmath(self, x):
+        # beyond |x| = 142 the kernels overflow and gamma recurs into their range
+        with mpmath.workdps(30):
+            expected = float(mpmath.gamma(x))
+        assert gamma(x) == pytest.approx(expected, rel=2e-13)
+
+    def test_underflow_keeps_the_sign(self):
+        # |Gamma(-200.5)| is below the smallest double; Gamma is negative there
+        assert math.copysign(1.0, gamma(-200.5)) == -1.0 and gamma(-200.5) == 0.0
+        assert math.copysign(1.0, gamma(-201.5)) == 1.0 and gamma(-201.5) == 0.0
 
     def test_reflection_identity_grid(self):
         # gamma(x) gamma(1-x) sin(pi x) / pi = 1 on (0, 1)
