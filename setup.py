@@ -1,10 +1,10 @@
-"""Build script: compiles the optional kernel extension from the tracked C.
+"""Build script: compiles the optional kernel extension.
 
-`src/abmodes/_kernels_c.c` is generated from `_kernels_c.pyx` and kept in the
-repository, so building needs only a C compiler, not Cython.  The extension
-returns the same doubles as the pure-Python kernels and is a pure speedup; if
-no C compiler is available the package falls back to the pure-Python kernels
-at import time, so any build failure here is demoted to a warning.
+`src/abmodes/_kernels_c.c` is a hand-written CPython module, the twin of
+`_kernels_py.py`, so building needs only a C compiler.  The extension returns
+the same doubles as the pure-Python kernels and is a pure speedup; if no C
+compiler is available the package falls back to the pure-Python kernels at
+import time, so any build failure here is demoted to a warning.
 """
 
 import sys

@@ -37,8 +37,8 @@ class PanelBudget:
         self.left -= n
 
     def ensure(self, n: float):
-        """Raise ConvergenceError unless n more panels are left."""
-        if self.left < n:
+        """Raise ConvergenceError unless n more panels are left (n NaN included)."""
+        if not self.left >= n:
             raise ConvergenceError(
                 f"panel budget {self.initial} exhausted; raise the budget or "
                 "relax the tolerance"

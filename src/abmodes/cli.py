@@ -84,7 +84,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _check_config(args):
-    if args.tol_quad <= 0.0 or args.window_factor <= 0.0:
+    if not (args.tol_quad > 0.0 and args.window_factor > 0.0):
         raise _CliParseError("tolerances must be positive")
     if args.panel_budget < 1000:
         raise _CliParseError("panel budget must be >= 1000")

@@ -35,8 +35,10 @@ class FluxParameter:
             raise IntegerFluxError(
                 f"fractional part must lie strictly in (0, 1), got {self.delta}"
             )
-        if self.n + self.delta != self.phi:
-            raise ValueError("inconsistent decomposition: phi != n + delta")
+        # delta is phi - n rounded: n + delta misses phi by an ulp for some
+        # phi in (-0.5, 0), where phi + 1 is not a double
+        if self.delta != self.phi - self.n:
+            raise ValueError("inconsistent decomposition: delta != phi - n")
 
 
 def decompose(phi: float) -> FluxParameter:

@@ -42,7 +42,7 @@ from .errors import (
 )
 from .flux import FluxParameter
 from .sae import Channel, ExtensionParameter
-from .specfun import bessel_j, bessel_j_prime, gamma
+from .specfun import bessel_j, bessel_j_prime, gamma, power
 
 __all__ = [
     "FluxShellProblem",
@@ -174,7 +174,7 @@ def limit_ratio(prob: FluxShellProblem) -> float:
     return (
         (numer / defect)
         * (gamma(1.0 - nu) / gamma(1.0 + nu))
-        * (0.5 * prob.x) ** (2.0 * nu)
+        * power(0.5 * prob.x, 2.0 * nu, "limit_ratio (p rho0/2)^(2 nu)")
     )
 
 
@@ -188,12 +188,12 @@ def _dictionary_parts(ep: ExtensionParameter, flux: FluxParameter, rho0: float, 
     delta = flux.delta
     n = flux.n
     if ep.channel is Channel.SCHRODINGER_N:
-        u = (0.5 * M * rho0) ** (2.0 * delta)
+        u = power(0.5 * M * rho0, 2.0 * delta, "(M rho0/2)^(2 delta)")
         shell = gamma(-delta) * u
         ext = ep.alpha * gamma(delta)
         lead_in, lead_out = abs(n) - delta, abs(n) + delta
     elif ep.channel is Channel.SCHRODINGER_N_PLUS_1:
-        u = (0.5 * M * rho0) ** (2.0 * (1.0 - delta))
+        u = power(0.5 * M * rho0, 2.0 * (1.0 - delta), "(M rho0/2)^(2 (1-delta))")
         shell = gamma(delta - 1.0) * u
         ext = ep.alpha * gamma(1.0 - delta)
         lead_in, lead_out = abs(n + 1) - 1.0 + delta, abs(n + 1) + 1.0 - delta
@@ -252,12 +252,12 @@ def g_asymptotic(
     delta = flux.delta
     n = flux.n
     if ep.channel is Channel.SCHRODINGER_N:
-        u = (0.5 * M * rho0) ** (2.0 * delta)
+        u = power(0.5 * M * rho0, 2.0 * delta, "(M rho0/2)^(2 delta)")
         return 1.0 + (1.0 / ep.alpha) * ((n - delta) / (n + delta)) * (
             gamma(-delta) / gamma(delta)
         ) * u
     if ep.channel is Channel.SCHRODINGER_N_PLUS_1:
-        u = (0.5 * M * rho0) ** (2.0 * (1.0 - delta))
+        u = power(0.5 * M * rho0, 2.0 * (1.0 - delta), "(M rho0/2)^(2 (1-delta))")
         return -1.0 - (1.0 / ep.alpha) * ((n + 2.0 - delta) / (n + delta)) * (
             gamma(delta - 1.0) / gamma(1.0 - delta)
         ) * u

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .errors import DegenerateError, DomainError, IrregularForbiddenError
 from .flux import EquationKind, FluxParameter, critical_channels
-from .specfun import bessel_j, gamma
+from .specfun import bessel_j, gamma, power
 
 __all__ = [
     "ModeKind",
@@ -89,17 +89,22 @@ class DiracKinematics:
             raise DomainError(f"radial momentum must be positive, got {self.p_perp}")
         if self.s not in (1, -1):
             raise DomainError(f"spin label must be +1 or -1, got {self.s}")
-        rhs = self.p_perp**2 + self.p3**2 + self.M**2
-        if self.E <= 0.0 or abs(self.E**2 - rhs) > 1e-12 * rhs:
+        rhs = _mass_shell(self.M, self.p_perp, self.p3)
+        e2 = power(self.E, 2.0, "DiracKinematics E^2")
+        if self.E <= 0.0 or abs(e2 - rhs) > 1e-12 * rhs:
             raise DomainError(
-                f"off-shell kinematics: E^2 = {self.E**2}, "
-                f"p_perp^2 + p3^2 + M^2 = {rhs}"
+                f"off-shell kinematics: E^2 = {e2}, p_perp^2 + p3^2 + M^2 = {rhs}"
             )
 
     @classmethod
     def from_momenta(cls, M: float, p_perp: float, p3: float = 0.0, s: int = 1):
         """Build with E fixed by the mass-shell relation."""
-        return cls(M=M, E=math.sqrt(p_perp**2 + p3**2 + M**2), p3=p3, p_perp=p_perp, s=s)
+        return cls(M=M, E=math.sqrt(_mass_shell(M, p_perp, p3)), p3=p3, p_perp=p_perp, s=s)
+
+
+def _mass_shell(M, p_perp, p3):
+    """p_perp^2 + p3^2 + M^2, the E^2 of on-shell kinematics."""
+    return power(p_perp, 2.0, "p_perp^2") + power(p3, 2.0, "p3^2") + power(M, 2.0, "M^2")
 
 
 def make_schrodinger_mode(
@@ -225,7 +230,7 @@ def small_rho_signature(mode: RadialMode, M: float) -> SmallRhoSignature:
         raise DegenerateError(
             "pure irregular mode: boundary ratio is infinite"
         )
-    scale = (mode.p / (2.0 * M)) ** (-2.0 * nu)
+    scale = power(mode.p / (2.0 * M), -2.0 * nu, "small_rho_signature (p/2M)^(-2 nu)")
     return SmallRhoSignature(
         nu=nu,
         boundary_ratio=-(c_neg / c_pos) * scale * gamma(1.0 + nu) / gamma(1.0 - nu),

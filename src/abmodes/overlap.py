@@ -37,6 +37,7 @@ from .errors import (
     SingularFitError,
 )
 from .modes import RadialMode
+from .specfun import MAX_ORDER
 
 __all__ = [
     "OverlapResult",
@@ -74,15 +75,23 @@ class OverlapResult:
 
 
 def _check_momenta(p, p_prime):
-    if p <= 0.0 or p_prime <= 0.0:
-        raise DomainError(f"momenta must be positive, got {p}, {p_prime}")
+    if not (0.0 < p < math.inf and 0.0 < p_prime < math.inf):
+        raise DomainError(f"momenta must be positive and finite, got {p}, {p_prime}")
+
+
+def _check_orders(*orders):
+    # above -1 for convergence at 0; up to the order cap of specfun.bessel_j,
+    # since the quadrature calls the kernels without it
+    if not all(-1.0 < nu <= MAX_ORDER + 1.0 for nu in orders):
+        raise DomainError(
+            f"orders must lie in (-1, {MAX_ORDER + 1.0}], got {', '.join(map(str, orders))}"
+        )
 
 
 def closed_form_same(nu: float, p: float, p_prime: float) -> OverlapResult:
     """Same-order overlap: pure delta, unit coefficient, no finite part."""
     _check_momenta(p, p_prime)
-    if nu <= -1.0:
-        raise DomainError(f"order must exceed -1 for convergence at 0, got {nu}")
+    _check_orders(nu)
     return OverlapResult(delta_coeff=1.0, finite_part=0.0, est_error=0.0)
 
 
@@ -112,11 +121,6 @@ def closed_form_cross(delta_order: float, p: float, p_prime: float) -> OverlapRe
     )
 
 
-def _check_orders(nu, mu):
-    if nu <= -1.0 or mu <= -1.0:
-        raise DomainError(f"orders must exceed -1, got {nu}, {mu}")
-
-
 def windowed_overlap(
     nu: float,
     mu: float,
@@ -134,8 +138,8 @@ def windowed_overlap(
     """
     _check_orders(nu, mu)
     _check_momenta(p, p_prime)
-    if L <= 0.0:
-        raise DomainError(f"window length must be positive, got {L}")
+    if not 0.0 < L < math.inf:
+        raise DomainError(f"window length must be positive and finite, got {L}")
     return product_quad(nu, mu, p, p_prime, 0.0, L, tol, PanelBudget(panel_budget))
 
 

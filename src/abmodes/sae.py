@@ -27,7 +27,7 @@ from typing import Optional
 from .errors import ChannelMismatchError, DomainError, InfiniteParameterError
 from .flux import EquationKind, FluxParameter
 from .modes import DiracKinematics, RadialMode, make_schrodinger_mode
-from .specfun import gamma
+from .specfun import gamma, power
 
 __all__ = [
     "Channel",
@@ -86,9 +86,11 @@ def schrodinger_ratio(
         raise DomainError(f"p and M must be positive, got p={p}, M={M}")
     alpha = _require_finite(ep)
     if ep.channel is Channel.SCHRODINGER_N:
-        return alpha * (p / M) ** (2.0 * flux.delta)
+        return alpha * power(p / M, 2.0 * flux.delta, "schrodinger_ratio (p/M)^(2 delta)")
     if ep.channel is Channel.SCHRODINGER_N_PLUS_1:
-        return alpha * (p / M) ** (2.0 * (1.0 - flux.delta))
+        return alpha * power(
+            p / M, 2.0 * (1.0 - flux.delta), "schrodinger_ratio (p/M)^(2 (1-delta))"
+        )
     raise ChannelMismatchError(
         f"schrodinger_ratio needs a Schrodinger channel, got {ep.channel}"
     )
@@ -107,7 +109,7 @@ def dirac_ratio(
         alpha
         * kin.M
         / (kin.E + kin.s * kin.M)
-        * (kin.p_perp / kin.M) ** (2.0 * flux.delta)
+        * power(kin.p_perp / kin.M, 2.0 * flux.delta, "dirac_ratio (p_perp/M)^(2 delta)")
     )
 
 

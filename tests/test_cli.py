@@ -1,13 +1,17 @@
 """CLI: golden files, determinism, exit codes, scan reproduction."""
 
+import argparse
 import csv
 import io
 import json
 import math
 
 import pytest
+from hypothesis import HealthCheck, event, example, given, settings
+from hypothesis import strategies as st
 
 import abmodes
+from abmodes import cli
 from abmodes.cli import _parse_grid
 from conftest import FIXTURES, run_cli
 
@@ -171,6 +175,10 @@ def test_run_config_validation():
     assert code == 2
     code, _, _ = run_cli(["decompose", "--phi", "2.3", "--tol-quad", "-1"])
     assert code == 2
+    for flag in ("--tol-quad", "--window-factor"):
+        code, _, err = run_cli(["decompose", "--phi", "2.3", flag, "nan"])
+        assert code == 2
+        assert json.loads(err)["error"] == "_CliParseError"
 
 
 def test_sae_ratio_dirac():
@@ -230,21 +238,26 @@ class TestExitCodes:
 
     def test_resonance_is_numerical_failure(self):
         # with the float overflows and the underflowed matching pole that
-        # once escaped as tracebacks (exit 1)
+        # once escaped as tracebacks (exit 1); an overflowing power is
+        # reported by the library as NumericalFailureError
         for argv, error in (
             (["fluxshell", "--l", "0", "--phi", "0.3", "--g", "1", "--p", "1",
               "--rho0", "0.01"], "ResonantError"),
             (["fluxshell", "--l", "1", "--phi", "0.3", "--g", "0.5", "--p", "1",
               "--rho0", "1e250"], "NumericalPoleError"),
             (["sae-ratio", "--eq", "dirac", "--alpha", "1", "--delta", "0.5",
-              "--pperp", "1e300"], "OverflowError"),
+              "--pperp", "1e300"], "NumericalFailureError"),
             (["sae-ratio", "--alpha", "1", "--delta", "0.7", "--p", "1e300"],
-             "OverflowError"),
+             "NumericalFailureError"),
             (["gfactor", "--channel", "n", "--alpha", "1", "--enn", "0",
-              "--delta", "0.7", "--rho0", "1e300"], "OverflowError"),
+              "--delta", "0.7", "--rho0", "1e300"], "NumericalFailureError"),
             # about 6e299 cells, refused before any break point is built
             (["windowed", "--nu", "0.5", "--mu", "0.5", "--p", "1", "--pprime", "2",
               "--window", "1e300"], "ConvergenceError"),
+            # subnormal momenta: infinite periods, a NaN cell count
+            (["overlap", "--kind", "same", "--delta", "1e-320", "--p", "4.9e-324",
+              "--pprime", "1e-320", "--verify", "--panel-budget", "1000"],
+             "ConvergenceError"),
         ):
             code, out, err = run_cli(argv)
             assert code == 3, err
@@ -286,6 +299,18 @@ class TestExitCodes:
             ["bessel", "--nu", "0.3", "--x", "inf"],
             ["fluxshell", "--l", "1", "--phi", "0.3", "--g", "0.5", "--p", "1e200",
              "--rho0", "1e200"],
+            # the quadrature refuses what specfun refuses: NaN momenta and
+            # windows (once tracebacks or endless bisection), orders
+            # outside (-1, MAX_ORDER + 1]
+            ["windowed", "--nu", "1", "--mu", "1e-13", "--p", "nan", "--pprime", "3",
+             "--window", "2"],
+            ["overlap", "--delta", "0.3", "--p", "nan", "--pprime", "1", "--verify"],
+            ["windowed", "--nu", "inf", "--mu", "3", "--p", "0.25", "--pprime", "3",
+             "--window", "0.01"],
+            ["windowed", "--nu", "0.3", "--mu", "0.3", "--p", "1", "--pprime", "1",
+             "--window", "nan"],
+            ["windowed", "--nu", "7", "--mu", "0.3", "--p", "1", "--pprime", "2",
+             "--window", "30"],
         ):
             code, _, err = run_cli(argv)
             assert code == 2
@@ -389,3 +414,118 @@ def test_nonfinite_outputs_never_serialized():
     assert code == 3
     assert out == b""
     assert json.loads(err)["error"] == "NumericalFailureError"
+
+
+# --- the CLI contract as a property: any argv exits 0, 2 or 3 with one JSON line
+
+_SUBPARSERS = next(
+    a.choices for a in cli._PARSER._actions if isinstance(a, argparse._SubParsersAction)
+)
+# shared flags never drawn: --out writes files, --panel-budget is pinned to
+# its minimum so that no example runs long
+_NOT_DRAWN = {"--out", "--panel-budget", "-h"}
+_SHARED = {a.option_strings[0] for a in cli._COMMON._actions}
+_EXTREME = [
+    math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 1e-310,
+    1e300, -1e300, 1.7976931348623157e308, -1.7976931348623157e308,
+]
+# one draw in five extreme, one anywhere in [-10, 10], the rest in the
+# positive range where most commands succeed
+_FLOATS = st.one_of(
+    st.sampled_from(_EXTREME),
+    st.floats(-10.0, 10.0),
+    st.floats(0.05, 5.0),
+    st.floats(0.05, 5.0),
+    st.sampled_from([0.3, 0.5, 0.7, 1.0, 2.0]),
+)
+_TEXT = {
+    int: st.one_of(st.integers(-3, 3), st.sampled_from([10**6, -(10**6)])),
+    float: _FLOATS.map(repr),
+    cli._momenta_list: st.lists(_FLOATS, min_size=1, max_size=4).map(
+        lambda xs: ",".join(map(repr, xs))
+    ),
+    None: st.sampled_from(["n", "n1", "x"]),
+}
+
+
+def _flag_tokens(draw, sub, skip=()):
+    tokens = []
+    for action in _SUBPARSERS[sub]._actions:
+        name = action.option_strings[0] if action.option_strings else None
+        if name is None or name in _NOT_DRAWN or name in skip:
+            continue
+        # kept: a required flag 19 times in 20, a subcommand's optional flag
+        # one time in 2, a shared tuning flag one time in 6
+        kept, out_of = (19, 20) if action.required else (1, 6) if name in _SHARED else (1, 2)
+        if draw(st.integers(0, out_of - 1)) >= kept:
+            continue
+        if action.nargs == 0:
+            tokens.append(name)
+            continue
+        if action.choices:
+            value = draw(st.sampled_from([*action.choices, "0"]))
+        else:
+            value = draw(_TEXT[action.type])
+        tokens.append(f"{name}={value}")
+    return tokens
+
+
+@st.composite
+def _argv(draw):
+    sub = draw(st.sampled_from(sorted(_SUBPARSERS)))
+    if sub != "scan":
+        return [sub, *_flag_tokens(draw, sub), "--panel-budget=1000"]
+    swept = draw(st.sampled_from(sorted(set(_SUBPARSERS) - {"scan"})))
+    numeric = [
+        a.option_strings[0][2:] for a in _SUBPARSERS[swept]._actions
+        if a.type in (int, float) and a.option_strings[0] not in _NOT_DRAWN
+    ]
+    grids = []
+    for name in draw(st.lists(st.sampled_from(numeric), min_size=1, max_size=2, unique=True)):
+        log = draw(st.sampled_from(["", "log:"]))
+        lo, hi = draw(_FLOATS), draw(_FLOATS)
+        n = draw(st.sampled_from([0, 1, 2, 3]))
+        grids.append(f"--grid={name}={log}{lo!r}:{hi!r}:{n}")
+    # a CSV scan prints a header and rows, so only the JSON form is drawn
+    fixed = _flag_tokens(draw, swept, skip={"--format"})
+    return ["scan", swept, *grids, *fixed, "--panel-budget=1000"]
+
+
+@settings(
+    max_examples=1500,
+    derandomize=True,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+@given(argv=_argv())
+# argv that once ended in a traceback, ran without end or escaped the order cap
+@example(argv=["windowed", "--nu=1", "--mu=1e-13", "--p=nan", "--pprime=3", "--window=2",
+               "--panel-budget=1000"])
+@example(argv=["overlap", "--delta=0.3", "--p=nan", "--pprime=1", "--verify",
+               "--panel-budget=1000"])
+@example(argv=["windowed", "--nu=inf", "--mu=3", "--p=0.25", "--pprime=3", "--window=0.01",
+               "--panel-budget=1000"])
+@example(argv=["windowed", "--nu=0.3", "--mu=0.3", "--p=1", "--pprime=1", "--window=nan",
+               "--panel-budget=1000"])
+@example(argv=["overlap", "--kind=same", "--delta=1e-320", "--p=4.9e-324",
+               "--pprime=1e-320", "--verify", "--panel-budget=1000"])
+@example(argv=["windowed", "--nu=7", "--mu=0.3", "--p=1", "--pprime=2", "--window=30",
+               "--panel-budget=1000"])
+# float powers that overflowed into a raw OverflowError
+@example(argv=["sae-ratio", "--eq=dirac", "--alpha=1", "--delta=0.5", "--pperp=1e300",
+               "--panel-budget=1000"])
+@example(argv=["sae-ratio", "--alpha=1", "--delta=0.7", "--p=1e300", "--panel-budget=1000"])
+@example(argv=["gfactor", "--channel=n", "--alpha=1", "--enn=0", "--delta=0.7",
+               "--rho0=1e300", "--panel-budget=1000"])
+def test_every_argv_keeps_the_contract(capsys, argv):
+    capsys.readouterr()
+    code = cli.run(argv)
+    out, err = capsys.readouterr()
+    assert code in (0, 2, 3), argv
+    event(f"{argv[0]} {argv[1] if argv[0] == 'scan' else ''}: exit {code}")
+    lines = (out + err).splitlines()
+    assert len(lines) == 1, argv
+    doc = json.loads(lines[0])
+    if code != 0:
+        assert out == "" and set(doc) == {"error", "message"}, argv

@@ -22,6 +22,14 @@ def test_decompose_negative():
     assert f.n + f.delta == f.phi
 
 
+def test_decompose_rounds_the_fraction():
+    # 1 - 1/3 is not a double, so delta is rounded and n + delta misses phi
+    # (this once raised ValueError, a traceback from the CLI)
+    f = decompose(-1.0 / 3.0)
+    assert (f.n, f.delta) == (-1, -1.0 / 3.0 + 1.0)
+    assert f.n + f.delta != f.phi
+
+
 @pytest.mark.parametrize("phi", [3.0, 0.0, -5.0, 2.0 + 1e-13])
 def test_integer_flux_rejected(phi):
     with pytest.raises(IntegerFluxError):

@@ -9,9 +9,11 @@ from abmodes.errors import (
     DegenerateError,
     DomainError,
     InfiniteParameterError,
+    NumericalFailureError,
 )
 from abmodes.flux import EquationKind, decompose
-from abmodes.modes import DiracKinematics
+from abmodes.fluxshell import FluxShellProblem, g_asymptotic, g_from_alpha, limit_ratio
+from abmodes.modes import DiracKinematics, make_schrodinger_mode
 from abmodes.overlap import (
     mode_overlap_finite_part,
     mode_overlap_finite_part_numeric,
@@ -232,3 +234,43 @@ class TestReferenceValues:
     def test_bad_spin(self):
         with pytest.raises(DomainError):
             reference_extension_parameters(EquationKind.DIRAC, 0, decompose(0.3))
+
+
+_N = ExtensionParameter.finite(Channel.SCHRODINGER_N, 1.0)
+_N1 = ExtensionParameter.finite(Channel.SCHRODINGER_N_PLUS_1, 1.0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: schrodinger_ratio(_N, decompose(0.7), 1e300, 1.0),
+        lambda: schrodinger_ratio(_N1, decompose(0.3), 1e300, 1.0),
+        lambda: dirac_ratio(
+            ExtensionParameter.finite(Channel.DIRAC_N, 1.0),
+            decompose(0.7),
+            DiracKinematics.from_momenta(1e-300, 1.0),
+        ),
+        lambda: DiracKinematics.from_momenta(1.0, 1e300),
+        lambda: DiracKinematics(M=1.0, E=1e300, p3=0.0, p_perp=1.0, s=1),
+        lambda: small_rho_signature(
+            make_schrodinger_mode(0, decompose(0.7), 1e-300, 1.0, 1.0), 1.0
+        ),
+        lambda: g_from_alpha(_N, decompose(0.7), 1e300),
+        lambda: g_from_alpha(_N1, decompose(0.3), 1e300),
+        lambda: g_asymptotic(_N, decompose(0.7), 1e300),
+        lambda: g_asymptotic(_N1, decompose(0.3), 1e300),
+        lambda: limit_ratio(
+            FluxShellProblem(rho0=1e300, g=0.5, l=1, flux=decompose(0.3), p=1.0)
+        ),
+    ],
+    ids=[
+        "schrodinger_ratio-n", "schrodinger_ratio-n1", "dirac_ratio", "from_momenta",
+        "kinematics-E", "small_rho_signature", "g_from_alpha-n", "g_from_alpha-n1",
+        "g_asymptotic-n", "g_asymptotic-n1", "limit_ratio",
+    ],
+)
+def test_overflowing_power_is_a_numerical_failure(call):
+    # a float power past the largest double raises OverflowError in Python;
+    # the library reports it as a NumericalFailureError naming the quantity
+    with pytest.raises(NumericalFailureError, match="overflows"):
+        call()

@@ -1,6 +1,7 @@
 """Special-function core: closed forms, identities, independent oracles."""
 
 import math
+import random
 
 import mpmath
 import pytest
@@ -50,6 +51,21 @@ class TestGamma:
         with mpmath.workdps(30):
             expected = float(mpmath.gamma(x))
         assert gamma(x) == pytest.approx(expected, rel=2e-13)
+
+    def test_against_mpmath(self):
+        # the bound in the specfun docstring: relative error at most
+        # 1e-13 + 2.5e-16 / d on [-5, 10], d the distance to the nearest pole
+        rng = random.Random(11)
+        xs = [rng.uniform(-5.0, 10.0) for _ in range(1500)]
+        xs += [-rng.randrange(6) + rng.choice((-1.0, 1.0)) * 10 ** rng.uniform(-12.0, -2.0)
+               for _ in range(500)]
+        with mpmath.workdps(30):
+            for x in xs:
+                if not -5.0 <= x <= 10.0:
+                    continue
+                d = min(abs(x + k) for k in range(6))
+                expected = float(mpmath.gamma(x))
+                assert abs(gamma(x) - expected) <= (1e-13 + 2.5e-16 / d) * abs(expected), x
 
     def test_underflow_keeps_the_sign(self):
         # |Gamma(-200.5)| is below the smallest double; Gamma is negative there
@@ -107,6 +123,28 @@ class TestBesselJ:
         ratio = (h * h) / (30.0 * (nu + 30.0))
         tail_bound = abs(term) * ratio / (1.0 - ratio)
         assert abs(bessel_j(nu, x) - total) <= tail_bound + 1e-13
+
+    def test_against_mpmath(self):
+        # the bound in the specfun docstring, relative to the envelope
+        # max(|J|, sqrt(2/(pi x))): 1e-11 for |nu| <= 2 and 3e-11 up to the
+        # order cap; the worst points sit at the series/asymptotic switch x = 12
+        rng = random.Random(12)
+        points = []
+        for i in range(2000):
+            nu = rng.uniform(-6.0, 6.0)
+            if i % 4 == 0:
+                x = 10 ** rng.uniform(-3.0, 2.0)
+            elif i % 4 == 1:
+                x = rng.uniform(11.0, 13.0)
+            else:
+                x = rng.uniform(1e-3, 100.0)
+            points.append((nu, x))
+        with mpmath.workdps(30):
+            for nu, x in points:
+                expected = float(mpmath.besselj(nu, x))
+                scale = max(abs(expected), math.sqrt(2.0 / (math.pi * x)))
+                bound = 1e-11 if abs(nu) <= 2.0 else 3e-11
+                assert abs(bessel_j(nu, x) - expected) <= bound * scale, (nu, x)
 
     @pytest.mark.parametrize("m,x", [(1, 0.8), (2, 3.7), (3, 14.0)])
     def test_negative_integer_orders(self, m, x):
