@@ -7,9 +7,13 @@ the absolute tolerance.  Panel evaluations are counted against a budget;
 exhaustion raises ConvergenceError.  Accepted contributions are summed
 pairwise in ascending position for deterministic, order-independent results.
 
-An optional scalar weight(rho) multiplies the integrand (used for the
-tapered tail windows of the finite-part average); weighted panels run
-through the Python node loop, unweighted ones through the backend kernel.
+An optional scalar weight(rho) multiplies the integrand, and extra_breaks
+force cell boundaries; weighted panels run through the Python node loop,
+unweighted ones through the backend kernel.  No code in the package passes
+either.  They stay only because the benchmark's tracer wraps
+`_weighted_panel` (without it its quad.panels would read as unmeasured) and
+a benchmark test passes extra_breaks; both go with the next change to the
+benchmark.
 """
 
 import math

@@ -9,10 +9,10 @@ failures print a one-line JSON error object to stderr.
 
 `inputs` echoes the subcommand's own flags in the order they are declared,
 omitting any left at None; the output and tuning flags shared by every
-subcommand (--out, --format, --tol-quad, --panel-budget, --window-factor)
-are not echoed.  The one exception is `sae-ratio`, which echoes only the
-flags of the chosen --eq.  This rule is what lets each `scan` row, which
-holds the echo, re-run as one invocation with the same shared flags.
+subcommand (--out, --format, --tol-quad, --panel-budget) are not echoed.
+The one exception is `sae-ratio`, which echoes only the flags of the chosen
+--eq.  This rule is what lets each `scan` row, which holds the echo, re-run
+as one invocation with the same shared flags.
 
 Floats are serialized with Python's shortest round-trip representation, so
 every printed number parses back to the exact double that was computed.
@@ -45,7 +45,6 @@ from .modes import DiracKinematics, make_schrodinger_mode
 from .overlap import (
     DEFAULT_PANEL_BUDGET,
     DEFAULT_TOL,
-    DEFAULT_WINDOW_FACTOR,
     closed_form_cross,
     closed_form_same,
     finite_part_estimate,
@@ -84,8 +83,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _check_config(args):
-    if not (args.tol_quad > 0.0 and args.window_factor > 0.0):
-        raise _CliParseError("tolerances must be positive")
+    if not args.tol_quad > 0.0:
+        raise _CliParseError("--tol-quad must be positive")
     if args.panel_budget < 1000:
         raise _CliParseError("panel budget must be >= 1000")
 
@@ -140,7 +139,6 @@ def _cmd_overlap(args):
             orders[1],
             args.p,
             args.pprime,
-            window_factor=args.window_factor,
             tol=args.tol_quad,
             panel_budget=args.panel_budget,
         )
@@ -177,7 +175,6 @@ def _cmd_cancel(args):
         value, est = mode_overlap_finite_part_numeric(
             mode_a,
             mode_b,
-            window_factor=args.window_factor,
             tol=args.tol_quad,
             panel_budget=args.panel_budget,
         )
@@ -259,7 +256,6 @@ _COMMON.add_argument("--out", default=None, help="output path (default stdout)")
 _COMMON.add_argument("--format", default="json", choices=("json", "csv"))
 _COMMON.add_argument("--tol-quad", type=float, default=DEFAULT_TOL)
 _COMMON.add_argument("--panel-budget", type=int, default=DEFAULT_PANEL_BUDGET)
-_COMMON.add_argument("--window-factor", type=float, default=DEFAULT_WINDOW_FACTOR)
 
 # namespace entries that no subcommand echoes as an input
 _NOT_ECHOED = {"command", "compute", *vars(_COMMON.parse_args([]))}

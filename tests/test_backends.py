@@ -98,6 +98,10 @@ def test_panel_agreement(kernels_c):
         ["gfactor", "--channel", "n", "--alpha", "1", "--enn", "0", "--delta", "0.4",
          "--rho0", "0.01"],
         ["fluxshell", "--l", "0", "--phi", "0.3", "--g", "1", "--p", "1", "--rho0", "0.01"],
+        # the Lommel finite part near the diagonal, alone and in a mode overlap
+        ["overlap", "--delta", "0.3", "--p", "1", "--pprime", "1.0005", "--verify"],
+        ["cancel", "--delta", "0.3", "--channel", "n", "--b-p", "0.8", "--b-pprime", "0.5",
+         "--p", "1", "--pprime", "1.02", "--verify"],
     ],
 )
 def test_backends_byte_stable_results(kernels_c, monkeypatch, capsys, argv):

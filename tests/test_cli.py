@@ -175,10 +175,9 @@ def test_run_config_validation():
     assert code == 2
     code, _, _ = run_cli(["decompose", "--phi", "2.3", "--tol-quad", "-1"])
     assert code == 2
-    for flag in ("--tol-quad", "--window-factor"):
-        code, _, err = run_cli(["decompose", "--phi", "2.3", flag, "nan"])
-        assert code == 2
-        assert json.loads(err)["error"] == "_CliParseError"
+    code, _, err = run_cli(["decompose", "--phi", "2.3", "--tol-quad", "nan"])
+    assert code == 2
+    assert json.loads(err)["error"] == "_CliParseError"
 
 
 def test_sae_ratio_dirac():
@@ -277,6 +276,9 @@ class TestExitCodes:
             ["decompose"],
             ["exponent-fit", "--delta", "0.3", "--momenta", "0.5,x"],
             ["scan", "scan", "--grid", "alpha=1:2:2"],
+            # the finite part no longer averages windows, so the flag is gone
+            ["overlap", "--delta", "0.3", "--p", "1", "--pprime", "2", "--verify",
+             "--window-factor", "40"],
             # --alpha and explicit coefficients are alternatives
             ["cancel", "--delta", "0.3", "--alpha", "1", "--b-p", "1",
              "--b-pprime", "1", "--p", "1.3", "--pprime", "0.7"],

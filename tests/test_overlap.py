@@ -4,6 +4,7 @@ cancellation mechanics, and exponent recovery."""
 import math
 import random
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -27,6 +28,15 @@ from abmodes.overlap import (
     windowed_overlap,
 )
 from abmodes.specfun import bessel_j
+
+
+def mp_finite_part(d, p, pp):
+    """The closed-form finite part at 40 digits: the oracle near the diagonal."""
+    with mpmath.workdps(40):
+        d, p, pp = mpmath.mpf(d), mpmath.mpf(p), mpmath.mpf(pp)
+        return float(
+            2 * mpmath.sin(mpmath.pi * d) / (mpmath.pi * (p * p - pp * pp)) * (p / pp) ** d
+        )
 
 
 class TestClosedForms:
@@ -55,6 +65,13 @@ class TestClosedForms:
     def test_cross_equal_momenta(self):
         with pytest.raises(EqualMomentaError):
             closed_form_cross(0.5, 1.0, 1.0)
+
+    @pytest.mark.parametrize("ratio", [1.0001, 1.0 + 1e-6, 1.0 + 1e-8])
+    def test_cross_near_diagonal(self, ratio):
+        # p - p' is exact here (Sterbenz); p^2 - p'^2 lost up to 5e-9
+        cf = closed_form_cross(0.3, 1.0, ratio).finite_part
+        ref = mp_finite_part(0.3, 1.0, ratio)
+        assert abs(cf - ref) <= 2e-15 * abs(ref)
 
     def test_cross_order_domain(self):
         with pytest.raises(DomainError):
@@ -124,8 +141,27 @@ class TestFinitePartEstimate:
         assert abs(value2 - cf2) <= 1e-3 * max(1.0, abs(cf2))
 
     def test_separation_floor(self):
+        # only the delta fit needs the slow period, so only it keeps the floor
         with pytest.raises(EqualMomentaError):
-            finite_part_estimate(0.3, -0.3, 1.0, 1.0005)
+            fit_delta_coefficient(0.3, -0.3, 1.0, 1.0005)
+        for ratio in (1.0005, 1.0001, 1.0 + 1e-6):
+            value, _ = finite_part_estimate(0.3, -0.3, 1.0, ratio)
+            ref = mp_finite_part(0.3, 1.0, ratio)
+            assert abs(value - ref) <= 1e-12 * abs(ref), ratio
+        with pytest.raises(EqualMomentaError):
+            finite_part_estimate(0.3, -0.3, 1.0, 1.0)
+
+    @pytest.mark.parametrize("ratio", [1.3, 1.05, 1.02, 1.001, 1.0001])
+    def test_cost_flat_near_the_diagonal(self, ratio):
+        # 24 panels at every ratio, whatever the slow period 2 pi/|p - p'|
+        value, _ = finite_part_estimate(0.3, -0.3, 1.0, ratio, panel_budget=1000)
+        cf = closed_form_cross(0.3, 1.0, ratio).finite_part
+        assert abs(value - cf) <= 1e-10 * abs(cf)
+
+    def test_needs_equal_squared_orders(self):
+        for nu, mu in ((0.3, 0.2), (0.3, -0.4), (0.5, 0.0)):
+            with pytest.raises(DomainError):
+                finite_part_estimate(nu, mu, 1.0, 2.0)
 
 
 class TestDeltaCoefficientFit:
