@@ -24,6 +24,7 @@ of a document (`--version` names it).
 import argparse
 import csv
 import io
+import itertools
 import json
 import math
 import sys
@@ -61,6 +62,9 @@ __all__ = ["main", "run"]
 _EXIT_OK = 0
 _EXIT_INVALID = 2
 _EXIT_NUMERICAL = 3
+
+# scan holds its rows until the CSV header is known: a cap on their number
+_MAX_SCAN_ROWS = 100_000
 
 
 class _CliParseError(InvalidInputError):
@@ -151,7 +155,7 @@ def _cmd_overlap(args):
 def _cmd_cancel(args):
     flux = _flux_from(args.delta, args.enn)
     channel = _channel(args.channel)
-    l = flux.n if channel is Channel.SCHRODINGER_N else flux.n + 1
+    l = channel.l(flux)
     coefficients = (args.b_p, args.b_pprime)
     if args.alpha is not None and coefficients == (None, None):
         ep = ExtensionParameter.finite(channel, args.alpha)
@@ -186,7 +190,7 @@ def _cmd_cancel(args):
 def _cmd_exponent_fit(args):
     flux = _flux_from(args.delta, args.enn)
     channel = _channel(args.channel)
-    l = flux.n if channel is Channel.SCHRODINGER_N else flux.n + 1
+    l = channel.l(flux)
     slope = fit_cancelling_exponent(flux, l, args.momenta)
     expected = 2.0 * flux.delta if channel is Channel.SCHRODINGER_N else 2.0 * (1.0 - flux.delta)
     return {"slope": slope, "expected": expected}, {}
@@ -221,7 +225,7 @@ def _cmd_gfactor(args):
     channel = _channel(args.channel)
     ep = ExtensionParameter.finite(channel, args.alpha)
     g = g_from_alpha(ep, flux, args.rho0, 1.0)
-    l = flux.n if channel is Channel.SCHRODINGER_N else flux.n + 1
+    l = channel.l(flux)
     outputs = {"g": g, "resonance_defect": resonance_defect(l, flux, g)}
     if args.alpha != 0.0:
         outputs["g_asymptotic"] = g_asymptotic(ep, flux, args.rho0, 1.0)
@@ -422,7 +426,8 @@ def _json_doc(command, inputs, outputs, diagnostics):
     return json.dumps(doc, separators=(",", ":")) + "\n"
 
 
-def _parse_grid(spec: str):
+def _parse_grid(spec: str, max_points=math.inf):
+    # refuses more than max_points points before building any
     try:
         name, rest = spec.split("=", 1)
         parts = rest.split(":")
@@ -432,6 +437,8 @@ def _parse_grid(spec: str):
         raise _CliParseError(f"bad grid spec {spec!r} (want name=lo:hi:n)")
     if n < 1:
         raise _CliParseError(f"grid needs at least one point: {spec!r}")
+    if n > max_points:
+        raise _CliParseError(f"grid {spec!r} takes the scan past {_MAX_SCAN_ROWS} rows")
     if log and (lo <= 0 or hi <= 0):
         raise _CliParseError(f"log grid bounds must be positive: {spec!r}")
     return name, _grid_points(lo, hi, n, log)
@@ -468,20 +475,17 @@ def _grid_flag(name, value):
 
 
 def _run_scan(args, fixed):
-    grids = [_parse_grid(g) for g in args.grid]
-    if len(grids) > 2:
+    if len(args.grid) > 2:
         raise _CliParseError("scan supports one or two grids")
+    grids, room = [], _MAX_SCAN_ROWS
+    for spec in args.grid:
+        name, values = _parse_grid(spec, room)
+        grids.append([(name, v) for v in values])
+        room //= len(values)
     fixed = [tok for tok in fixed if tok != "--"]
-    if len(grids) == 1:
-        points = [((grids[0][0], v),) for v in grids[0][1]]
-    else:
-        points = [
-            ((grids[0][0], v0), (grids[1][0], v1))
-            for v0 in grids[0][1]
-            for v1 in grids[1][1]
-        ]
     rows = []
-    for point in points:
+    # first grid outer, second inner
+    for point in itertools.product(*grids):
         sub_args = _PARSER.parse_args(
             [args.sub, *fixed, *(_grid_flag(name, value) for name, value in point)]
         )

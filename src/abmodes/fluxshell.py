@@ -40,7 +40,7 @@ from .errors import (
     ResonantError,
     ZeroAlphaError,
 )
-from .flux import FluxParameter
+from .flux import FluxParameter, radial_order
 from .sae import Channel, ExtensionParameter
 from .specfun import bessel_j, bessel_j_prime, gamma, power
 
@@ -83,7 +83,7 @@ class FluxShellProblem:
 
     @property
     def nu(self) -> float:
-        return abs(self.l - self.flux.phi)
+        return radial_order(self.l, self.flux)
 
 
 def piecewise_solution(prob: FluxShellProblem, a: float, b: float):
@@ -153,7 +153,7 @@ def matching_ratio(prob: FluxShellProblem) -> float:
 
 def resonance_defect(l: int, flux: FluxParameter, g: float) -> float:
     """|l - phi| + |l| - g phi; zero on the resonance locus."""
-    return abs(l - flux.phi) + abs(l) - g * flux.phi
+    return radial_order(l, flux) + abs(l) - g * flux.phi
 
 
 def limit_ratio(prob: FluxShellProblem) -> float:

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DegenerateError, DomainError, IrregularForbiddenError
-from .flux import EquationKind, FluxParameter, critical_channels
+from .flux import EquationKind, FluxParameter, critical_channels, radial_order
 from .specfun import bessel_j, gamma, power
 
 __all__ = [
@@ -116,7 +116,7 @@ def make_schrodinger_mode(
     the irregular component is not square integrable near the origin and
     IrregularForbiddenError is raised.
     """
-    nu = abs(l - flux.phi)
+    nu = radial_order(l, flux)
     if b != 0.0 and l not in critical_channels(flux, EquationKind.SCHRODINGER):
         raise IrregularForbiddenError(
             f"channel l={l} (order {nu:.6g} > 1) admits no irregular component"

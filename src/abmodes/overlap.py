@@ -24,8 +24,9 @@ B(L)/((p - p')(p + p')) is the finite part at any L; the estimate takes L at
 4, 6 and 8 quasi-periods pi/max(p, p'); for (d, -d) it costs 24 panels at
 every p'/p.  Against mpmath (tests/test_overlap.py) it is within 1e-10 of
 the closed form in relative terms from p'/p = 1.3 to 1.0001, and within
-1e-12 from 1.0005 to 1 + 1e-6.  `fit_delta_coefficient` regresses the
-window samples on the oscillation to recover the delta coefficient itself.
+1e-12 from 1.0005 to 1 + 1e-6.  `fit_delta_coefficient` regresses
+B(L)/((p - p')(p + p')), the windowed overlap less that constant, on the
+oscillation to recover the delta coefficient itself, with no quadrature.
 
 Mode-level operations assemble the finite (non-delta) part of a channel
 overlap from the closed forms: the same-order terms contribute none, and the
@@ -61,16 +62,17 @@ __all__ = [
     "fit_cancelling_exponent",
     "DEFAULT_TOL",
     "DEFAULT_PANEL_BUDGET",
-    "DEFAULT_WINDOW_FACTOR",
 ]
 
 DEFAULT_TOL = 1e-9
 DEFAULT_PANEL_BUDGET = 200_000
-DEFAULT_WINDOW_FACTOR = 40.0
 
-# fit_delta_coefficient samples two slow periods 2 pi/|p - p'| past a base
-# window of window_factor slow periods: below this relative momentum
-# separation that range is impractically long
+# fit_delta_coefficient samples 129 lengths over two slow periods
+# 2 pi/|p - p'| past a base window of 40 of them.  The phase p L carries an
+# ulp of L, which costs digits below a relative separation of about 1e-5
+# (L ~ 2.5e7/p, error 3e-6 at p'/p = 1 + 1e-5); the floor keeps a margin.
+_FIT_WINDOW_PERIODS = 40.0
+_FIT_SAMPLES = 128
 MIN_RELATIVE_SEPARATION = 1e-3
 
 # lengths of the Lommel windows of finite_part_estimate, in quasi-periods
@@ -107,6 +109,14 @@ def _check_orders(*orders):
     if not all(-1.0 < nu <= MAX_ORDER + 1.0 for nu in orders):
         raise DomainError(
             f"orders must lie in (-1, {MAX_ORDER + 1.0}], got {', '.join(map(str, orders))}"
+        )
+
+
+def _check_lommel_orders(nu, mu):
+    _check_orders(nu, mu)
+    if abs(nu) != abs(mu):
+        raise DomainError(
+            f"Lommel's identity needs nu^2 = mu^2, got orders {nu}, {mu}"
         )
 
 
@@ -198,12 +208,8 @@ def finite_part_estimate(
     and 1 + 1e-6.  EqualMomentaError when p and p' agree to 1e-12;
     ConvergenceError when the spread exceeds 1e-3 * max(1, |value|).
     """
-    _check_orders(nu, mu)
+    _check_lommel_orders(nu, mu)
     _check_momenta(p, p_prime)
-    if abs(nu) != abs(mu):
-        raise DomainError(
-            f"Lommel's identity needs nu^2 = mu^2, got orders {nu}, {mu}"
-        )
     _check_distinct(p, p_prime)
     step = math.pi / max(p, p_prime)
     scale = (p - p_prime) * (p + p_prime)
@@ -253,26 +259,19 @@ def _solve_normal_equations(rows, ys):
     return beta
 
 
-def fit_delta_coefficient(
-    nu: float,
-    mu: float,
-    p: float,
-    p_prime: float,
-    *,
-    window_factor: float = DEFAULT_WINDOW_FACTOR,
-    samples: int = 128,
-    tol: float = DEFAULT_TOL,
-    panel_budget: int = 2 * DEFAULT_PANEL_BUDGET,
-) -> float:
+def fit_delta_coefficient(nu: float, mu: float, p: float, p_prime: float) -> float:
     """Recover the delta coefficient from the window oscillation.
 
-    Samples windowed_overlap over two slow periods past the base window and
-    fits A sin((p-p')L)/(pi (p-p') sqrt(pp')) + C, with the matching cosine
-    and the (p+p')-frequency pair as nuisance regressors.  Returns A, which
-    approaches cos(pi d) for the cross-order pair (+d, -d) and 1 for equal
-    orders.
+    Fits A sin((p-p')L)/(pi (p-p') sqrt(pp')) + C, with the matching cosine
+    and the (p+p')-frequency pair as nuisance regressors, to samples of
+    B(L)/((p - p')(p + p')) over two slow periods past a base window.  By
+    Lommel's identity these are windowed_overlap less the finite part, a
+    constant C absorbs: A is what a fit of the windowed integral gives, with
+    no quadrature.  Returns A, which approaches cos(pi d) for (+d, -d) and
+    1 for equal orders.  Same order domain as finite_part_estimate;
+    EqualMomentaError below MIN_RELATIVE_SEPARATION.
     """
-    _check_orders(nu, mu)
+    _check_lommel_orders(nu, mu)
     _check_momenta(p, p_prime)
     if abs(p - p_prime) < MIN_RELATIVE_SEPARATION * max(p, p_prime):
         raise EqualMomentaError(
@@ -282,18 +281,11 @@ def fit_delta_coefficient(
     dp = p - p_prime
     sp = p + p_prime
     t_slow = 2.0 * math.pi / abs(dp)
-    L0 = window_factor * t_slow
-    budget = PanelBudget(panel_budget)
-    running = product_quad(nu, mu, p, p_prime, 0.0, L0, tol, budget)
-    step = 2.0 * t_slow / samples
-    Ls = [L0]
-    Ws = [running]
-    for i in range(1, samples + 1):
-        running += product_quad(
-            nu, mu, p, p_prime, L0 + (i - 1) * step, L0 + i * step, tol, budget
-        )
-        Ls.append(L0 + i * step)
-        Ws.append(running)
+    L0 = _FIT_WINDOW_PERIODS * t_slow
+    step = 2.0 * t_slow / _FIT_SAMPLES
+    Ls = [L0 + i * step for i in range(_FIT_SAMPLES + 1)]
+    scale = dp * sp
+    ys = [_lommel_bracket(nu, mu, p, p_prime, L) / scale for L in Ls]
     c_slow = 1.0 / (math.pi * dp * math.sqrt(p * p_prime))
     c_fast = 1.0 / (math.pi * sp * math.sqrt(p * p_prime))
     rows = [
@@ -306,7 +298,7 @@ def fit_delta_coefficient(
         ]
         for L in Ls
     ]
-    return _solve_normal_equations(rows, Ws)[0]
+    return _solve_normal_equations(rows, ys)[0]
 
 
 def _same_channel(mode_a: RadialMode, mode_b: RadialMode):
@@ -320,10 +312,7 @@ def _same_channel(mode_a: RadialMode, mode_b: RadialMode):
             f"order {mode_a.order_a:.6g}) vs ({mode_b.kind.value}, l={mode_b.l}, "
             f"order {mode_b.order_a:.6g})"
         )
-    if abs(mode_a.p - mode_b.p) <= _EQUAL_TOL * max(mode_a.p, mode_b.p):
-        raise EqualMomentaError(
-            f"mode momenta coincide (p = {mode_a.p}); the finite part needs p != p'"
-        )
+    _check_distinct(mode_a.p, mode_b.p)
 
 
 def _cross_terms(mode_a: RadialMode, mode_b: RadialMode):

@@ -45,6 +45,10 @@ class Channel(enum.Enum):
     SCHRODINGER_N_PLUS_1 = "n1"
     DIRAC_N = "dirac"
 
+    def l(self, flux: FluxParameter) -> int:
+        """Angular channel at this flux: N + 1 for SCHRODINGER_N_PLUS_1, else N."""
+        return flux.n + 1 if self is Channel.SCHRODINGER_N_PLUS_1 else flux.n
+
 
 @dataclass(frozen=True)
 class ExtensionParameter:
@@ -133,15 +137,12 @@ def make_extended_mode(
     gives the pure irregular mode (0, 1).  Schrodinger channels only -- the
     Dirac ratio needs kinematics (use make_dirac_mode with dirac_ratio).
     """
-    expected = {
-        Channel.SCHRODINGER_N: flux.n,
-        Channel.SCHRODINGER_N_PLUS_1: flux.n + 1,
-    }.get(ep.channel)
-    if expected is None:
+    if ep.channel is Channel.DIRAC_N:
         raise ChannelMismatchError(
             "make_extended_mode supports the Schrodinger channels only; "
             "Dirac extensions need kinematics (make_dirac_mode + dirac_ratio)"
         )
+    expected = ep.channel.l(flux)
     if channel_l != expected:
         raise ChannelMismatchError(
             f"channel_l = {channel_l} does not match {ep.channel} "

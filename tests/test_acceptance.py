@@ -291,23 +291,22 @@ def test_criterion_08_asymptotic_formula_audit():
                 "coefficient_ratio": coeff_full / coeff_printed,
             }
         )
-    FIXTURES.mkdir(exist_ok=True)
-    audit_path = FIXTURES / "g_asymptotic_audit.json"
-    audit_path.write_text(json.dumps({"entries": entries}, indent=2) + "\n")
+    recorded = json.loads((FIXTURES / "g_asymptotic_audit.json").read_text())
+    matches_fixture = recorded == {"entries": entries}
     discrepant = sum(
         1
         for e in entries
         if abs(e["coefficient_full_formula"] - e["coefficient_printed_asymptotic"])
         > 0.05 * abs(e["coefficient_full_formula"])
     )
-    ok = round_trip_worst <= 1e-6 and audit_path.exists()
+    ok = round_trip_worst <= 1e-6 and matches_fixture
     _report(
         8,
         ok,
         f"asymptotic audit: {discrepant}/{len(entries)} printed first-order "
         f"coefficients disagree with the full formula (recorded in "
-        f"fixtures/g_asymptotic_audit.json); round trip still exact to "
-        f"{round_trip_worst:.2e} (<=1e-6)",
+        f"fixtures/g_asymptotic_audit.json, matches: {matches_fixture}); round "
+        f"trip still exact to {round_trip_worst:.2e} (<=1e-6)",
     )
 
 

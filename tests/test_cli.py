@@ -379,6 +379,19 @@ class TestScan:
             assert (vals[0], vals[-1]) == ends
             assert all(ends[0] <= v <= ends[1] for v in vals)
 
+    def test_row_limit(self, monkeypatch, capsys):
+        # refused before any grid point is built: exit 2, one JSON line
+        monkeypatch.setattr(cli, "_MAX_SCAN_ROWS", 10, raising=False)
+        fixed = ["--channel", "n", "--enn", "0", "--delta", "0.5", "--rho0", "0.01"]
+        for grids in (["alpha=0.5:1.5:11"], ["alpha=0.5:1.5:4", "rho0=0.01:0.02:3"]):
+            code = cli.run(["scan", "gfactor", *(f"--grid={g}" for g in grids), *fixed])
+            out, err = capsys.readouterr()
+            assert (code, out) == (2, "")
+            assert len(err.splitlines()) == 1
+            assert json.loads(err)["error"] == "_CliParseError"
+        assert cli.run(["scan", "gfactor", "--grid=alpha=0.5:1.5:10", *fixed]) == 0
+        assert len(json.loads(capsys.readouterr().out)["rows"]) == 10
+
     def test_bad_grid_spec(self):
         code, _, err = run_cli(["scan", "gfactor", "--grid", "alpha=oops"])
         assert code == 2

@@ -162,6 +162,8 @@ class TestFinitePartEstimate:
         for nu, mu in ((0.3, 0.2), (0.3, -0.4), (0.5, 0.0)):
             with pytest.raises(DomainError):
                 finite_part_estimate(nu, mu, 1.0, 2.0)
+            with pytest.raises(DomainError):
+                fit_delta_coefficient(nu, mu, 1.0, 2.0)
 
 
 class TestDeltaCoefficientFit:
@@ -173,6 +175,20 @@ class TestDeltaCoefficientFit:
     def test_same_order_recovers_unity(self):
         a = fit_delta_coefficient(0.5, 0.5, 1.0, 2.0)
         assert a == pytest.approx(1.0, abs=1e-2)
+
+    @pytest.mark.parametrize("ratio", [1.05, 1.02, 1.01, 1.002])
+    def test_near_the_diagonal(self, ratio):
+        # the base window is 40 slow periods 2 pi/|p - p'| long, 1.3e4 at 1.02
+        a = fit_delta_coefficient(0.3, -0.3, 1.0, ratio)
+        assert abs(a - math.cos(0.3 * math.pi)) <= 1e-6
+
+    def test_needs_no_quadrature(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("product_quad called")
+
+        monkeypatch.setattr("abmodes.overlap.product_quad", refuse)
+        a = fit_delta_coefficient(0.3, -0.3, 1.0, 2.0)
+        assert a == pytest.approx(math.cos(0.3 * math.pi), abs=1e-2)
 
 
 class TestModeOverlap:
