@@ -17,4 +17,4 @@ except ImportError:
 
 gamma_kernel = _impl.gamma
 bessel_kernel = _impl.bessel_j
-product_panel_kernel = _impl.gauss15_product_panel
+product_panel_kernel = _impl.kronrod21_product_panel

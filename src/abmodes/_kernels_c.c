@@ -46,9 +46,30 @@ static const double G15_WEIGHT[15] = {
     0.10715922046717177, 0.07036604748810807, 0.030753241996118647,
 };
 
+/* Gauss-Kronrod pair on [-1, 1]: the K21 weight of the center node, then
+ * node x, K21 weight and G10 weight for the ten symmetric pairs +-x,
+ * innermost first.  The G10 weight is 0.0 at the Kronrod-only nodes. */
+static const double K21_CENTER = 0.1494455540029169;
+static const double GK21_NODE[10] = {
+    0.14887433898163122, 0.2943928627014602, 0.4333953941292472,
+    0.5627571346686047, 0.6794095682990244, 0.7808177265864169,
+    0.8650633666889845, 0.9301574913557082, 0.9739065285171717,
+    0.9956571630258081,
+};
+static const double K21_WEIGHT[10] = {
+    0.14773910490133849, 0.14277593857706009, 0.13470921731147334,
+    0.12349197626206584, 0.10938715880229764, 0.0931254545836976,
+    0.07503967481091996, 0.054755896574351995, 0.032558162307964725,
+    0.011694638867371874,
+};
+static const double G10_WEIGHT[10] = {
+    0.29552422471475287, 0.0, 0.26926671930999635, 0.0, 0.21908636251598204,
+    0.0, 0.1494513491505806, 0.0, 0.06667134430868814, 0.0,
+};
+
 static double sinpi(double x)
 {
-    double n = floor(x);
+    double n = floor(x + 0.5);
     double s = sin(PI * (x - n));
     return ((long)n & 1) ? -s : s;
 }
@@ -173,6 +194,28 @@ static PyObject *py_gauss15_product_panel(PyObject *Py_UNUSED(module),
     return PyFloat_FromDouble(s * h);
 }
 
+static PyObject *py_kronrod21_product_panel(PyObject *Py_UNUSED(module),
+                                            PyObject *const *args, Py_ssize_t nargs)
+{
+    double a[6];
+    if (doubles("kronrod21_product_panel", args, nargs, 6, a) < 0)
+        return NULL;
+    double nu = a[0], mu = a[1], p = a[2], pp = a[3], lo = a[4], hi = a[5];
+    double c = 0.5 * (lo + hi);
+    double h = 0.5 * (hi - lo);
+    double k = K21_CENTER * (bessel_j_(nu, p * c) * bessel_j_(mu, pp * c) * c);
+    double g = 0.0;
+    for (int i = 0; i < 10; i++) {
+        double r = c - h * GK21_NODE[i];
+        double f = bessel_j_(nu, p * r) * bessel_j_(mu, pp * r) * r;
+        r = c + h * GK21_NODE[i];
+        f += bessel_j_(nu, p * r) * bessel_j_(mu, pp * r) * r;
+        k += K21_WEIGHT[i] * f;
+        g += G10_WEIGHT[i] * f;
+    }
+    return Py_BuildValue("(dd)", k * h, g * h);
+}
+
 static PyMethodDef methods[] = {
     {"gamma", (PyCFunction)py_gamma, METH_O,
      "gamma(x, /)\n--\n\nGamma(x) for real non-pole x (caller excludes 0, -1, -2, ...)."},
@@ -182,6 +225,10 @@ static PyMethodDef methods[] = {
      METH_FASTCALL,
      "gauss15_product_panel(nu, mu, p, pp, lo, hi, /)\n--\n\n"
      "15-point Gauss estimate of int_lo^hi J_nu(p r) J_mu(pp r) r dr."},
+    {"kronrod21_product_panel", (PyCFunction)(void (*)(void))py_kronrod21_product_panel,
+     METH_FASTCALL,
+     "kronrod21_product_panel(nu, mu, p, pp, lo, hi, /)\n--\n\n"
+     "(Kronrod 21, Gauss 10) estimates of int_lo^hi J_nu(p r) J_mu(pp r) r dr."},
     {NULL, NULL, 0, NULL},
 };
 

@@ -1,16 +1,19 @@
-"""Adaptive Gauss quadrature of Bessel-product integrands.
+"""Adaptive Gauss-Kronrod quadrature of Bessel-product integrands.
 
 The integrand J_nu(p rho) J_mu(p' rho) rho is pre-split at the quasi-period
-boundaries k*pi/max(p, p') and each cell is bisected until the 15-point
-Gauss estimate of the whole agrees with the two halves within its share of
-the absolute tolerance.  Panel evaluations are counted against a budget;
+boundaries k*pi/max(p, p').  Each cell is one panel of the embedded
+Gauss-Kronrod G10/K21 pair, 21 integrand values for both estimates; its
+21-point Kronrod value is accepted when it agrees with the 10-point Gauss
+value within the cell's length-proportional share of the absolute
+tolerance, or when the cell has reached the length floor, and the cell is
+bisected otherwise.  Panel evaluations are counted against a budget;
 exhaustion raises ConvergenceError.  Accepted contributions are summed
 pairwise in ascending position for deterministic, order-independent results.
 
 An optional scalar weight(rho) multiplies the integrand, and extra_breaks
-force cell boundaries; weighted panels run through the Python node loop,
-unweighted ones through the backend kernel.  No code in the package passes
-either.  They stay only because the benchmark's tracer wraps
+force cell boundaries; weighted panels run the same pair through the Python
+node loop, unweighted ones through the backend kernel.  No code in the
+package passes either.  They stay only because the benchmark's tracer wraps
 `_weighted_panel` (without it its quad.panels would read as unmeasured) and
 a benchmark test passes extra_breaks; both go with the next change to the
 benchmark.
@@ -19,18 +22,18 @@ benchmark.
 import math
 
 from ._backend import bessel_kernel, product_panel_kernel
-from ._kernels_py import _G15
+from ._kernels_py import _GK21, _K21_CENTER
 from .errors import ConvergenceError
 
 __all__ = ["PanelBudget", "product_quad"]
 
-# bisection floor: below this fraction of the full range the panel is
+# bisection floor: a cell no longer than this fraction of the full range is
 # accepted regardless (protects against singular-endpoint stalemates)
 _MIN_PANEL_FRACTION = 1e-13
 
 
 class PanelBudget:
-    """Mutable countdown of Gauss-panel evaluations shared across blocks."""
+    """Mutable countdown of G10/K21 panel evaluations shared across blocks."""
 
     def __init__(self, panels: int):
         self.initial = int(panels)
@@ -56,11 +59,17 @@ class PanelBudget:
 def _weighted_panel(nu, mu, p, pp, lo, hi, weight):
     c = 0.5 * (lo + hi)
     h = 0.5 * (hi - lo)
-    s = 0.0
-    for z, w in _G15:
-        r = c + h * z
-        s += w * bessel_kernel(nu, p * r) * bessel_kernel(mu, pp * r) * r * weight(r)
-    return s * h
+
+    def f(r):
+        return bessel_kernel(nu, p * r) * bessel_kernel(mu, pp * r) * r * weight(r)
+
+    k = _K21_CENTER * f(c)
+    g = 0.0
+    for x, wk, wg in _GK21:
+        pair = f(c - h * x) + f(c + h * x)
+        k += wk * pair
+        g += wg * pair
+    return k * h, g * h
 
 
 def _pairwise(vals, lo, hi):
@@ -91,9 +100,9 @@ def product_quad(
         return 0.0
     step = math.pi / max(p, pp)
     # [lo, hi] holds more than (hi - lo) / step - 1 cells and each costs at
-    # least three panels: refuse a range the budget cannot cover before its
+    # least one panel: refuse a range the budget cannot cover before its
     # break points are built
-    budget.ensure(3.0 * ((hi - lo) / step - 1.0))
+    budget.ensure((hi - lo) / step - 1.0)
     breaks = {lo, hi}
     k = math.floor(lo / step) + 1
     while k * step < hi:
@@ -114,23 +123,20 @@ def product_quad(
         def panel(a, b):
             return _weighted_panel(nu, mu, p, pp, a, b, weight)
 
-    pieces = []  # (position, value) of accepted half-panels
+    pieces = []  # (position, value) of accepted cells
     for i in range(len(breaks) - 1):
         budget.spend()
         stack = [(breaks[i], breaks[i + 1], panel(breaks[i], breaks[i + 1]))]
         while stack:
-            a, b, whole = stack.pop()
-            mid = 0.5 * (a + b)
-            budget.spend(2)
-            left = panel(a, mid)
-            right = panel(mid, b)
-            if abs(whole - (left + right)) <= tol * (b - a) / total or (b - a) <= floor_len:
-                pieces.append((a, left))
-                pieces.append((mid, right))
+            a, b, (kronrod, gauss) = stack.pop()
+            if abs(kronrod - gauss) <= tol * (b - a) / total or (b - a) <= floor_len:
+                pieces.append((a, kronrod))
             else:
+                mid = 0.5 * (a + b)
+                budget.spend(2)
                 # left-first (LIFO): deterministic descent order
-                stack.append((mid, b, right))
-                stack.append((a, mid, left))
+                stack.append((mid, b, panel(mid, b)))
+                stack.append((a, mid, panel(a, mid)))
     pieces.sort(key=lambda t: t[0])
     vals = [v for _, v in pieces]
     return _pairwise(vals, 0, len(vals))

@@ -21,12 +21,13 @@ nu^2 = mu^2 the Bessel equation gives
 and -B(0+)/(p^2 - p'^2) is the finite part (the closed form above for
 (d, -d), zero for equal orders).  So the quadrature over [0, L] minus
 B(L)/((p - p')(p + p')) is the finite part at any L; the estimate takes L at
-4, 6 and 8 quasi-periods pi/max(p, p'); for (d, -d) it costs 24 panels at
-every p'/p.  Against mpmath (tests/test_overlap.py) it is within 1e-10 of
-the closed form in relative terms from p'/p = 1.3 to 1.0001, and within
-1e-12 from 1.0005 to 1 + 1e-6.  `fit_delta_coefficient` regresses
-B(L)/((p - p')(p + p')), the windowed overlap less that constant, on the
-oscillation to recover the delta coefficient itself, with no quadrature.
+4, 6 and 8 quasi-periods pi/max(p, p'); for (d, -d) it costs 8 G10/K21
+panels, one per quasi-period, at every p'/p.  Against mpmath
+(tests/test_overlap.py) it is within 1e-10 of the closed form in relative
+terms from p'/p = 1.3 to 1.0001, and within 1e-12 from 1.0005 to 1 + 1e-6.
+`fit_delta_coefficient` regresses B(L)/((p - p')(p + p')), the windowed
+overlap less that constant, on the oscillation to recover the delta
+coefficient itself, with no quadrature.
 
 Mode-level operations assemble the finite (non-delta) part of a channel
 overlap from the closed forms: the same-order terms contribute none, and the
@@ -160,10 +161,16 @@ def windowed_overlap(
     tol: float = DEFAULT_TOL,
     panel_budget: int = DEFAULT_PANEL_BUDGET,
 ) -> float:
-    """int_0^L J_nu(p r) J_mu(p' r) r dr by adaptive Gauss panels.
+    """int_0^L J_nu(p r) J_mu(p' r) r dr by adaptive Gauss-Kronrod panels.
 
-    Absolute accuracy `tol` (default 1e-9); ConvergenceError when the panel
-    budget runs out.
+    Absolute accuracy `tol` (default 1e-9) wherever the G10/K21 error
+    estimate settles before a cell shrinks to the length floor 1e-13 L;
+    ConvergenceError when the panel budget runs out.  At the floor the cell
+    is accepted without meeting its share, so an integrand singular at r = 0
+    may miss `tol`: at (nu, mu) = (-0.9, -0.9), p = 1, p' = 2, L = 10 the
+    value is off by 8e-5 from mpmath, with no error raised.  Milder
+    endpoint singularities bisect and meet it ((-0.6, -0.6, 1, 1.7, 10) is
+    within 3e-13 of mpmath in 88 panels).
     """
     _check_orders(nu, mu)
     _check_momenta(p, p_prime)
@@ -200,12 +207,12 @@ def finite_part_estimate(
     the finite part -B(0+)/(p^2 - p'^2) equals the quadrature over [0, L]
     minus B(L)/((p - p')(p + p')) at every L.  The estimate takes L at 4, 6
     and 8 quasi-periods pi/max(p, p') in one running sum, so its cost does
-    not depend on p'/p (24 panels for the pair (d, -d)), and returns the
-    value at 8; est_error is the half-spread of the three.  B(0+) and the
-    closed form are never evaluated, so the estimate checks the closed form
-    independently: for d = 0.3 it is within 1e-10 of it in relative terms
-    from p'/p = 1.3 to 1.0001, and within 1e-12 at p'/p = 1.0005, 1.0001
-    and 1 + 1e-6.  EqualMomentaError when p and p' agree to 1e-12;
+    not depend on p'/p (8 G10/K21 panels, one per quasi-period, for the pair
+    (d, -d)), and returns the value at 8; est_error is the half-spread of
+    the three.  B(0+) and the closed form are never evaluated, so the
+    estimate checks the closed form independently: for d = 0.3 it is within
+    1e-10 of it in relative terms from p'/p = 1.3 to 1.0001, and within
+    1e-12 at p'/p = 1.0005, 1.0001 and 1 + 1e-6.  EqualMomentaError when p and p' agree to 1e-12;
     ConvergenceError when the spread exceeds 1e-3 * max(1, |value|).
     """
     _check_lommel_orders(nu, mu)
@@ -268,8 +275,11 @@ def fit_delta_coefficient(nu: float, mu: float, p: float, p_prime: float) -> flo
     Lommel's identity these are windowed_overlap less the finite part, a
     constant C absorbs: A is what a fit of the windowed integral gives, with
     no quadrature.  Returns A, which approaches cos(pi d) for (+d, -d) and
-    1 for equal orders.  Same order domain as finite_part_estimate;
-    EqualMomentaError below MIN_RELATIVE_SEPARATION.
+    1 for equal orders.  A depends on p'/p only, so the fit runs at
+    (1, p'/p): momenta from 1e-300 to 1e150 give the same A.  Same order
+    domain as finite_part_estimate; EqualMomentaError below
+    MIN_RELATIVE_SEPARATION, DomainError when p'/p is not a finite
+    positive double.
     """
     _check_lommel_orders(nu, mu)
     _check_momenta(p, p_prime)
@@ -278,6 +288,11 @@ def fit_delta_coefficient(nu: float, mu: float, p: float, p_prime: float) -> flo
             f"relative momentum separation below {MIN_RELATIVE_SEPARATION}: "
             f"p = {p}, p' = {p_prime}"
         )
+    # A depends on p'/p only: fit at (1, p'/p), where no regressor scale
+    # overflows, whatever the magnitude of the momenta
+    p, p_prime = 1.0, p_prime / p
+    if not 0.0 < p_prime < math.inf:
+        raise DomainError(f"momentum ratio p'/p = {p_prime} is not a positive finite double")
     dp = p - p_prime
     sp = p + p_prime
     t_slow = 2.0 * math.pi / abs(dp)

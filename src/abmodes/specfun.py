@@ -11,10 +11,10 @@ Accuracy envelope, asserted against mpmath by tests/test_specfun.py: on
 is at most 1e-11 for |nu| <= 2 and 3e-11 for |nu| <= MAX_ORDER + 1, largest
 at the series/asymptotic switch x = 12; the plain relative error grows near
 the zeros of J_nu (7e-10 at nu = -1.819, x = 11.933, where J = 1.0e-3).
-Gamma's relative error on [-5, 10] is at most 1e-13 + 2.5e-16/d, with d the
-distance to the nearest pole (the reflection's sin(pi x) loses relative
-accuracy next to a pole), and at most 2e-13 for |x| > 140 wherever the value
-is a normal double.
+Gamma's relative error is at most 1e-14 on [-5, 10], next to the poles too
+(the reflection's sin(pi x) is taken after reducing x to [-1/2, 1/2] about
+the nearest integer), and at most 2e-13 for |x| > 140 wherever the value is
+a normal double.
 
 All functions are pure and reentrant.
 """

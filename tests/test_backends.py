@@ -53,7 +53,7 @@ def use_kernels(monkeypatch, kernels):
     monkeypatch.setattr(specfun, "gamma_kernel", kernels.gamma)
     monkeypatch.setattr(specfun, "bessel_kernel", kernels.bessel_j)
     monkeypatch.setattr(_quad, "bessel_kernel", kernels.bessel_j)
-    monkeypatch.setattr(_quad, "product_panel_kernel", kernels.gauss15_product_panel)
+    monkeypatch.setattr(_quad, "product_panel_kernel", kernels.kronrod21_product_panel)
 
 
 def test_gamma_agreement(kernels_c, monkeypatch):
@@ -88,6 +88,7 @@ def test_panel_agreement(kernels_c):
         p, pp = rng.uniform(0.1, 5.0), rng.uniform(0.1, 5.0)
         lo = rng.uniform(0.01, 50.0)
         args = (nu, mu, p, pp, lo, lo + rng.uniform(0.01, 5.0))
+        assert kernels_c.kronrod21_product_panel(*args) == _kernels_py.kronrod21_product_panel(*args)
         assert kernels_c.gauss15_product_panel(*args) == _kernels_py.gauss15_product_panel(*args)
 
 
@@ -102,6 +103,9 @@ def test_panel_agreement(kernels_c):
         ["overlap", "--delta", "0.3", "--p", "1", "--pprime", "1.0005", "--verify"],
         ["cancel", "--delta", "0.3", "--channel", "n", "--b-p", "0.8", "--b-pprime", "0.5",
          "--p", "1", "--pprime", "1.02", "--verify"],
+        # singular integrand at r = 0: product_quad bisects the first cells
+        ["windowed", "--nu", "-0.6", "--mu", "-0.6", "--p", "1", "--pprime", "1.7",
+         "--window", "10"],
     ],
 )
 def test_backends_byte_stable_results(kernels_c, monkeypatch, capsys, argv):

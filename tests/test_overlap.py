@@ -8,6 +8,8 @@ import mpmath
 import numpy as np
 import pytest
 
+import abmodes.overlap
+from abmodes._quad import PanelBudget
 from abmodes.errors import (
     ChannelMismatchError,
     ConvergenceError,
@@ -37,6 +39,36 @@ def mp_finite_part(d, p, pp):
         return float(
             2 * mpmath.sin(mpmath.pi * d) / (mpmath.pi * (p * p - pp * pp)) * (p / pp) ** d
         )
+
+
+@pytest.fixture
+def budgets(monkeypatch):
+    """Every PanelBudget the overlap estimators make, with the cells it paid for."""
+    made = []
+
+    class CountingBudget(PanelBudget):
+        cells = 0
+
+        def __init__(self, panels):
+            super().__init__(panels)
+            made.append(self)
+
+        def spend(self, n=1):
+            self.cells += n == 1  # one single spend per cell, pairs per bisection
+            super().spend(n)
+
+    monkeypatch.setattr(abmodes.overlap, "PanelBudget", CountingBudget)
+    return made
+
+
+def mp_windowed(nu, mu, p, pp, L):
+    """int_0^L J_nu(p r) J_mu(pp r) r dr by mpmath, split at the quasi-periods."""
+    with mpmath.workdps(30):
+        step = math.pi / max(p, pp)
+        points = [0.0] + [k * step for k in range(1, int(L / step) + 1) if k * step < L] + [L]
+        return float(mpmath.quad(
+            lambda r: mpmath.besselj(nu, p * r) * mpmath.besselj(mu, pp * r) * r, points
+        ))
 
 
 class TestClosedForms:
@@ -106,6 +138,16 @@ class TestWindowedOverlap:
                 total += w * h * bessel_j(nu, p * r) * bessel_j(mu, pp * r) * r
         assert windowed_overlap(nu, mu, p, pp, L) == pytest.approx(total, abs=1e-8)
 
+    @pytest.mark.parametrize(
+        "args", [(-0.6, -0.6, 1.0, 1.7, 10.0), (-0.5, -0.7, 1.3, 0.4, 12.0)]
+    )
+    def test_singular_endpoint_against_mpmath(self, budgets, args):
+        # r^(nu + mu + 1) at r = 0: the first cells bisect (88 and 87 panels)
+        value = windowed_overlap(*args)
+        (budget,) = budgets
+        assert budget.used > budget.cells
+        assert abs(value - mp_windowed(*args)) <= 1e-12
+
     def test_budget_exhaustion(self):
         with pytest.raises(ConvergenceError):
             windowed_overlap(0.3, -0.3, 1.0, 2.0, 5000.0, panel_budget=1000)
@@ -152,11 +194,14 @@ class TestFinitePartEstimate:
             finite_part_estimate(0.3, -0.3, 1.0, 1.0)
 
     @pytest.mark.parametrize("ratio", [1.3, 1.05, 1.02, 1.001, 1.0001])
-    def test_cost_flat_near_the_diagonal(self, ratio):
-        # 24 panels at every ratio, whatever the slow period 2 pi/|p - p'|
+    def test_cost_flat_near_the_diagonal(self, budgets, ratio):
+        # one G10/K21 panel per quasi-period, 8 in all, at every ratio,
+        # whatever the slow period 2 pi/|p - p'|
         value, _ = finite_part_estimate(0.3, -0.3, 1.0, ratio, panel_budget=1000)
         cf = closed_form_cross(0.3, 1.0, ratio).finite_part
         assert abs(value - cf) <= 1e-10 * abs(cf)
+        (budget,) = budgets
+        assert budget.used == budget.cells == 8
 
     def test_needs_equal_squared_orders(self):
         for nu, mu in ((0.3, 0.2), (0.3, -0.4), (0.5, 0.0)):
@@ -181,6 +226,15 @@ class TestDeltaCoefficientFit:
         # the base window is 40 slow periods 2 pi/|p - p'| long, 1.3e4 at 1.02
         a = fit_delta_coefficient(0.3, -0.3, 1.0, ratio)
         assert abs(a - math.cos(0.3 * math.pi)) <= 1e-6
+
+    def test_any_momentum_scale(self):
+        # A depends on p'/p only; the fit must not overflow at either end
+        ref = fit_delta_coefficient(0.3, -0.3, 1.0, 2.0)
+        for e in range(-300, 151, 10):
+            a = fit_delta_coefficient(0.3, -0.3, 10.0**e, 2.0 * 10.0**e)
+            assert abs(a - ref) <= 1e-12, e
+        with pytest.raises(DomainError):
+            fit_delta_coefficient(0.3, -0.3, 1e-200, 1e150)
 
     def test_needs_no_quadrature(self, monkeypatch):
         def refuse(*args):
