@@ -123,20 +123,18 @@ def product_quad(
         def panel(a, b):
             return _weighted_panel(nu, mu, p, pp, a, b, weight)
 
-    pieces = []  # (position, value) of accepted cells
+    pieces = []  # values of accepted cells, in ascending position
     for i in range(len(breaks) - 1):
         budget.spend()
         stack = [(breaks[i], breaks[i + 1], panel(breaks[i], breaks[i + 1]))]
         while stack:
             a, b, (kronrod, gauss) = stack.pop()
             if abs(kronrod - gauss) <= tol * (b - a) / total or (b - a) <= floor_len:
-                pieces.append((a, kronrod))
+                pieces.append(kronrod)
             else:
                 mid = 0.5 * (a + b)
                 budget.spend(2)
-                # left-first (LIFO): deterministic descent order
+                # left half on top: cells are accepted left to right
                 stack.append((mid, b, panel(mid, b)))
                 stack.append((a, mid, panel(a, mid)))
-    pieces.sort(key=lambda t: t[0])
-    vals = [v for _, v in pieces]
-    return _pairwise(vals, 0, len(vals))
+    return _pairwise(pieces, 0, len(pieces))

@@ -7,12 +7,13 @@ All physical inputs are dimensionless: momenta in units of M, radii in
 units of 1/M.  Exit codes: 0 success, 2 invalid input, 3 numerical failure;
 failures print a one-line JSON error object to stderr.
 
-`inputs` echoes the subcommand's own flags in the order they are declared,
-omitting any left at None; the output and tuning flags shared by every
-subcommand (--out, --format, --tol-quad, --panel-budget) are not echoed.
-The one exception is `sae-ratio`, which echoes only the flags of the chosen
---eq.  This rule is what lets each `scan` row, which holds the echo, re-run
-as one invocation with the same shared flags.
+Every subcommand takes --out; the quadrature tuning flags --tol-quad and
+--panel-budget belong to `overlap`, `cancel` and `windowed`, the subcommands
+that integrate, and --format to `scan`.  `inputs` echoes the subcommand's
+own flags in the order they are declared, omitting any left at None and the
+output and tuning flags.  The one exception is `sae-ratio`, which echoes
+only the flags of the chosen --eq.  This rule is what lets each `scan` row,
+which holds the echo, re-run as one invocation with the same tuning flags.
 
 Floats are serialized with Python's shortest round-trip representation, so
 every printed number parses back to the exact double that was computed.
@@ -86,18 +87,18 @@ class _Parser(argparse.ArgumentParser):
         raise _CliParseError(message)
 
 
-def _check_config(args):
-    if not args.tol_quad > 0.0:
-        raise _CliParseError("--tol-quad must be positive")
-    if args.panel_budget < 1000:
-        raise _CliParseError("panel budget must be >= 1000")
+def _tol_quad(text: str) -> float:
+    tol = float(text)
+    if not tol > 0.0:  # NaN included
+        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+    return tol
 
 
-def _channel(tag: str) -> Channel:
-    try:
-        return {"n": Channel.SCHRODINGER_N, "n1": Channel.SCHRODINGER_N_PLUS_1}[tag]
-    except KeyError:
-        raise _CliParseError(f"channel must be 'n' or 'n1', got {tag!r}")
+def _panel_budget(text: str) -> int:
+    budget = int(text)
+    if budget < 1000:
+        raise argparse.ArgumentTypeError(f"must be >= 1000, got {text!r}")
+    return budget
 
 
 def _flux_from(delta: float, enn: int):
@@ -154,7 +155,7 @@ def _cmd_overlap(args):
 
 def _cmd_cancel(args):
     flux = _flux_from(args.delta, args.enn)
-    channel = _channel(args.channel)
+    channel = Channel(args.channel)
     l = channel.l(flux)
     coefficients = (args.b_p, args.b_pprime)
     if args.alpha is not None and coefficients == (None, None):
@@ -189,7 +190,7 @@ def _cmd_cancel(args):
 
 def _cmd_exponent_fit(args):
     flux = _flux_from(args.delta, args.enn)
-    channel = _channel(args.channel)
+    channel = Channel(args.channel)
     l = channel.l(flux)
     slope = fit_cancelling_exponent(flux, l, args.momenta)
     expected = 2.0 * flux.delta if channel is Channel.SCHRODINGER_N else 2.0 * (1.0 - flux.delta)
@@ -199,7 +200,7 @@ def _cmd_exponent_fit(args):
 def _cmd_sae_ratio(args):
     flux = _flux_from(args.delta, args.enn)
     if args.eq == "schrodinger":
-        ep = ExtensionParameter.finite(_channel(args.channel), args.alpha)
+        ep = ExtensionParameter.finite(Channel(args.channel), args.alpha)
         ratio = schrodinger_ratio(ep, flux, args.p, 1.0)
     else:
         kin = DiracKinematics.from_momenta(1.0, args.pperp, args.p3, args.s)
@@ -222,7 +223,7 @@ def _cmd_fluxshell(args):
 
 def _cmd_gfactor(args):
     flux = _flux_from(args.delta, args.enn)
-    channel = _channel(args.channel)
+    channel = Channel(args.channel)
     ep = ExtensionParameter.finite(channel, args.alpha)
     g = g_from_alpha(ep, flux, args.rho0, 1.0)
     l = channel.l(flux)
@@ -257,12 +258,14 @@ def _cmd_windowed(args):
 
 _COMMON = _Parser(add_help=False)
 _COMMON.add_argument("--out", default=None, help="output path (default stdout)")
-_COMMON.add_argument("--format", default="json", choices=("json", "csv"))
-_COMMON.add_argument("--tol-quad", type=float, default=DEFAULT_TOL)
-_COMMON.add_argument("--panel-budget", type=int, default=DEFAULT_PANEL_BUDGET)
+
+# the subcommands that integrate
+_TUNING = _Parser(add_help=False)
+_TUNING.add_argument("--tol-quad", type=_tol_quad, default=DEFAULT_TOL)
+_TUNING.add_argument("--panel-budget", type=_panel_budget, default=DEFAULT_PANEL_BUDGET)
 
 # namespace entries that no subcommand echoes as an input
-_NOT_ECHOED = {"command", "compute", *vars(_COMMON.parse_args([]))}
+_NOT_ECHOED = {"command", "compute"}.union(*(vars(p.parse_args([])) for p in (_COMMON, _TUNING)))
 # sae-ratio flags that the chosen --eq does not read
 _SAE_NOT_ECHOED = {"schrodinger": {"pperp", "p3", "s"}, "dirac": {"channel", "p"}}
 
@@ -274,8 +277,8 @@ def _build_parser():
     )
     subs = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def sub(name, fn, **kwargs):
-        sp = subs.add_parser(name, parents=[_COMMON], **kwargs)
+    def sub(name, fn, *parents, **kwargs):
+        sp = subs.add_parser(name, parents=[_COMMON, *parents], **kwargs)
         sp.set_defaults(compute=fn)
         return sp
 
@@ -287,24 +290,26 @@ def _build_parser():
     sp.add_argument("--x", type=float, required=True)
     sp.add_argument("--prime", action="store_true")
 
-    sp = sub("overlap", _cmd_overlap, help="closed-form overlap, optionally verified numerically")
+    sp = sub("overlap", _cmd_overlap, _TUNING,
+             help="closed-form overlap, optionally verified numerically")
     sp.add_argument("--delta", type=float, required=True)
     sp.add_argument("--p", type=float, required=True)
     sp.add_argument("--pprime", type=float, required=True)
     sp.add_argument("--kind", choices=("cross", "same"), default="cross")
     sp.add_argument("--verify", action="store_true")
 
-    sp = sub("windowed", _cmd_windowed, help="finite-window overlap integral")
+    sp = sub("windowed", _cmd_windowed, _TUNING, help="finite-window overlap integral")
     sp.add_argument("--nu", type=float, required=True)
     sp.add_argument("--mu", type=float, required=True)
     sp.add_argument("--p", type=float, required=True)
     sp.add_argument("--pprime", type=float, required=True)
     sp.add_argument("--window", type=float, required=True)
 
-    sp = sub("cancel", _cmd_cancel, help="finite part of a critical-channel mode overlap")
+    sp = sub("cancel", _cmd_cancel, _TUNING,
+             help="finite part of a critical-channel mode overlap")
     sp.add_argument("--delta", type=float, required=True)
     sp.add_argument("--enn", type=int, default=0)
-    sp.add_argument("--channel", default="n")
+    sp.add_argument("--channel", default="n", choices=("n", "n1"))
     sp.add_argument("--p", type=float, required=True)
     sp.add_argument("--pprime", type=float, required=True)
     sp.add_argument("--verify", action="store_true")
@@ -315,14 +320,14 @@ def _build_parser():
     sp = sub("exponent-fit", _cmd_exponent_fit, help="fit the cancelling momentum exponent")
     sp.add_argument("--delta", type=float, required=True)
     sp.add_argument("--enn", type=int, default=0)
-    sp.add_argument("--channel", default="n")
+    sp.add_argument("--channel", default="n", choices=("n", "n1"))
     sp.add_argument(
         "--momenta", type=_momenta_list, required=True, help="comma-separated list, units of M"
     )
 
     sp = sub("sae-ratio", _cmd_sae_ratio, help="extension-parameter coefficient ratio")
     sp.add_argument("--eq", choices=tuple(_SAE_NOT_ECHOED), default="schrodinger")
-    sp.add_argument("--channel", default="n")
+    sp.add_argument("--channel", default="n", choices=("n", "n1"))
     sp.add_argument("--alpha", type=float, required=True)
     sp.add_argument("--delta", type=float, required=True)
     sp.add_argument("--enn", type=int, default=0)
@@ -339,7 +344,7 @@ def _build_parser():
     sp.add_argument("--rho0", type=float, required=True)
 
     sp = sub("gfactor", _cmd_gfactor, help="shell g-factor realizing an extension parameter")
-    sp.add_argument("--channel", default="n")
+    sp.add_argument("--channel", default="n", choices=("n", "n1"))
     sp.add_argument("--alpha", type=float, required=True)
     sp.add_argument("--enn", type=int, required=True)
     sp.add_argument("--delta", type=float, required=True)
@@ -354,11 +359,12 @@ def _build_parser():
     sp.add_argument("--glo", type=float, default=-10.0)
     sp.add_argument("--ghi", type=float, default=10.0)
 
-    # no _COMMON parent: the output and tuning flags are left over from this
-    # parse and pass through to the swept subcommand
+    # the tuning flags are left over from this parse and pass through to the
+    # swept subcommand
     sweepable = tuple(subs.choices)
     sp = subs.add_parser(
         "scan",
+        parents=[_COMMON],
         help="sweep a subcommand over one or two --grid name=lo:hi:n grids "
         "(fixed flags pass through)",
         description="sweep a subcommand over parameter grids",
@@ -371,6 +377,7 @@ def _build_parser():
         metavar="name=lo:hi:n",
         help="linear grid, or name=log:lo:hi:n for a log grid (once or twice)",
     )
+    sp.add_argument("--format", default="json", choices=("json", "csv"))
 
     return parser
 
@@ -390,7 +397,6 @@ def _inputs(args):
 
 def _compute(args):
     """(inputs, outputs, diagnostics) of a parsed subcommand."""
-    _check_config(args)
     outputs, diagnostics = args.compute(args)
     return _inputs(args), outputs, diagnostics
 
@@ -499,16 +505,16 @@ def _run_scan(args, fixed):
         for key in row:
             if key not in header:
                 header.append(key)
-    if sub_args.format == "csv":
+    if args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
             writer.writerow([_csv_cell(row[k]) if k in row else "" for k in header])
-        _emit(buf.getvalue(), sub_args.out)
+        _emit(buf.getvalue(), args.out)
     else:
         doc = {"version": __version__, "command": f"scan {args.sub}", "rows": rows}
-        _emit(json.dumps(doc, separators=(",", ":")) + "\n", sub_args.out)
+        _emit(json.dumps(doc, separators=(",", ":")) + "\n", args.out)
     return _EXIT_OK
 
 
@@ -528,8 +534,6 @@ def run(argv) -> int:
             return _run_scan(args, extra)
         if extra:
             _PARSER.error(f"unrecognized arguments: {' '.join(extra)}")
-        if args.format == "csv":
-            raise _CliParseError("csv output is available for scan only")
         inputs, outputs, diags = _compute(args)
         _emit(_json_doc(args.command, inputs, outputs, diags), args.out)
         return _EXIT_OK

@@ -7,7 +7,7 @@ critical channel exists there.
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import IntegerFluxError
 
@@ -24,39 +24,39 @@ class EquationKind(enum.Enum):
 
 @dataclass(frozen=True)
 class FluxParameter:
-    """Flux phi split into integer part n and fractional part delta in (0, 1)."""
+    """Flux phi split into integer part n = floor(phi) and fractional part delta.
+
+    n and delta are derived from phi.  IntegerFluxError when phi is not
+    finite or is integer to within 1e-12 (no critical channel exists for
+    integer flux); otherwise 0 < delta < 1.  delta is phi - n rounded, so
+    n + delta misses phi by an ulp for some phi in (-0.5, 0), where phi + 1
+    is not a double.
+    """
 
     phi: float
-    n: int
-    delta: float
+    n: int = field(init=False)
+    delta: float = field(init=False)
 
     def __post_init__(self):
-        if not 0.0 < self.delta < 1.0:
+        if not math.isfinite(self.phi):
+            raise IntegerFluxError(f"flux must be finite, got {self.phi}")
+        if abs(self.phi - round(self.phi)) <= INTEGER_FLUX_TOL:
             raise IntegerFluxError(
-                f"fractional part must lie strictly in (0, 1), got {self.delta}"
+                f"flux {self.phi} is integer within {INTEGER_FLUX_TOL}; "
+                "only the fractional part produces physical effects"
             )
-        # delta is phi - n rounded: n + delta misses phi by an ulp for some
-        # phi in (-0.5, 0), where phi + 1 is not a double
-        if self.delta != self.phi - self.n:
-            raise ValueError("inconsistent decomposition: delta != phi - n")
+        n = math.floor(self.phi)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "delta", self.phi - n)
 
 
 def decompose(phi: float) -> FluxParameter:
     """Split phi into integer and fractional parts with 0 < delta < 1.
 
-    Raises IntegerFluxError when phi is integer to within 1e-12 (no critical
-    channel exists for integer flux).
+    Raises IntegerFluxError when phi is not finite or is integer to within
+    1e-12 (see FluxParameter).
     """
-    phi = float(phi)
-    if math.isnan(phi) or math.isinf(phi):
-        raise IntegerFluxError(f"flux must be finite, got {phi}")
-    if abs(phi - round(phi)) <= INTEGER_FLUX_TOL:
-        raise IntegerFluxError(
-            f"flux {phi} is integer within {INTEGER_FLUX_TOL}; "
-            "only the fractional part produces physical effects"
-        )
-    n = math.floor(phi)
-    return FluxParameter(phi=phi, n=n, delta=phi - n)
+    return FluxParameter(float(phi))
 
 
 def critical_channels(flux: FluxParameter, kind: EquationKind) -> frozenset:

@@ -68,13 +68,14 @@ class FluxShellProblem:
     l: int
     flux: FluxParameter
     p: float
-    M: float = 1.0
 
     def __post_init__(self):
-        if self.rho0 <= 0.0 or self.p <= 0.0 or self.M <= 0.0:
+        if not (0.0 < self.rho0 < math.inf and 0.0 < self.p < math.inf):
             raise DomainError(
-                f"rho0, p, M must be positive, got {self.rho0}, {self.p}, {self.M}"
+                f"rho0 and p must be positive and finite, got {self.rho0}, {self.p}"
             )
+        if not math.isfinite(self.g):
+            raise DomainError(f"g must be finite, got {self.g}")
 
     @property
     def x(self) -> float:
@@ -178,13 +179,17 @@ def limit_ratio(prob: FluxShellProblem) -> float:
     )
 
 
+def _check_shell_scale(rho0, M):
+    if not (0.0 < rho0 < math.inf and 0.0 < M < math.inf):
+        raise DomainError(f"rho0 and M must be positive and finite, got {rho0}, {M}")
+
+
 def _dictionary_parts(ep: ExtensionParameter, flux: FluxParameter, rho0: float, M: float):
     if ep.is_infinite:
         raise InfiniteParameterError(
             "the g-factor dictionary needs a finite extension parameter"
         )
-    if rho0 <= 0.0 or M <= 0.0:
-        raise DomainError(f"rho0 and M must be positive, got {rho0}, {M}")
+    _check_shell_scale(rho0, M)
     delta = flux.delta
     n = flux.n
     if ep.channel is Channel.SCHRODINGER_N:
@@ -247,8 +252,7 @@ def g_asymptotic(
         )
     if ep.alpha == 0.0:
         raise ZeroAlphaError("the first-order correction carries 1/alpha")
-    if rho0 <= 0.0 or M <= 0.0:
-        raise DomainError(f"rho0 and M must be positive, got {rho0}, {M}")
+    _check_shell_scale(rho0, M)
     delta = flux.delta
     n = flux.n
     if ep.channel is Channel.SCHRODINGER_N:

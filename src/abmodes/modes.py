@@ -15,7 +15,7 @@ business of `overlap`.
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import DegenerateError, DomainError, IrregularForbiddenError
 from .flux import EquationKind, FluxParameter, critical_channels, radial_order
@@ -44,14 +44,13 @@ class RadialMode:
     """Two-term radial Bessel mode at momentum p in channel l.
 
     order_a / order_b are the Bessel orders attached to the coefficients a
-    and b; they always satisfy order_b = -order_a.  For the second Dirac
-    component b enters the radial function with a minus sign (irregular_sign).
+    and b; order_b = -order_a.  For the second Dirac component b enters the
+    radial function with a minus sign (irregular_sign).
     """
 
     kind: ModeKind
     l: int
     order_a: float
-    order_b: float
     a: float
     b: float
     p: float
@@ -63,6 +62,10 @@ class RadialMode:
             raise DegenerateError("mode with a = b = 0 is identically zero")
 
     @property
+    def order_b(self) -> float:
+        return -self.order_a
+
+    @property
     def order(self) -> float:
         """Magnitude of the Bessel order pair."""
         return abs(self.order_a)
@@ -71,40 +74,37 @@ class RadialMode:
     def irregular_sign(self) -> float:
         return -1.0 if self.kind is ModeKind.DIRAC_COMPONENT_2 else 1.0
 
+    @property
+    def amplitudes(self) -> tuple:
+        """Amplitudes of J_{+order} and J_{-order}, irregular_sign folded into b."""
+        b = self.irregular_sign * self.b
+        return (self.a, b) if self.order_a > 0.0 else (b, self.a)
+
 
 @dataclass(frozen=True)
 class DiracKinematics:
-    """On-shell Dirac kinematics: E^2 = p_perp^2 + p3^2 + M^2, s = +-1."""
+    """On-shell Dirac kinematics: E^2 = p_perp^2 + p3^2 + M^2 (E derived), s = +-1."""
 
     M: float
-    E: float
     p3: float
     p_perp: float
     s: int
+    E: float = field(init=False)
 
     def __post_init__(self):
-        if self.M <= 0.0:
-            raise DomainError(f"mass must be positive, got {self.M}")
-        if self.p_perp <= 0.0:
-            raise DomainError(f"radial momentum must be positive, got {self.p_perp}")
+        if not (0.0 < self.M < math.inf and 0.0 < self.p_perp < math.inf):
+            raise DomainError(f"M and p_perp must be positive and finite: {self.M}, {self.p_perp}")
+        if not math.isfinite(self.p3):
+            raise DomainError(f"axial momentum must be finite, got {self.p3}")
         if self.s not in (1, -1):
             raise DomainError(f"spin label must be +1 or -1, got {self.s}")
-        rhs = _mass_shell(self.M, self.p_perp, self.p3)
-        e2 = power(self.E, 2.0, "DiracKinematics E^2")
-        if self.E <= 0.0 or abs(e2 - rhs) > 1e-12 * rhs:
-            raise DomainError(
-                f"off-shell kinematics: E^2 = {e2}, p_perp^2 + p3^2 + M^2 = {rhs}"
-            )
+        e2 = power(self.p_perp, 2.0, "p_perp^2") + power(self.p3, 2.0, "p3^2")
+        object.__setattr__(self, "E", math.sqrt(e2 + power(self.M, 2.0, "M^2")))
 
     @classmethod
     def from_momenta(cls, M: float, p_perp: float, p3: float = 0.0, s: int = 1):
-        """Build with E fixed by the mass-shell relation."""
-        return cls(M=M, E=math.sqrt(_mass_shell(M, p_perp, p3)), p3=p3, p_perp=p_perp, s=s)
-
-
-def _mass_shell(M, p_perp, p3):
-    """p_perp^2 + p3^2 + M^2, the E^2 of on-shell kinematics."""
-    return power(p_perp, 2.0, "p_perp^2") + power(p3, 2.0, "p3^2") + power(M, 2.0, "M^2")
+        """Kinematics at momenta (p_perp, p3); NumericalFailureError if E^2 overflows."""
+        return cls(M=M, p3=p3, p_perp=p_perp, s=s)
 
 
 def make_schrodinger_mode(
@@ -125,7 +125,6 @@ def make_schrodinger_mode(
         kind=ModeKind.SCHRODINGER_CHANNEL,
         l=l,
         order_a=nu,
-        order_b=-nu,
         a=float(a),
         b=float(b),
         p=float(p),
@@ -158,7 +157,6 @@ def make_dirac_mode(
         kind=ModeKind.DIRAC_COMPONENT_1,
         l=l,
         order_a=l - flux.phi,
-        order_b=flux.phi - l,
         a=float(a),
         b=float(b),
         p=kin.p_perp,
@@ -167,7 +165,6 @@ def make_dirac_mode(
         kind=ModeKind.DIRAC_COMPONENT_2,
         l=l,
         order_a=l - flux.phi + 1.0,
-        order_b=flux.phi - l - 1.0,
         a=float(a),
         b=float(b),
         p=kin.p_perp,
@@ -221,11 +218,7 @@ def small_rho_signature(mode: RadialMode, M: float) -> SmallRhoSignature:
         raise DomainError(
             f"small-rho signature needs a critical order in (0, 1), got {nu:.6g}"
         )
-    # effective amplitudes per signed order (component-2 sign folded into b)
-    if mode.order_a > 0.0:
-        c_pos, c_neg = mode.a, mode.irregular_sign * mode.b
-    else:
-        c_pos, c_neg = mode.irregular_sign * mode.b, mode.a
+    c_pos, c_neg = mode.amplitudes
     if c_pos == 0.0:
         raise DegenerateError(
             "pure irregular mode: boundary ratio is infinite"

@@ -85,11 +85,10 @@ _EQUAL_TOL = 1e-12
 
 @dataclass(frozen=True)
 class OverlapResult:
-    """Delta coefficient (of delta(p-p')/sqrt(pp')), finite remainder, error bar."""
+    """Delta coefficient (of delta(p-p')/sqrt(pp')) and finite remainder."""
 
     delta_coeff: float
     finite_part: float
-    est_error: float
 
 
 def _check_momenta(p, p_prime):
@@ -125,7 +124,7 @@ def closed_form_same(nu: float, p: float, p_prime: float) -> OverlapResult:
     """Same-order overlap: pure delta, unit coefficient, no finite part."""
     _check_momenta(p, p_prime)
     _check_orders(nu)
-    return OverlapResult(delta_coeff=1.0, finite_part=0.0, est_error=0.0)
+    return OverlapResult(delta_coeff=1.0, finite_part=0.0)
 
 
 def closed_form_cross(delta_order: float, p: float, p_prime: float) -> OverlapResult:
@@ -146,9 +145,7 @@ def closed_form_cross(delta_order: float, p: float, p_prime: float) -> OverlapRe
         / (math.pi * (p - p_prime) * (p + p_prime))
         * (p / p_prime) ** delta_order
     )
-    return OverlapResult(
-        delta_coeff=math.cos(math.pi * delta_order), finite_part=finite, est_error=0.0
-    )
+    return OverlapResult(delta_coeff=math.cos(math.pi * delta_order), finite_part=finite)
 
 
 def windowed_overlap(
@@ -338,15 +335,8 @@ def _cross_terms(mode_a: RadialMode, mode_b: RadialMode):
             f"finite part is defined for critical channels with order in (0, 1), "
             f"got {nu:.6g}"
         )
-    sa = mode_a.irregular_sign
-    sb = mode_b.irregular_sign
-    # amplitudes of the +nu / -nu orders in each mode
-    if mode_a.order_a > 0.0:
-        a_pos, a_neg = mode_a.a, sa * mode_a.b
-        b_pos, b_neg = mode_b.a, sb * mode_b.b
-    else:
-        a_pos, a_neg = sa * mode_a.b, mode_a.a
-        b_pos, b_neg = sb * mode_b.b, mode_b.a
+    a_pos, a_neg = mode_a.amplitudes
+    b_pos, b_neg = mode_b.amplitudes
     # term 1: +nu carries p_a; term 2: +nu carries p_b
     return nu, (a_pos * b_neg, mode_a.p, mode_b.p), (b_pos * a_neg, mode_b.p, mode_a.p)
 

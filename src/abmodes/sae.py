@@ -21,6 +21,7 @@ flux line and keeps the irregular component).
 """
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -62,7 +63,11 @@ class ExtensionParameter:
 
     @classmethod
     def finite(cls, channel: Channel, alpha: float) -> "ExtensionParameter":
-        return cls(channel=channel, alpha=float(alpha))
+        """DomainError unless alpha is finite: infinite alpha is its own variant."""
+        alpha = float(alpha)
+        if not math.isfinite(alpha):
+            raise DomainError(f"a finite extension parameter needs a finite alpha, got {alpha}")
+        return cls(channel=channel, alpha=alpha)
 
     @classmethod
     def infinite(cls, channel: Channel) -> "ExtensionParameter":
@@ -86,8 +91,8 @@ def schrodinger_ratio(
     ep: ExtensionParameter, flux: FluxParameter, p: float, M: float
 ) -> float:
     """Coefficient ratio b/a in a Schrodinger critical channel at momentum p."""
-    if p <= 0.0 or M <= 0.0:
-        raise DomainError(f"p and M must be positive, got p={p}, M={M}")
+    if not (0.0 < p < math.inf and 0.0 < M < math.inf):
+        raise DomainError(f"p and M must be positive and finite, got p={p}, M={M}")
     alpha = _require_finite(ep)
     if ep.channel is Channel.SCHRODINGER_N:
         return alpha * power(p / M, 2.0 * flux.delta, "schrodinger_ratio (p/M)^(2 delta)")

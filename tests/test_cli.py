@@ -70,7 +70,7 @@ def test_gfactor_reference_value():
 
 
 # flags given out of order: the echo follows the declarations, skips flags
-# left at None and the shared tuning flags, and for sae-ratio keeps only the
+# left at None and the tuning flags, and for sae-ratio keeps only the
 # flags of the chosen equation
 ECHO_ORDER = [
     (["decompose", "--phi", "2.3"], ["phi"]),
@@ -169,15 +169,18 @@ def test_cancel_explicit_coefficients():
 
 
 def test_run_config_validation():
-    code, _, err = run_cli(
-        ["decompose", "--phi", "2.3", "--panel-budget", "10"]
-    )
-    assert code == 2
-    code, _, _ = run_cli(["decompose", "--phi", "2.3", "--tol-quad", "-1"])
-    assert code == 2
-    code, _, err = run_cli(["decompose", "--phi", "2.3", "--tol-quad", "nan"])
-    assert code == 2
-    assert json.loads(err)["error"] == "_CliParseError"
+    windowed = ["windowed", "--nu", "0.5", "--mu", "0.5", "--p", "1", "--pprime", "2",
+                "--window", "3"]
+    for argv in (
+        [*windowed, "--panel-budget", "10"],
+        [*windowed, "--tol-quad", "-1"],
+        [*windowed, "--tol-quad", "nan"],
+        # only the subcommands that integrate take the tuning flags
+        ["decompose", "--phi", "2.3", "--tol-quad", "1e-9"],
+    ):
+        code, out, err = run_cli(argv)
+        assert (code, out) == (2, b""), argv
+        assert json.loads(err)["error"] == "_CliParseError"
 
 
 def test_sae_ratio_dirac():
@@ -313,9 +316,21 @@ class TestExitCodes:
              "--window", "nan"],
             ["windowed", "--nu", "7", "--mu", "0.3", "--p", "1", "--pprime", "2",
              "--window", "30"],
+            # non-finite model inputs, once a NaN or inf output (exit 3)
+            ["sae-ratio", "--alpha", "inf", "--delta", "0.3"],
+            ["cancel", "--delta", "0.3", "--alpha", "nan", "--p", "1", "--pprime", "2"],
+            ["gfactor", "--channel", "n", "--alpha", "nan", "--enn", "0", "--delta", "0.3",
+             "--rho0", "0.1"],
+            ["sae-ratio", "--alpha", "1", "--delta", "0.3", "--p", "nan"],
+            ["sae-ratio", "--eq", "dirac", "--alpha", "1", "--delta", "0.3", "--pperp", "1",
+             "--p3", "nan"],
+            ["fluxshell", "--l", "0", "--phi", "0.3", "--g", "nan", "--p", "1",
+             "--rho0", "0.1"],
+            ["gfactor", "--channel", "n", "--alpha", "1", "--enn", "0", "--delta", "0.3",
+             "--rho0", "nan"],
         ):
             code, _, err = run_cli(argv)
-            assert code == 2
+            assert code == 2, argv
             assert json.loads(err)["error"] == "DomainError"
 
 
@@ -436,10 +451,10 @@ def test_nonfinite_outputs_never_serialized():
 _SUBPARSERS = next(
     a.choices for a in cli._PARSER._actions if isinstance(a, argparse._SubParsersAction)
 )
-# shared flags never drawn: --out writes files, --panel-budget is pinned to
-# its minimum so that no example runs long
+# flags never drawn: --out writes files, --panel-budget is pinned to its
+# minimum so that no example runs long
 _NOT_DRAWN = {"--out", "--panel-budget", "-h"}
-_SHARED = {a.option_strings[0] for a in cli._COMMON._actions}
+_SHARED = {a.option_strings[0] for a in cli._TUNING._actions}
 _EXTREME = [
     math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 1e-310,
     1e300, -1e300, 1.7976931348623157e308, -1.7976931348623157e308,
@@ -456,21 +471,21 @@ _FLOATS = st.one_of(
 _TEXT = {
     int: st.one_of(st.integers(-3, 3), st.sampled_from([10**6, -(10**6)])),
     float: _FLOATS.map(repr),
+    cli._tol_quad: _FLOATS.map(repr),
     cli._momenta_list: st.lists(_FLOATS, min_size=1, max_size=4).map(
         lambda xs: ",".join(map(repr, xs))
     ),
-    None: st.sampled_from(["n", "n1", "x"]),
 }
 
 
-def _flag_tokens(draw, sub, skip=()):
+def _flag_tokens(draw, sub):
     tokens = []
     for action in _SUBPARSERS[sub]._actions:
         name = action.option_strings[0] if action.option_strings else None
-        if name is None or name in _NOT_DRAWN or name in skip:
+        if name is None or name in _NOT_DRAWN:
             continue
         # kept: a required flag 19 times in 20, a subcommand's optional flag
-        # one time in 2, a shared tuning flag one time in 6
+        # one time in 2, a tuning flag one time in 6
         kept, out_of = (19, 20) if action.required else (1, 6) if name in _SHARED else (1, 2)
         if draw(st.integers(0, out_of - 1)) >= kept:
             continue
@@ -485,15 +500,20 @@ def _flag_tokens(draw, sub, skip=()):
     return tokens
 
 
+def _min_budget(sub):
+    declared = any("--panel-budget" in a.option_strings for a in _SUBPARSERS[sub]._actions)
+    return ["--panel-budget=1000"] if declared else []
+
+
 @st.composite
 def _argv(draw):
     sub = draw(st.sampled_from(sorted(_SUBPARSERS)))
     if sub != "scan":
-        return [sub, *_flag_tokens(draw, sub), "--panel-budget=1000"]
+        return [sub, *_flag_tokens(draw, sub), *_min_budget(sub)]
     swept = draw(st.sampled_from(sorted(set(_SUBPARSERS) - {"scan"})))
     numeric = [
         a.option_strings[0][2:] for a in _SUBPARSERS[swept]._actions
-        if a.type in (int, float) and a.option_strings[0] not in _NOT_DRAWN
+        if a.type in (int, float, cli._tol_quad) and a.option_strings[0] not in _NOT_DRAWN
     ]
     grids = []
     for name in draw(st.lists(st.sampled_from(numeric), min_size=1, max_size=2, unique=True)):
@@ -501,9 +521,9 @@ def _argv(draw):
         lo, hi = draw(_FLOATS), draw(_FLOATS)
         n = draw(st.sampled_from([0, 1, 2, 3]))
         grids.append(f"--grid={name}={log}{lo!r}:{hi!r}:{n}")
-    # a CSV scan prints a header and rows, so only the JSON form is drawn
-    fixed = _flag_tokens(draw, swept, skip={"--format"})
-    return ["scan", swept, *grids, *fixed, "--panel-budget=1000"]
+    # scan's own --format is not drawn: a CSV scan prints a header and rows
+    fixed = _flag_tokens(draw, swept)
+    return ["scan", swept, *grids, *fixed, *_min_budget(swept)]
 
 
 @settings(
@@ -528,11 +548,10 @@ def _argv(draw):
 @example(argv=["windowed", "--nu=7", "--mu=0.3", "--p=1", "--pprime=2", "--window=30",
                "--panel-budget=1000"])
 # float powers that overflowed into a raw OverflowError
-@example(argv=["sae-ratio", "--eq=dirac", "--alpha=1", "--delta=0.5", "--pperp=1e300",
-               "--panel-budget=1000"])
-@example(argv=["sae-ratio", "--alpha=1", "--delta=0.7", "--p=1e300", "--panel-budget=1000"])
+@example(argv=["sae-ratio", "--eq=dirac", "--alpha=1", "--delta=0.5", "--pperp=1e300"])
+@example(argv=["sae-ratio", "--alpha=1", "--delta=0.7", "--p=1e300"])
 @example(argv=["gfactor", "--channel=n", "--alpha=1", "--enn=0", "--delta=0.7",
-               "--rho0=1e300", "--panel-budget=1000"])
+               "--rho0=1e300"])
 def test_every_argv_keeps_the_contract(capsys, argv):
     capsys.readouterr()
     code = cli.run(argv)

@@ -3,6 +3,7 @@
 import math
 import random
 
+import mpmath
 import pytest
 
 from abmodes.errors import (
@@ -114,6 +115,37 @@ class TestMatchingRatio:
     def test_vanishes_as_radius_shrinks(self):
         for l in (-1, 0, 1, 2):
             assert abs(matching_ratio(problem(l, 0.3, 0.0, 1.0, 1e-6))) < 1e-3
+
+
+def mp_matching_ratio(l, phi, g, p, rho0):
+    """b/a from the matching conditions, with mpmath's J and J' at 40 digits."""
+    with mpmath.workdps(40):
+        x = mpmath.mpf(p) * mpmath.mpf(rho0)
+        nu, order_l = abs(l - mpmath.mpf(phi)), abs(l)
+        jl = mpmath.besselj(order_l, x)
+        jl_shifted = mpmath.besselj(order_l, x, derivative=1) - g * mpmath.mpf(phi) / x * jl
+
+        def term(order):
+            j_prime = mpmath.besselj(order, x, derivative=1)
+            return j_prime * jl - mpmath.besselj(order, x) * jl_shifted
+
+        return -term(nu) / term(-nu)
+
+
+# off the resonance, with nu = |l - phi| below and above 1
+@pytest.mark.parametrize(
+    "l,phi,g",
+    [(0, 0.3, 0.5), (1, 0.3, -1.0), (1, 1.6, 0.7), (-1, 0.4, 2.0), (2, 1.3, 0.2),
+     (0, 0.7, -0.5)],
+)
+def test_shell_ratios_against_mpmath(l, phi, g):
+    for rho0 in (1e-4, 1e-3, 0.3):
+        ref = mp_matching_ratio(l, phi, g, 1.0, rho0)
+        assert abs(matching_ratio(problem(l, phi, g, 1.0, rho0)) - ref) <= 1e-13 * abs(ref)
+    # the leading term of the limit, with its Gamma(1-nu)/Gamma(1+nu) sign:
+    # the opposite sign would be off by a relative 2
+    ref = mp_matching_ratio(l, phi, g, 1.0, 1e-4)
+    assert abs(limit_ratio(problem(l, phi, g, 1.0, 1e-4)) - ref) <= 1e-6 * abs(ref)
 
 
 class TestLimitRatio:

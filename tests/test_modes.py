@@ -123,10 +123,6 @@ class TestDiracKinematics:
         kin = DiracKinematics.from_momenta(2.0, 1.0, 0.5, -1)
         assert kin.E == pytest.approx(math.sqrt(1.0 + 0.25 + 4.0), rel=1e-15)
 
-    def test_off_shell_rejected(self):
-        with pytest.raises(DomainError):
-            DiracKinematics(M=1.0, E=1.5, p3=0.0, p_perp=1.0, s=1)
-
     def test_bad_labels(self):
         with pytest.raises(DomainError):
             DiracKinematics.from_momenta(1.0, 1.0, 0.0, 2)
@@ -134,6 +130,10 @@ class TestDiracKinematics:
             DiracKinematics.from_momenta(-1.0, 1.0, 0.0, 1)
         with pytest.raises(DomainError):
             DiracKinematics.from_momenta(1.0, 0.0, 0.0, 1)
+        for M, p_perp, p3 in ((math.nan, 1.0, 0.0), (math.inf, 1.0, 0.0),
+                              (1.0, math.inf, 0.0), (1.0, 1.0, math.nan)):
+            with pytest.raises(DomainError):
+                DiracKinematics.from_momenta(M, p_perp, p3)
 
 
 class TestSmallRhoSignature:

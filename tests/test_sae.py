@@ -251,7 +251,6 @@ _N1 = ExtensionParameter.finite(Channel.SCHRODINGER_N_PLUS_1, 1.0)
             DiracKinematics.from_momenta(1e-300, 1.0),
         ),
         lambda: DiracKinematics.from_momenta(1.0, 1e300),
-        lambda: DiracKinematics(M=1.0, E=1e300, p3=0.0, p_perp=1.0, s=1),
         lambda: small_rho_signature(
             make_schrodinger_mode(0, decompose(0.7), 1e-300, 1.0, 1.0), 1.0
         ),
@@ -265,7 +264,7 @@ _N1 = ExtensionParameter.finite(Channel.SCHRODINGER_N_PLUS_1, 1.0)
     ],
     ids=[
         "schrodinger_ratio-n", "schrodinger_ratio-n1", "dirac_ratio", "from_momenta",
-        "kinematics-E", "small_rho_signature", "g_from_alpha-n", "g_from_alpha-n1",
+        "small_rho_signature", "g_from_alpha-n", "g_from_alpha-n1",
         "g_asymptotic-n", "g_asymptotic-n1", "limit_ratio",
     ],
 )
