@@ -2,13 +2,25 @@
 
 The integrand J_nu(p rho) J_mu(p' rho) rho is pre-split at the quasi-period
 boundaries k*pi/max(p, p').  Each cell is one panel of the embedded
-Gauss-Kronrod G10/K21 pair, 21 integrand values for both estimates; its
-21-point Kronrod value is accepted when it agrees with the 10-point Gauss
-value within the cell's length-proportional share of the absolute
-tolerance, or when the cell has reached the length floor, and the cell is
-bisected otherwise.  Panel evaluations are counted against a budget;
-exhaustion raises ConvergenceError.  Accepted contributions are summed
-pairwise in ascending position for deterministic, order-independent results.
+Gauss-Kronrod G10/K21 pair (Piessens et al., QUADPACK, 1983), 21 integrand
+values for both estimates.  A cell [a, b] of the range [lo, hi] is accepted
+by one rule, |K21 - G10| <= tol (b - a)/(hi - lo), its length-proportional
+share of the absolute tolerance, and bisected otherwise.  A cell that never
+meets its share bisects until the panel budget runs out; exhaustion raises
+ConvergenceError.
+
+The cell at the origin is the one exception, when nu + mu is not an
+integer.  There the integrand is r^(nu+mu+1) times a power series in r^2,
+with a branch point at r = 0 that no polynomial rule resolves.  That cell is
+integrated term by term from the ascending series of both Bessel functions
+(Watson, Theory of Bessel Functions, 3.1): each product term
+r^(nu+mu+1+2j+2k) has an exact integral.  The cell is at most a quasi-period
+long, so p rho and p' rho stay below pi and both series converge fast.  It
+spends one panel, like every cell.  When nu + mu is an integer the integrand
+is analytic at 0 and the origin cell is an ordinary G10/K21 cell.
+
+Accepted contributions are summed by math.fsum, correctly rounded, so the
+result does not depend on their order.
 
 An optional scalar weight(rho) multiplies the integrand, and extra_breaks
 force cell boundaries; weighted panels run the same pair through the Python
@@ -23,13 +35,10 @@ import math
 
 from ._backend import bessel_kernel, product_panel_kernel
 from ._kernels_py import _GK21, _K21_CENTER
-from .errors import ConvergenceError
+from .errors import ConvergenceError, NumericalFailureError
+from .specfun import power
 
 __all__ = ["PanelBudget", "product_quad"]
-
-# bisection floor: a cell no longer than this fraction of the full range is
-# accepted regardless (protects against singular-endpoint stalemates)
-_MIN_PANEL_FRACTION = 1e-13
 
 
 class PanelBudget:
@@ -72,11 +81,48 @@ def _weighted_panel(nu, mu, p, pp, lo, hi, weight):
     return k * h, g * h
 
 
-def _pairwise(vals, lo, hi):
-    if hi - lo <= 8:
-        return math.fsum(vals[lo:hi])
-    mid = (lo + hi) // 2
-    return _pairwise(vals, lo, mid) + _pairwise(vals, mid, hi)
+def _series_terms(nu, h):
+    # a_j = (-1)^j h^(2j) / (j! Gamma(nu + j + 1)), so that
+    # J_nu(2 h t) = (h t)^nu sum_j a_j t^(2j); cut where a term falls below
+    # 1e-17 of the largest, as the kernels' ascending series does
+    t = 1.0 / math.gamma(nu + 1.0)
+    terms = [t]
+    q = -h * h
+    biggest = abs(t)
+    for j in range(1, 400):
+        t *= q / (j * (nu + j))
+        a = abs(t)
+        if a > biggest:
+            biggest = a
+        elif a <= 1e-17 * biggest:
+            break
+        terms.append(t)
+    return terms
+
+
+def _origin_cell(nu, mu, p, pp, c):
+    """int_0^c J_nu(p r) J_mu(pp r) r dr from the two ascending series.
+
+    With r = c t, x = p c/2 and y = pp c/2 the integrand is
+    c^2 x^nu y^mu sum_jk a_j b_k t^(nu+mu+1+2j+2k), and t^m integrates to
+    1/(m + 1) on [0, 1].  Needs nu, mu > -1.
+    """
+    x = 0.5 * (p * c)
+    y = 0.5 * (pp * c)
+    a = _series_terms(nu, x)
+    b = _series_terms(mu, y)
+    s = nu + mu + 2.0
+    total = math.fsum(
+        aj * bk / (s + 2 * (j + k)) for j, aj in enumerate(a) for k, bk in enumerate(b)
+    )
+    value = power(x, nu, "origin cell (p c/2)^nu") * power(y, mu, "origin cell (p' c/2)^mu")
+    value *= c * c * total
+    if not math.isfinite(value):
+        raise NumericalFailureError(
+            f"origin cell of J_{nu}(p r) J_{mu}(p' r) r over [0, {c}] is not finite "
+            f"at p = {p}, p' = {pp}"
+        )
+    return value
 
 
 def product_quad(
@@ -114,7 +160,6 @@ def product_quad(
             breaks.add(float(x))
     breaks = sorted(breaks)
     total = hi - lo
-    floor_len = _MIN_PANEL_FRACTION * total
 
     if weight is None:
         def panel(a, b):
@@ -123,18 +168,23 @@ def product_quad(
         def panel(a, b):
             return _weighted_panel(nu, mu, p, pp, a, b, weight)
 
-    pieces = []  # values of accepted cells, in ascending position
-    for i in range(len(breaks) - 1):
+    pieces = []  # values of accepted cells
+    first = 0
+    # r^(nu+mu+1) has a branch point at 0 unless nu + mu is an integer
+    if lo == 0.0 and weight is None and nu + mu != math.floor(nu + mu):
+        budget.spend()
+        pieces.append(_origin_cell(nu, mu, p, pp, breaks[1]))
+        first = 1
+    for i in range(first, len(breaks) - 1):
         budget.spend()
         stack = [(breaks[i], breaks[i + 1], panel(breaks[i], breaks[i + 1]))]
         while stack:
             a, b, (kronrod, gauss) = stack.pop()
-            if abs(kronrod - gauss) <= tol * (b - a) / total or (b - a) <= floor_len:
+            if abs(kronrod - gauss) <= tol * (b - a) / total:
                 pieces.append(kronrod)
             else:
                 mid = 0.5 * (a + b)
                 budget.spend(2)
-                # left half on top: cells are accepted left to right
                 stack.append((mid, b, panel(mid, b)))
                 stack.append((a, mid, panel(a, mid)))
-    return _pairwise(pieces, 0, len(pieces))
+    return math.fsum(pieces)

@@ -29,6 +29,7 @@ import itertools
 import json
 import math
 import sys
+from dataclasses import replace
 
 from . import __version__
 from ._backend import BACKEND
@@ -238,9 +239,7 @@ def _cmd_solve_g(args):
         rho0=args.rho0, g=0.0, l=args.l, flux=decompose(args.phi), p=args.p
     )
     g = solve_g(prob, args.target, args.glo, args.ghi)
-    return {"g": g}, {"residual": matching_ratio(
-        FluxShellProblem(rho0=args.rho0, g=g, l=args.l, flux=prob.flux, p=args.p)
-    ) - args.target}
+    return {"g": g}, {"residual": matching_ratio(replace(prob, g=g)) - args.target}
 
 
 def _cmd_windowed(args):

@@ -280,12 +280,17 @@ def solve_g(
 
     The ratio is a Moebius function of g, b/a = -(n0 + g n1)/(d0 + g d1)
     (one root, one pole), so the inverse is closed form:
-    g = -(n0 + T d0)/(n1 + T d1) for the target T.  DomainError when
-    g_hi <= g_lo.  NoBracketError when that g is not finite, lies outside
-    [g_lo, g_hi], sits on the pole, or misses the target by more than
-    1e-10 max(1, |T|) when matching_ratio is evaluated there; a target equal
-    to the g -> infinity limit -n1/d1 is never reached.
+    g = -(n0 + T d0)/(n1 + T d1) for the target T.  DomainError when the
+    target or a bracket end is not finite, or when g_hi <= g_lo.
+    NoBracketError when that g is not finite, lies outside [g_lo, g_hi],
+    sits on the pole, or misses the target by more than 1e-10 max(1, |T|)
+    when matching_ratio is evaluated there; a target equal to the
+    g -> infinity limit -n1/d1 is never reached.
     """
+    if not all(map(math.isfinite, (target_ratio, g_lo, g_hi))):
+        raise DomainError(
+            f"target and bracket must be finite, got {target_ratio}, [{g_lo}, {g_hi}]"
+        )
     if g_hi <= g_lo:
         raise DomainError(f"empty bracket [{g_lo}, {g_hi}]")
     n0, n1, d0, d1, _ = _matching_terms(prob_template)

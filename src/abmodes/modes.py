@@ -58,6 +58,8 @@ class RadialMode:
     def __post_init__(self):
         if self.p <= 0.0 or math.isinf(self.p) or math.isnan(self.p):
             raise DomainError(f"mode momentum must be positive, got {self.p}")
+        if not (math.isfinite(self.a) and math.isfinite(self.b)):
+            raise DomainError(f"mode coefficients must be finite, got a = {self.a}, b = {self.b}")
         if self.a == 0.0 and self.b == 0.0:
             raise DegenerateError("mode with a = b = 0 is identically zero")
 

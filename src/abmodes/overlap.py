@@ -160,14 +160,13 @@ def windowed_overlap(
 ) -> float:
     """int_0^L J_nu(p r) J_mu(p' r) r dr by adaptive Gauss-Kronrod panels.
 
-    Absolute accuracy `tol` (default 1e-9) wherever the G10/K21 error
-    estimate settles before a cell shrinks to the length floor 1e-13 L;
-    ConvergenceError when the panel budget runs out.  At the floor the cell
-    is accepted without meeting its share, so an integrand singular at r = 0
-    may miss `tol`: at (nu, mu) = (-0.9, -0.9), p = 1, p' = 2, L = 10 the
-    value is off by 8e-5 from mpmath, with no error raised.  Milder
-    endpoint singularities bisect and meet it ((-0.6, -0.6, 1, 1.7, 10) is
-    within 3e-13 of mpmath in 88 panels).
+    Absolute accuracy `tol` (default 1e-9): every G10/K21 cell meets its
+    share of it, or the panels run out and ConvergenceError is raised.  When
+    nu + mu is not an integer the integrand has a branch point at r = 0, and
+    the first quasi-period is summed from the ascending series of J_nu and
+    J_mu instead, exact to rounding: (-0.9, -0.9, 1, 2, 10) is within 4e-13
+    of a 40-digit mpmath value in 7 panels, (-0.6, -0.6, 1, 1.7, 10) within
+    3e-13 in 6.
     """
     _check_orders(nu, mu)
     _check_momenta(p, p_prime)

@@ -25,7 +25,12 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import ChannelMismatchError, DomainError, InfiniteParameterError
+from .errors import (
+    ChannelMismatchError,
+    DomainError,
+    InfiniteParameterError,
+    NumericalFailureError,
+)
 from .flux import EquationKind, FluxParameter
 from .modes import DiracKinematics, RadialMode, make_schrodinger_mode
 from .specfun import gamma, power
@@ -87,6 +92,13 @@ def _require_finite(ep: ExtensionParameter) -> float:
     return ep.alpha
 
 
+def _finite_ratio(ratio: float, what: str) -> float:
+    # alpha times a finite power can still overflow
+    if math.isinf(ratio):
+        raise NumericalFailureError(f"{what} overflows: {ratio!r}")
+    return ratio
+
+
 def schrodinger_ratio(
     ep: ExtensionParameter, flux: FluxParameter, p: float, M: float
 ) -> float:
@@ -95,14 +107,16 @@ def schrodinger_ratio(
         raise DomainError(f"p and M must be positive and finite, got p={p}, M={M}")
     alpha = _require_finite(ep)
     if ep.channel is Channel.SCHRODINGER_N:
-        return alpha * power(p / M, 2.0 * flux.delta, "schrodinger_ratio (p/M)^(2 delta)")
-    if ep.channel is Channel.SCHRODINGER_N_PLUS_1:
-        return alpha * power(
+        ratio = alpha * power(p / M, 2.0 * flux.delta, "schrodinger_ratio (p/M)^(2 delta)")
+    elif ep.channel is Channel.SCHRODINGER_N_PLUS_1:
+        ratio = alpha * power(
             p / M, 2.0 * (1.0 - flux.delta), "schrodinger_ratio (p/M)^(2 (1-delta))"
         )
-    raise ChannelMismatchError(
-        f"schrodinger_ratio needs a Schrodinger channel, got {ep.channel}"
-    )
+    else:
+        raise ChannelMismatchError(
+            f"schrodinger_ratio needs a Schrodinger channel, got {ep.channel}"
+        )
+    return _finite_ratio(ratio, "schrodinger_ratio")
 
 
 def dirac_ratio(
@@ -114,11 +128,12 @@ def dirac_ratio(
             f"dirac_ratio needs the Dirac channel, got {ep.channel}"
         )
     alpha = _require_finite(ep)
-    return (
+    return _finite_ratio(
         alpha
         * kin.M
         / (kin.E + kin.s * kin.M)
-        * power(kin.p_perp / kin.M, 2.0 * flux.delta, "dirac_ratio (p_perp/M)^(2 delta)")
+        * power(kin.p_perp / kin.M, 2.0 * flux.delta, "dirac_ratio (p_perp/M)^(2 delta)"),
+        "dirac_ratio",
     )
 
 

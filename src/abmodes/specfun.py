@@ -39,12 +39,13 @@ MAX_ORDER = 5.0
 def power(base: float, exponent: float, what: str) -> float:
     """base ** exponent; NumericalFailureError naming `what` if it overflows.
 
-    Python's float power raises OverflowError there, an exception outside the
-    library's taxonomy.
+    Python's float power raises OverflowError there, and ZeroDivisionError
+    for a zero base under a negative exponent (an underflowed base), both
+    exceptions outside the library's taxonomy.
     """
     try:
         return base**exponent
-    except OverflowError:
+    except (OverflowError, ZeroDivisionError):
         raise NumericalFailureError(
             f"{what} overflows: {base!r} ** {exponent!r}"
         ) from None

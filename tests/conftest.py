@@ -10,6 +10,27 @@ SRC = REPO / "src"
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 
+def mp_origin_integral(nu, mu, p, pp, c, bessel=None, dps=40):
+    """int_0^c bessel(nu, p r) bessel(mu, pp r) r dr by mpmath, J by default.
+
+    The substitution r = c t^m, m = 1/(nu + mu + 2), turns the integrand's
+    r^(nu+mu+1) at the origin into t^0, which tanh-sinh quadrature then
+    resolves; without it mpmath's quad at 30 digits misses the cell
+    [0, pi/2] at nu = mu = -0.9, p' = 2p, by 1.6e-8.
+    """
+    import mpmath
+
+    bessel = bessel or mpmath.besselj
+    with mpmath.workdps(dps):
+        m = 1 / (mpmath.mpf(nu) + mu + 2)
+
+        def f(t):
+            r = c * t**m
+            return m * c * c * t ** (2 * m - 1) * bessel(nu, p * r) * bessel(mu, pp * r)
+
+        return mpmath.quad(f, [0, 1])
+
+
 def run_cli(args):
     """Run the CLI in a subprocess; returns (exit_code, stdout_bytes, stderr_bytes)."""
     env = dict(os.environ)

@@ -103,8 +103,10 @@ def test_panel_agreement(kernels_c):
         ["overlap", "--delta", "0.3", "--p", "1", "--pprime", "1.0005", "--verify"],
         ["cancel", "--delta", "0.3", "--channel", "n", "--b-p", "0.8", "--b-pprime", "0.5",
          "--p", "1", "--pprime", "1.02", "--verify"],
-        # singular integrand at r = 0: product_quad bisects the first cells
+        # integrands singular at r = 0: the origin cell comes from the series
         ["windowed", "--nu", "-0.6", "--mu", "-0.6", "--p", "1", "--pprime", "1.7",
+         "--window", "10"],
+        ["windowed", "--nu", "-0.9", "--mu", "-0.9", "--p", "1", "--pprime", "2",
          "--window", "10"],
     ],
 )

@@ -253,6 +253,9 @@ class TestExitCodes:
              "NumericalFailureError"),
             (["gfactor", "--channel", "n", "--alpha", "1", "--enn", "0",
               "--delta", "0.7", "--rho0", "1e300"], "NumericalFailureError"),
+            # a finite alpha times a finite power past the largest double
+            (["cancel", "--delta", "0.3", "--channel", "n", "--alpha", "1e300", "--p", "1e100",
+              "--pprime", "2e100"], "NumericalFailureError"),
             # about 6e299 cells, refused before any break point is built
             (["windowed", "--nu", "0.5", "--mu", "0.5", "--p", "1", "--pprime", "2",
               "--window", "1e300"], "ConvergenceError"),
@@ -328,6 +331,17 @@ class TestExitCodes:
              "--rho0", "0.1"],
             ["gfactor", "--channel", "n", "--alpha", "1", "--enn", "0", "--delta", "0.3",
              "--rho0", "nan"],
+            # non-finite mode coefficients and solve-g targets or brackets
+            ["cancel", "--delta", "0.3", "--channel", "n", "--b-p", "nan", "--b-pprime",
+             "0.5", "--p", "1", "--pprime", "2"],
+            ["cancel", "--delta", "0.3", "--channel", "n", "--b-p", "0.8", "--b-pprime",
+             "inf", "--p", "1", "--pprime", "2"],
+            ["solve-g", "--target", "nan", "--l", "0", "--phi", "0.3", "--p", "1",
+             "--rho0", "0.01"],
+            ["solve-g", "--target", "1", "--glo", "nan", "--l", "0", "--phi", "0.3",
+             "--p", "1", "--rho0", "0.01"],
+            ["solve-g", "--target", "1", "--ghi", "inf", "--l", "0", "--phi", "0.3",
+             "--p", "1", "--rho0", "0.01"],
         ):
             code, _, err = run_cli(argv)
             assert code == 2, argv

@@ -308,3 +308,7 @@ class TestSolveG:
         prob = problem(1, 0.3, 0.0, 1.0, 1e-2)
         with pytest.raises(DomainError):
             solve_g(prob, 0.0, g_lo=1.0, g_hi=-1.0)
+        for target, g_lo, g_hi in ((math.nan, -1.0, 1.0), (0.0, math.nan, 1.0),
+                                   (0.0, -1.0, math.inf), (math.inf, -1.0, 1.0)):
+            with pytest.raises(DomainError):
+                solve_g(prob, target, g_lo=g_lo, g_hi=g_hi)

@@ -46,6 +46,11 @@ class TestSchrodingerModes:
         with pytest.raises(DomainError):
             make_schrodinger_mode(2, f, -1.0, 1.0, 0.0)
 
+    @pytest.mark.parametrize("a, b", [(math.nan, 0.5), (1.0, math.inf), (1.0, -math.inf)])
+    def test_coefficients_must_be_finite(self, a, b):
+        with pytest.raises(DomainError):
+            make_schrodinger_mode(2, decompose(2.3), 1.0, a, b)
+
     def test_evaluate_half_order_closed_forms(self):
         f = decompose(2.5)  # order 0.5 in channel l = 2
         regular = make_schrodinger_mode(2, f, 1.0, 1.0, 0.0)

@@ -8,6 +8,8 @@ import mpmath
 import numpy as np
 import pytest
 
+from conftest import mp_origin_integral
+
 import abmodes.overlap
 from abmodes._quad import PanelBudget
 from abmodes.errors import (
@@ -62,13 +64,16 @@ def budgets(monkeypatch):
 
 
 def mp_windowed(nu, mu, p, pp, L):
-    """int_0^L J_nu(p r) J_mu(pp r) r dr by mpmath, split at the quasi-periods."""
-    with mpmath.workdps(30):
-        step = math.pi / max(p, pp)
-        points = [0.0] + [k * step for k in range(1, int(L / step) + 1) if k * step < L] + [L]
-        return float(mpmath.quad(
+    """int_0^L J_nu(p r) J_mu(pp r) r dr by mpmath at 40 digits, split at the
+    quasi-periods, the first one with its branch point at 0 taken out."""
+    step = math.pi / max(p, pp)
+    first = min(step, L)
+    with mpmath.workdps(40):
+        points = [first] + [k * step for k in range(2, int(L / step) + 1) if k * step < L] + [L]
+        rest = mpmath.quad(
             lambda r: mpmath.besselj(nu, p * r) * mpmath.besselj(mu, pp * r) * r, points
-        ))
+        ) if L > first else 0
+        return float(mp_origin_integral(nu, mu, p, pp, first) + rest)
 
 
 class TestClosedForms:
@@ -138,13 +143,17 @@ class TestWindowedOverlap:
         assert windowed_overlap(nu, mu, p, pp, L) == pytest.approx(total, abs=1e-8)
 
     @pytest.mark.parametrize(
-        "args", [(-0.6, -0.6, 1.0, 1.7, 10.0), (-0.5, -0.7, 1.3, 0.4, 12.0)]
+        "args",
+        [(-0.6, -0.6, 1.0, 1.7, 10.0, 6), (-0.5, -0.7, 1.3, 0.4, 12.0, 5),
+         (-0.9, -0.9, 1.0, 2.0, 10.0, 7)],
     )
     def test_singular_endpoint_against_mpmath(self, budgets, args):
-        # r^(nu + mu + 1) at r = 0: the first cells bisect (88 and 87 panels)
+        # (nu, mu, p, p', L, panels); r^(nu + mu + 1) at r = 0: the origin
+        # cell is summed from the series and no cell bisects
+        *args, panels = args
         value = windowed_overlap(*args)
         (budget,) = budgets
-        assert budget.used > budget.cells
+        assert budget.used == budget.cells == panels
         assert abs(value - mp_windowed(*args)) <= 1e-12
 
     def test_budget_exhaustion(self):

@@ -1,16 +1,23 @@
-"""The Gauss-Kronrod G10/K21 table of the kernels, checked to its rounding.
+"""`product_quad`'s two rules: the G10/K21 table and the series origin cell.
 
 `product_quad` accepts a cell when the two estimates agree, so a mistyped
 node or weight would show only as extra bisections or a loose result; these
 tests compare the table with Legendre's nodes and the moments of [-1, 1].
+The cell at the origin, summed from the ascending series when nu + mu is not
+an integer, is checked against a 40-digit mpmath quadrature.
 """
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
+from conftest import mp_origin_integral
+
 from abmodes._kernels_py import _GK21, _K21_CENTER
+from abmodes._quad import PanelBudget, product_quad
+from abmodes.errors import AbmodesError
 
 
 def test_gauss_nodes_and_weights_are_legendres():
@@ -42,3 +49,40 @@ def test_kronrod_is_exact_to_degree_31(k):
 def test_gauss_is_exact_to_degree_19(k):
     value = _even_moment(k, 0.0, [(x, wg) for x, _, wg in _GK21])
     assert abs(value - 2.0 / (2 * k + 1)) <= MOMENT_TOL
+
+
+# orders from -0.95 to 5.5 with nu + mu not an integer
+ORIGIN_ORDERS = [(-0.95, -0.95), (-0.9, 0.35), (-0.5, -0.7), (0.3, 0.3),
+                 (2.5, -0.6), (5.5, 5.5), (5.5, -0.95), (1.3, 4.1)]
+# (p, p', cell length in quasi-periods pi/max(p, p')): p'/p on both sides of
+# 1, far from it and next to it, with whole cells and ones cut short by hi
+ORIGIN_CELLS = [(1.0, 2.0, 1.0), (2.0, 1.0, 0.3), (1.0, 1e-3, 1.0), (0.7, 0.69, 0.3)]
+
+
+@pytest.mark.parametrize("p, pp, periods", ORIGIN_CELLS)
+@pytest.mark.parametrize("nu, mu", ORIGIN_ORDERS)
+def test_origin_cell_against_mpmath(nu, mu, p, pp, periods):
+    hi = periods * math.pi / max(p, pp)
+    budget = PanelBudget(10)
+    value = product_quad(nu, mu, p, pp, 0.0, hi, 1e-9, budget)
+    assert budget.used == 1
+    # the rounding of the series scales with the sum of its terms' magnitudes,
+    # which is the same integral of I_nu(p r) I_mu(p' r) r
+    ref = mp_origin_integral(nu, mu, p, pp, hi)
+    scale = mp_origin_integral(nu, mu, p, pp, hi, mpmath.besseli, dps=15)
+    assert abs(value - ref) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize(
+    "p, pp, hi", [(1.0, 1e-300, 1.0), (5e-324, 1.0, 1.0), (1.0, 1.0, 5e-324),
+                  (5e-324, 5e-324, 1e300)]
+)
+@pytest.mark.parametrize("nu, mu", [(-0.95, -0.95), (5.5, -0.95), (-0.9, 0.35)])
+def test_origin_cell_at_extreme_momenta(nu, mu, p, pp, hi):
+    # a finite value or a library error, never a raw ZeroDivisionError or
+    # OverflowError from the powers of an underflowed or huge argument
+    try:
+        value = product_quad(nu, mu, p, pp, 0.0, hi, 1e-9, PanelBudget(1000))
+    except AbmodesError:
+        return
+    assert math.isfinite(value)

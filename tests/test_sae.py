@@ -245,6 +245,9 @@ _N1 = ExtensionParameter.finite(Channel.SCHRODINGER_N_PLUS_1, 1.0)
     [
         lambda: schrodinger_ratio(_N, decompose(0.7), 1e300, 1.0),
         lambda: schrodinger_ratio(_N1, decompose(0.3), 1e300, 1.0),
+        lambda: schrodinger_ratio(
+            ExtensionParameter.finite(Channel.SCHRODINGER_N, 1e300), decompose(0.3), 1e100, 1.0
+        ),
         lambda: dirac_ratio(
             ExtensionParameter.finite(Channel.DIRAC_N, 1.0),
             decompose(0.7),
@@ -263,7 +266,8 @@ _N1 = ExtensionParameter.finite(Channel.SCHRODINGER_N_PLUS_1, 1.0)
         ),
     ],
     ids=[
-        "schrodinger_ratio-n", "schrodinger_ratio-n1", "dirac_ratio", "from_momenta",
+        "schrodinger_ratio-n", "schrodinger_ratio-n1", "schrodinger_ratio-alpha",
+        "dirac_ratio", "from_momenta",
         "small_rho_signature", "g_from_alpha-n", "g_from_alpha-n1",
         "g_asymptotic-n", "g_asymptotic-n1", "limit_ratio",
     ],
