@@ -16,8 +16,10 @@ integrated term by term from the ascending series of both Bessel functions
 (Watson, Theory of Bessel Functions, 3.1): each product term
 r^(nu+mu+1+2j+2k) has an exact integral.  The cell is at most a quasi-period
 long, so p rho and p' rho stay below pi and both series converge fast.  It
-spends one panel, like every cell.  When nu + mu is an integer the integrand
-is analytic at 0 and the origin cell is an ordinary G10/K21 cell.
+spends one panel, like every cell, and raises NumericalFailureError where
+p c/2 or p' c/2 (c its length) falls below the normal range of doubles.
+When nu + mu is an integer the integrand is analytic at 0 and the origin
+cell is an ordinary G10/K21 cell.
 
 Accepted contributions are summed by math.fsum, correctly rounded, so the
 result does not depend on their order.
@@ -32,6 +34,7 @@ benchmark.
 """
 
 import math
+import sys
 
 from ._backend import bessel_kernel, product_panel_kernel
 from ._kernels_py import _GK21, _K21_CENTER
@@ -84,7 +87,8 @@ def _weighted_panel(nu, mu, p, pp, lo, hi, weight):
 def _series_terms(nu, h):
     # a_j = (-1)^j h^(2j) / (j! Gamma(nu + j + 1)), so that
     # J_nu(2 h t) = (h t)^nu sum_j a_j t^(2j); cut where a term falls below
-    # 1e-17 of the largest, as the kernels' ascending series does
+    # 1e-17 of the largest; past the largest the terms fall faster than
+    # geometrically, so what is dropped is about a tenth of an ulp of it
     t = 1.0 / math.gamma(nu + 1.0)
     terms = [t]
     q = -h * h
@@ -105,18 +109,29 @@ def _origin_cell(nu, mu, p, pp, c):
 
     With r = c t, x = p c/2 and y = pp c/2 the integrand is
     c^2 x^nu y^mu sum_jk a_j b_k t^(nu+mu+1+2j+2k), and t^m integrates to
-    1/(m + 1) on [0, 1].  Needs nu, mu > -1.
+    1/(m + 1) on [0, 1].  Needs nu, mu > -1.  Raises NumericalFailureError
+    where x or y falls below the normal range, since the rounding of the
+    product p c there would spoil x^nu (at p = 1e-315, p' = 1 and c = 1, by
+    5e-9 relative), and where the value overflows.
     """
     x = 0.5 * (p * c)
     y = 0.5 * (pp * c)
+    if min(x, y) < sys.float_info.min:
+        raise NumericalFailureError(
+            f"origin cell over [0, {c}]: p c/2 = {x!r} or p' c/2 = {y!r} is below "
+            "the normal range of doubles"
+        )
     a = _series_terms(nu, x)
     b = _series_terms(mu, y)
     s = nu + mu + 2.0
     total = math.fsum(
         aj * bk / (s + 2 * (j + k)) for j, aj in enumerate(a) for k, bk in enumerate(b)
     )
-    value = power(x, nu, "origin cell (p c/2)^nu") * power(y, mu, "origin cell (p' c/2)^mu")
-    value *= c * c * total
+    # c x^nu = c^(nu+1) (p/2)^nu shrinks with c, since nu > -1; the bare
+    # x^nu y^mu would overflow on a short cell with nu + mu near -2
+    value = (power(x, nu, "origin cell (p c/2)^nu") * c) * (
+        power(y, mu, "origin cell (p' c/2)^mu") * c
+    ) * total
     if not math.isfinite(value):
         raise NumericalFailureError(
             f"origin cell of J_{nu}(p r) J_{mu}(p' r) r over [0, {c}] is not finite "

@@ -4,7 +4,9 @@
 node or weight would show only as extra bisections or a loose result; these
 tests compare the table with Legendre's nodes and the moments of [-1, 1].
 The cell at the origin, summed from the ascending series when nu + mu is not
-an integer, is checked against a 40-digit mpmath quadrature.
+an integer, is checked against a 40-digit mpmath quadrature, and on cells
+where one momentum times the cell length is negligible against a closed
+form; where p c/2 leaves the normal range of doubles it must fail loudly.
 """
 
 import math
@@ -17,7 +19,7 @@ from conftest import mp_origin_integral
 
 from abmodes._kernels_py import _GK21, _K21_CENTER
 from abmodes._quad import PanelBudget, product_quad
-from abmodes.errors import AbmodesError
+from abmodes.errors import NumericalFailureError
 
 
 def test_gauss_nodes_and_weights_are_legendres():
@@ -73,16 +75,53 @@ def test_origin_cell_against_mpmath(nu, mu, p, pp, periods):
     assert abs(value - ref) <= 1e-14 * scale
 
 
+def _one_sided_reference(nu, mu, p, pp, c):
+    """int_0^c J_nu(p r) J_mu(pp r) r dr when pp c or p c is below 1e-150.
+
+    The Bessel function with the smaller momentum, say pp, is then the first
+    term of its series to double precision, (pp r/2)^mu / Gamma(mu + 1), and
+    int_0^c r^(mu+1) J_nu(p r) dr is c^s (p c/2)^nu / (Gamma(nu + 1) s) times
+    1F2(s/2; nu + 1, s/2 + 1; -(p c/2)^2), with s = nu + mu + 2.
+    """
+    if p < pp:
+        nu, mu, p, pp = mu, nu, pp, p
+    assert pp * c < 1e-150
+    with mpmath.workdps(40):
+        nu, mu, p, pp, c = map(mpmath.mpf, (nu, mu, p, pp, c))
+        s = nu + mu + 2
+        k = (p / 2) ** nu * (pp / 2) ** mu / (mpmath.gamma(nu + 1) * mpmath.gamma(mu + 1))
+        return k * c**s / s * mpmath.hyp1f2(s / 2, nu + 1, s / 2 + 1, -((p * c / 2) ** 2))
+
+
+@pytest.mark.parametrize("hi", [1e-170, 1e-300, 1e-307])
+@pytest.mark.parametrize("nu, mu", [(-0.95, -0.95), (-0.99, -0.99), (-0.9, -0.6)])
+def test_origin_cell_on_short_cells(nu, mu, hi):
+    # x^nu y^mu alone overflows on these cells; the integral is the first
+    # term of the double series, K hi^s / s
+    budget = PanelBudget(10)
+    value = product_quad(nu, mu, 1.0, 2.0, 0.0, hi, 1e-9, budget)
+    assert budget.used == 1
+    ref = _one_sided_reference(nu, mu, 1.0, 2.0, hi)
+    assert abs(value - ref) <= 1e-14 * ref
+
+
+@pytest.mark.parametrize("p, pp, hi", [(1.0, 1e-300, 1.0), (1e-300, 1.0, 1e-5)])
+@pytest.mark.parametrize("nu, mu", [(-0.95, -0.95), (-0.9, 0.35), (0.35, -0.9)])
+def test_origin_cell_at_extreme_momentum_ratios(nu, mu, p, pp, hi):
+    value = product_quad(nu, mu, p, pp, 0.0, hi, 1e-9, PanelBudget(10))
+    ref = _one_sided_reference(nu, mu, p, pp, min(hi, math.pi / max(p, pp)))
+    assert abs(value - ref) <= 1e-14 * abs(ref)
+
+
+# p c/2 or p' c/2 below the normal range (the first three), a value beyond
+# the double range (the last, 1e488 and more)
 @pytest.mark.parametrize(
-    "p, pp, hi", [(1.0, 1e-300, 1.0), (5e-324, 1.0, 1.0), (1.0, 1.0, 5e-324),
+    "p, pp, hi", [(5e-324, 1.0, 1.0), (1.0, 1.0, 5e-324), (1e-315, 1.0, 1.0),
                   (5e-324, 5e-324, 1e300)]
 )
 @pytest.mark.parametrize("nu, mu", [(-0.95, -0.95), (5.5, -0.95), (-0.9, 0.35)])
-def test_origin_cell_at_extreme_momenta(nu, mu, p, pp, hi):
-    # a finite value or a library error, never a raw ZeroDivisionError or
-    # OverflowError from the powers of an underflowed or huge argument
-    try:
-        value = product_quad(nu, mu, p, pp, 0.0, hi, 1e-9, PanelBudget(1000))
-    except AbmodesError:
-        return
-    assert math.isfinite(value)
+def test_origin_cell_out_of_range_is_a_numerical_failure(nu, mu, p, pp, hi):
+    # a library error, never a raw ZeroDivisionError or OverflowError from
+    # the powers of an underflowed or huge argument, nor lost digits
+    with pytest.raises(NumericalFailureError):
+        product_quad(nu, mu, p, pp, 0.0, hi, 1e-9, PanelBudget(1000))
