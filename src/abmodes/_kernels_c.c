@@ -89,6 +89,8 @@ static double gamma_(double x)
 static double series(double nu, double x)
 {
     double h = 0.5 * x;
+    if (h == 0.0 && nu < 0.0)
+        return NAN;
     double t = pow(h, nu) / gamma_(nu + 1.0);
     double s = t;
     double q = -h * h;
@@ -110,7 +112,7 @@ static double asymptotic(double nu, double x)
     double mu = 4.0 * nu * nu;
     double p = 1.0, q = 0.0, t = 1.0, prev = 1.0;
     for (int k = 1; k < 60; k++) {
-        /* (2k - 1)**2 in Python: exact for these small odd integers */
+        /* m * m, as in the Python twin: exact for these small odd integers */
         double m = 2.0 * k - 1.0;
         t *= (mu - m * m) / (8.0 * k * x);
         double a = fabs(t);

@@ -7,7 +7,9 @@ values for both estimates.  A cell [a, b] of the range [lo, hi] is accepted
 by one rule, |K21 - G10| <= tol (b - a)/(hi - lo), its length-proportional
 share of the absolute tolerance, and bisected otherwise.  A cell that never
 meets its share bisects until the panel budget runs out; exhaustion raises
-ConvergenceError.
+ConvergenceError.  A panel whose K21 value is not finite (the kernels give
+NaN where p r/2 underflows under a negative order) raises
+NumericalFailureError at once, since bisection cannot mend it.
 
 The cell at the origin is the one exception, when nu + mu is not an
 integer.  There the integrand is r^(nu+mu+1) times a power series in r^2,
@@ -195,6 +197,12 @@ def product_quad(
         stack = [(breaks[i], breaks[i + 1], panel(breaks[i], breaks[i + 1]))]
         while stack:
             a, b, (kronrod, gauss) = stack.pop()
+            if not math.isfinite(kronrod):
+                # bisection cannot make a NaN or infinite cell finite
+                raise NumericalFailureError(
+                    f"panel [{a}, {b}] of J_{nu}(p r) J_{mu}(p' r) r is not finite "
+                    f"(K21 = {kronrod!r}) at p = {p}, p' = {pp}"
+                )
             if abs(kronrod - gauss) <= tol * (b - a) / total:
                 pieces.append(kronrod)
             else:

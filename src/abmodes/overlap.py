@@ -26,8 +26,11 @@ panels, one per quasi-period, at every p'/p.  Against mpmath
 (tests/test_overlap.py) it is within 1e-10 of the closed form in relative
 terms from p'/p = 1.3 to 1.0001, and within 1e-12 from 1.0005 to 1 + 1e-6.
 `fit_delta_coefficient` regresses B(L)/((p - p')(p + p')), the windowed
-overlap less that constant, on the oscillation to recover the delta
-coefficient itself, with no quadrature.
+overlap less that constant, on the oscillation and its 1/L corrections to
+recover the delta coefficient itself, with no quadrature: 17 to 49 samples,
+spaced so that the fast (p + p') oscillation cannot alias onto the slow
+one, within 3e-6 of cos(pi d) for p'/p in [1/3, 3].  B takes J' from the
+recurrence J'_nu = J_{nu-1} - (nu/x) J_nu, four kernel calls in all.
 
 Mode-level operations assemble the finite (non-delta) part of a channel
 overlap from the closed forms: the same-order terms contribute none, and the
@@ -49,7 +52,7 @@ from .errors import (
     SingularFitError,
 )
 from .modes import RadialMode
-from .specfun import MAX_ORDER, bessel_j, bessel_j_prime
+from .specfun import MAX_ORDER, bessel_j
 
 __all__ = [
     "OverlapResult",
@@ -68,12 +71,14 @@ __all__ = [
 DEFAULT_TOL = 1e-9
 DEFAULT_PANEL_BUDGET = 200_000
 
-# fit_delta_coefficient samples 129 lengths over two slow periods
-# 2 pi/|p - p'| past a base window of 40 of them.  The phase p L carries an
-# ulp of L, which costs digits below a relative separation of about 1e-5
-# (L ~ 2.5e7/p, error 3e-6 at p'/p = 1 + 1e-5); the floor keeps a margin.
+# fit_delta_coefficient samples two slow periods 2 pi/|p - p'| past a base
+# window of 40 of them, at a step of at most 1/_FIT_SAMPLES of that span
+# chosen so that the fast oscillation cannot alias: 17 to 49 lengths.  The
+# phase p L carries an ulp of L, which costs digits as the relative
+# separation shrinks (L ~ 2.5e7/p and error 8e-9 at p'/p = 1 + 1e-5, 1.2e-7
+# at 1 + 1e-6); the floor keeps a margin.
 _FIT_WINDOW_PERIODS = 40.0
-_FIT_SAMPLES = 128
+_FIT_SAMPLES = 16
 MIN_RELATIVE_SEPARATION = 1e-3
 
 # lengths of the Lommel windows of finite_part_estimate, in quasi-periods
@@ -118,6 +123,9 @@ def _check_lommel_orders(nu, mu):
         raise DomainError(
             f"Lommel's identity needs nu^2 = mu^2, got orders {nu}, {mu}"
         )
+    # the orders the library guarantees, the domain of bessel_j_prime too
+    if abs(nu) > MAX_ORDER:
+        raise DomainError(f"Lommel's bracket needs |nu| <= {MAX_ORDER}, got {nu}")
 
 
 def closed_form_same(nu: float, p: float, p_prime: float) -> OverlapResult:
@@ -175,12 +183,24 @@ def windowed_overlap(
     return product_quad(nu, mu, p, p_prime, 0.0, L, tol, PanelBudget(panel_budget))
 
 
+def _j_and_derivative(nu, x):
+    """(J_nu(x), J'_nu(x)) from two kernel calls: J'_nu = J_{nu-1} - (nu/x) J_nu.
+
+    The recurrence reuses J_nu, where bessel_j_prime's (J_{nu-1} - J_{nu+1})/2
+    makes two more calls.  Relative to the envelope max(|J'_nu|,
+    sqrt(2/(pi x))) both are within 1e-11 of mpmath for x in [1e-3, 100]
+    and within the ulp of x (the phase of the Hankel branch) beyond.
+    """
+    j = bessel_j(nu, x)
+    return j, bessel_j(nu - 1.0, x) - nu / x * j
+
+
 def _lommel_bracket(nu, mu, p, p_prime, r):
-    # B(r) = r [p' J_nu(p r) J'_mu(p' r) - p J'_nu(p r) J_mu(p' r)]
-    return r * (
-        p_prime * bessel_j(nu, p * r) * bessel_j_prime(mu, p_prime * r)
-        - p * bessel_j_prime(nu, p * r) * bessel_j(mu, p_prime * r)
-    )
+    # B(r) = r [p' J_nu(p r) J'_mu(p' r) - p J'_nu(p r) J_mu(p' r)], four
+    # kernel calls
+    j_nu, d_nu = _j_and_derivative(nu, p * r)
+    j_mu, d_mu = _j_and_derivative(mu, p_prime * r)
+    return r * (p_prime * j_nu * d_mu - p * d_nu * j_mu)
 
 
 def finite_part_estimate(
@@ -194,8 +214,8 @@ def finite_part_estimate(
 ) -> tuple:
     """Estimate the non-delta part of the infinite overlap; returns (value, est_error).
 
-    Needs nu^2 = mu^2 (DomainError otherwise) and |nu| <= MAX_ORDER, the
-    cap of bessel_j_prime.  By Lommel's identity
+    Needs nu^2 = mu^2 and |nu| <= MAX_ORDER (DomainError otherwise).  By
+    Lommel's identity
 
         (p^2 - p'^2) int_0^L r J_nu(p r) J_mu(p' r) dr = B(L) - B(0+),
         B(r) = r [p' J_nu(p r) J'_mu(p' r) - p J'_nu(p r) J_mu(p' r)],
@@ -265,14 +285,20 @@ def _solve_normal_equations(rows, ys):
 def fit_delta_coefficient(nu: float, mu: float, p: float, p_prime: float) -> float:
     """Recover the delta coefficient from the window oscillation.
 
-    Fits A sin((p-p')L)/(pi (p-p') sqrt(pp')) + C, with the matching cosine
-    and the (p+p')-frequency pair as nuisance regressors, to samples of
-    B(L)/((p - p')(p + p')) over two slow periods past a base window.  By
-    Lommel's identity these are windowed_overlap less the finite part, a
-    constant C absorbs: A is what a fit of the windowed integral gives, with
-    no quadrature.  Returns A, which approaches cos(pi d) for (+d, -d) and
-    1 for equal orders.  A depends on p'/p only, so the fit runs at
-    (1, p'/p): momenta from 1e-300 to 1e150 give the same A.  Same order
+    Fits A sin((p-p')L)/(pi (p-p') sqrt(pp')) + C, with the matching cosine,
+    the (p+p')-frequency pair and all four of them divided by L (their 1/L
+    corrections) as nuisance regressors, to samples of B(L)/((p - p')(p + p'))
+    over two slow periods past a base window.  By Lommel's identity these
+    are windowed_overlap less the finite part, a constant C absorbs: A is
+    what a fit of the windowed integral gives, with no quadrature.  The
+    sample step advances the fast phase by an odd multiple of pi/2, so the
+    fast oscillation cannot alias onto the slow one: 17 to 49 samples of
+    the bracket, four kernel calls each.  Returns A, which approaches
+    cos(pi d) for (+d, -d) and 1 for equal orders; for orders d in
+    [0.05, 0.95] it is within 3e-8 of cos(pi d) for p'/p in [1.002, 1.4],
+    1e-6 in [1.4, 2.2] and 3e-6 in [2.2, 3], and the same at the reciprocal
+    ratios (tests/test_overlap.py).  A depends on p'/p only, so the fit runs
+    at (1, p'/p): momenta from 1e-300 to 1e150 give the same A.  Same order
     domain as finite_part_estimate; EqualMomentaError below
     MIN_RELATIVE_SEPARATION, DomainError when p'/p is not a finite
     positive double.
@@ -293,22 +319,28 @@ def fit_delta_coefficient(nu: float, mu: float, p: float, p_prime: float) -> flo
     sp = p + p_prime
     t_slow = 2.0 * math.pi / abs(dp)
     L0 = _FIT_WINDOW_PERIODS * t_slow
-    step = 2.0 * t_slow / _FIT_SAMPLES
-    Ls = [L0 + i * step for i in range(_FIT_SAMPLES + 1)]
+    span = 2.0 * t_slow
+    # the fast phase sp L advances by (k + 1/2) pi per step, an odd multiple
+    # of pi/2, so that it cannot alias onto the slow one (at most pi/4 per
+    # step); k is the largest with step <= span/_FIT_SAMPLES.  No k >= 0
+    # fits outside 1/3 <= p'/p <= 3, where the fast phase already advances
+    # by less than pi/2 per step of span/_FIT_SAMPLES
+    k = math.floor(sp * span / (math.pi * _FIT_SAMPLES) - 0.5)
+    step = (k + 0.5) * math.pi / sp if k >= 0 else span / _FIT_SAMPLES
+    Ls = [L0 + i * step for i in range(math.floor(span / step) + 1)]
     scale = dp * sp
     ys = [_lommel_bracket(nu, mu, p, p_prime, L) / scale for L in Ls]
     c_slow = 1.0 / (math.pi * dp * math.sqrt(p * p_prime))
     c_fast = 1.0 / (math.pi * sp * math.sqrt(p * p_prime))
-    rows = [
-        [
+    rows = []
+    for L in Ls:
+        waves = [
             math.sin(dp * L) * c_slow,
             math.cos(dp * L) * c_slow,
             math.sin(sp * L) * c_fast,
             math.cos(sp * L) * c_fast,
-            1.0,
         ]
-        for L in Ls
-    ]
+        rows.append(waves + [1.0] + [w / L for w in waves])
     return _solve_normal_equations(rows, ys)[0]
 
 

@@ -93,8 +93,9 @@ def _require_finite(ep: ExtensionParameter) -> float:
 
 
 def _finite_ratio(ratio: float, what: str) -> float:
-    # alpha times a finite power can still overflow
-    if math.isinf(ratio):
+    # alpha times a finite power can still overflow, and an overflowed factor
+    # times an underflowed power is NaN
+    if not math.isfinite(ratio):
         raise NumericalFailureError(f"{what} overflows: {ratio!r}")
     return ratio
 
@@ -128,10 +129,15 @@ def dirac_ratio(
             f"dirac_ratio needs the Dirac channel, got {ep.channel}"
         )
     alpha = _require_finite(ep)
+    if kin.s == 1:
+        scaled = alpha * kin.M / (kin.E + kin.M)
+    else:
+        # M/(E - M) by E - M = (p_perp^2 + p3^2)/(E + M), since the
+        # difference cancels at small momenta (to 0 at p_perp = 1e-10)
+        m_over_p = kin.M / math.hypot(kin.p_perp, kin.p3)
+        scaled = alpha * ((kin.E + kin.M) / kin.M * m_over_p * m_over_p)
     return _finite_ratio(
-        alpha
-        * kin.M
-        / (kin.E + kin.s * kin.M)
+        scaled
         * power(kin.p_perp / kin.M, 2.0 * flux.delta, "dirac_ratio (p_perp/M)^(2 delta)"),
         "dirac_ratio",
     )

@@ -20,6 +20,7 @@ All functions are pure and reentrant.
 """
 
 import math
+import sys
 
 from ._backend import BACKEND, bessel_kernel, gamma_kernel
 from .errors import DomainError, NumericalFailureError, PoleError
@@ -34,6 +35,12 @@ _GAMMA_KERNEL_MAX = 140.0
 # Orders the library guarantees; bessel_j itself admits one more unit so the
 # derivative recurrence stays inside the cap.
 MAX_ORDER = 5.0
+
+# Below this x, x/2 leaves the normal range of doubles: the halving rounds it
+# to a coarse grid, or to 0, and the series' (x/2)^nu carries that error
+# unreported (24% at nu = -0.95, x = 1.5e-323), as in the origin cell of the
+# quadrature.  At nu = 0 the power is 1 and stays exact.
+_SUBNORMAL_HALF = 2.0 * sys.float_info.min
 
 
 def power(base: float, exponent: float, what: str) -> float:
@@ -87,7 +94,9 @@ def bessel_j(nu: float, x: float) -> float:
 
     x must be finite and >= 0; x = 0 is allowed only for nu >= 0
     (J_0(0) = 1, J_nu(0) = 0 for nu > 0).  Orders beyond |nu| = MAX_ORDER + 1
-    are rejected.
+    are rejected.  For nu != 0 and 0 < x/2 below the normal range of doubles
+    NumericalFailureError is raised, since (x/2)^nu would carry the rounding
+    of the halving.
     """
     nu = float(nu)
     x = float(x)
@@ -101,11 +110,24 @@ def bessel_j(nu: float, x: float) -> float:
         raise DomainError(f"bessel_j: argument must be finite and >= 0, got {x}")
     if x == 0.0 and nu < 0.0:
         raise DomainError("bessel_j: x = 0 is singular for negative order")
+    if 0.0 < x < _SUBNORMAL_HALF and nu != 0.0:
+        raise _subnormal_half("bessel_j", nu, x)
     return bessel_kernel(nu, x)
 
 
+def _subnormal_half(what, nu, x):
+    return NumericalFailureError(
+        f"{what}: x/2 = {x!r}/2 is below the normal range of doubles, where "
+        f"(x/2)^nu loses digits (nu = {nu!r})"
+    )
+
+
 def bessel_j_prime(nu: float, x: float) -> float:
-    """dJ_nu/dx via the recurrence (J_{nu-1}(x) - J_{nu+1}(x)) / 2, finite x > 0."""
+    """dJ_nu/dx via the recurrence (J_{nu-1}(x) - J_{nu+1}(x)) / 2, finite x > 0.
+
+    NumericalFailureError for nu != 0 and x/2 below the normal range, as
+    bessel_j.
+    """
     nu = float(nu)
     x = float(x)
     if math.isnan(nu) or abs(nu) > MAX_ORDER:
@@ -114,4 +136,6 @@ def bessel_j_prime(nu: float, x: float) -> float:
         )
     if not math.isfinite(x) or x <= 0.0:
         raise DomainError(f"bessel_j_prime: argument must be finite and > 0, got {x}")
+    if x < _SUBNORMAL_HALF and nu != 0.0:
+        raise _subnormal_half("bessel_j_prime", nu, x)
     return 0.5 * (bessel_kernel(nu - 1.0, x) - bessel_kernel(nu + 1.0, x))

@@ -31,6 +31,14 @@ def mp_origin_integral(nu, mu, p, pp, c, bessel=None, dps=40):
         return mpmath.quad(f, [0, 1])
 
 
+def e_plus_sm(kin):
+    """E + s M of DiracKinematics kin, for s = -1 as (p_perp^2 + p3^2)/(E + M),
+    which does not cancel at small momenta."""
+    if kin.s == 1:
+        return kin.E + kin.M
+    return (kin.p_perp**2 + kin.p3**2) / (kin.E + kin.M)
+
+
 def run_cli(args):
     """Run the CLI in a subprocess; returns (exit_code, stdout_bytes, stderr_bytes)."""
     env = dict(os.environ)

@@ -10,7 +10,7 @@ import random
 import time
 
 import conftest
-from conftest import FIXTURES, run_cli
+from conftest import FIXTURES, e_plus_sm, run_cli
 
 from abmodes.flux import EquationKind, decompose
 from abmodes.fluxshell import FluxShellProblem, g_asymptotic, g_from_alpha, limit_ratio, matching_ratio, resonance_defect
@@ -322,7 +322,7 @@ def test_criterion_09_dirac_condition_shape():
                     rec = (
                         dirac_ratio(ep, f, kin)
                         * (kin.M / kin.p_perp) ** (2.0 * delta)
-                        * (kin.E + s * kin.M)
+                        * e_plus_sm(kin)
                         / kin.M
                     )
                     worst = max(worst, abs(rec / alpha - 1.0))

@@ -8,6 +8,8 @@ on PATH; any other build failure fails them with the compiler's output.
 """
 
 import importlib.util
+import json
+import math
 import os
 import random
 import shlex
@@ -81,6 +83,13 @@ def test_bessel_agreement(kernels_c):
             assert kernels_c.bessel_j(nu, x) == _kernels_py.bessel_j(nu, x), (nu, x)
 
 
+def test_underflowed_half_argument_alike(kernels_c):
+    # x/2 rounds to 0 under a negative order: NaN in both twins
+    for nu in (-0.9, -0.5, -1.5):
+        assert math.isnan(kernels_c.bessel_j(nu, 5e-324))
+        assert math.isnan(_kernels_py.bessel_j(nu, 5e-324))
+
+
 def test_panel_agreement(kernels_c):
     rng = random.Random(3)
     for _ in range(500):
@@ -117,3 +126,19 @@ def test_backends_byte_stable_results(kernels_c, monkeypatch, capsys, argv):
     use_kernels(monkeypatch, _kernels_py)
     assert compiled == (cli.run(argv), capsys.readouterr())
 
+
+
+def test_underflowed_panel_fails_alike(kernels_c, monkeypatch, capsys):
+    # the panel is NaN on both kernel sets, and product_quad refuses it at
+    # once: the same exit-3 document, neither a raw ZeroDivisionError nor a
+    # bisection until the budget runs out
+    argv = ["windowed", "--nu", "-0.9", "--mu", "0.9", "--p", "5e-324", "--pprime", "1",
+            "--window", "1"]
+    runs = []
+    for kernels in (kernels_c, _kernels_py):
+        use_kernels(monkeypatch, kernels)
+        runs.append((cli.run(argv), capsys.readouterr()))
+    assert runs[0] == runs[1]
+    code, (out, err) = runs[0]
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"] == "NumericalFailureError"

@@ -566,6 +566,11 @@ def _argv(draw):
 @example(argv=["sae-ratio", "--alpha=1", "--delta=0.7", "--p=1e300"])
 @example(argv=["gfactor", "--channel=n", "--alpha=1", "--enn=0", "--delta=0.7",
                "--rho0=1e300"])
+# a raw ZeroDivisionError: E - M cancelled to 0, and x/2 underflowed to 0
+@example(argv=["sae-ratio", "--eq=dirac", "--alpha=1", "--delta=0.3", "--pperp=1e-10",
+               "--s=-1"])
+@example(argv=["windowed", "--nu=-0.9", "--mu=0.9", "--p=5e-324", "--pprime=1",
+               "--window=1", "--panel-budget=1000"])
 def test_every_argv_keeps_the_contract(capsys, argv):
     capsys.readouterr()
     code = cli.run(argv)

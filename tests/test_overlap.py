@@ -218,6 +218,30 @@ class TestFinitePartEstimate:
             with pytest.raises(DomainError):
                 fit_delta_coefficient(nu, mu, 1.0, 2.0)
 
+    def test_orders_beyond_the_guaranteed_range(self):
+        # the bracket's J_{nu-1} exists up to nu = 6, but the library
+        # guarantees |nu| <= MAX_ORDER = 5 only
+        for nu in (5.5, 6.0):
+            with pytest.raises(DomainError):
+                finite_part_estimate(nu, nu, 1.0, 2.0)
+            with pytest.raises(DomainError):
+                fit_delta_coefficient(nu, nu, 1.0, 2.0)
+
+
+def test_derivative_recurrence_against_mpmath():
+    # the Lommel bracket's J'_nu = J_{nu-1} - (nu/x) J_nu, over the arguments
+    # both estimators reach: from 1e-3 (the smaller momentum when p'/p is
+    # far from 1, well below 4 pi) to 3e5 (the fit's windows at p'/p =
+    # 1.001); past x = 100 the bound is the ulp of the Hankel phase x
+    eps = 2.0**-52
+    with mpmath.workdps(40):
+        for nu in (-0.95, -0.5, -0.1, 0.0, 0.3, 0.9, 1.0, 2.3, 5.0):
+            for x in (1e-3 * 3e8 ** (i / 119) for i in range(120)):
+                ref = mpmath.besselj(nu, x, derivative=1)
+                envelope = max(abs(ref), mpmath.sqrt(2 / (mpmath.pi * x)))
+                _, prime = abmodes.overlap._j_and_derivative(nu, x)
+                assert abs(prime - ref) <= max(1e-11, eps * x) * envelope, (nu, x)
+
 
 class TestDeltaCoefficientFit:
     @pytest.mark.parametrize("delta", [0.25, 0.5])
@@ -233,7 +257,49 @@ class TestDeltaCoefficientFit:
     def test_near_the_diagonal(self, ratio):
         # the base window is 40 slow periods 2 pi/|p - p'| long, 1.3e4 at 1.02
         a = fit_delta_coefficient(0.3, -0.3, 1.0, ratio)
-        assert abs(a - math.cos(0.3 * math.pi)) <= 1e-6
+        assert abs(a - math.cos(0.3 * math.pi)) <= 1e-7
+
+    @pytest.mark.parametrize("ratio", [2.0 / 1.9375, 1.03125, 1.05, 1.002])
+    def test_fast_oscillation_does_not_alias(self, ratio):
+        # on a uniform grid the fast phase (p + p') L can land on the slow
+        # one: 129 samples over the span miss cos(pi d) by 0.56 and 0.44 at
+        # the first two ratios, 17 samples (with the 1/L pairs) by 0.16 and
+        # 0.67 at the last two, and nothing warns
+        a = fit_delta_coefficient(0.3, -0.3, 1.0, ratio)
+        assert abs(a - math.cos(0.3 * math.pi)) <= 1e-9
+
+    @pytest.mark.parametrize("delta", [0.05, 0.1, 0.3, 0.9, 0.95])
+    @pytest.mark.parametrize(
+        "lo, hi, bound", [(1.002, 1.4, 2.5e-8), (1.4, 2.2, 8e-7), (2.2, 3.0, 3e-6)]
+    )
+    def test_dense_ratio_scan(self, delta, lo, hi, bound):
+        # p'/p over [1/3, 3], both sides of the diagonal, at 60 ratios a band
+        worst = 0.0
+        for ratio in np.geomspace(lo, hi, 60):
+            for side in (float(ratio), float(1.0 / ratio)):
+                a = fit_delta_coefficient(delta, -delta, 1.0, side)
+                worst = max(worst, abs(a - math.cos(math.pi * delta)))
+        assert worst <= bound
+
+    def test_kernel_calls(self, monkeypatch):
+        # 17 to 49 samples of the bracket, four kernel calls each; the most
+        # just past p'/p = 1.4, where the fast phase steps by pi/2
+        calls = []
+
+        def counting(nu, x):
+            calls.append(nu)
+            return kernel(nu, x)
+
+        kernel = abmodes.specfun.bessel_kernel
+        monkeypatch.setattr(abmodes.specfun, "bessel_kernel", counting)
+        counts = set()
+        for ratio in np.concatenate([np.geomspace(1.002, 10.0, 300), [1.4 + 1e-12, 3.0]]):
+            for side in (float(ratio), float(1.0 / ratio)):
+                calls.clear()
+                fit_delta_coefficient(0.3, -0.3, 1.0, side)
+                assert len(calls) % 4 == 0
+                counts.add(len(calls) // 4)
+        assert min(counts) == 17 and 48 <= max(counts) <= 49
 
     def test_any_momentum_scale(self):
         # A depends on p'/p only; the fit must not overflow at either end

@@ -125,3 +125,13 @@ def test_origin_cell_out_of_range_is_a_numerical_failure(nu, mu, p, pp, hi):
     # the powers of an underflowed or huge argument, nor lost digits
     with pytest.raises(NumericalFailureError):
         product_quad(nu, mu, p, pp, 0.0, hi, 1e-9, PanelBudget(1000))
+
+
+def test_non_finite_panel_fails_at_once():
+    # the kernels give NaN where p r/2 underflows under a negative order;
+    # bisection cannot mend a NaN cell, so the first panel raises instead of
+    # spending the budget (about 200,000 panels)
+    budget = PanelBudget(200_000)
+    with pytest.raises(NumericalFailureError):
+        product_quad(-0.9, 0.9, 5e-324, 1.0, 0.0, 1.0, 1e-9, budget)
+    assert budget.used == 1

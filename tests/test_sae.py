@@ -1,9 +1,14 @@
 """Extension-parameter conditions, boundary map, extended modes, reference values."""
 
+import json
 import math
 
+import mpmath
 import pytest
 
+from conftest import e_plus_sm
+
+from abmodes import cli
 from abmodes.errors import (
     ChannelMismatchError,
     DegenerateError,
@@ -111,10 +116,26 @@ class TestDiracRatio:
                 recovered = (
                     dirac_ratio(ep, f, kin)
                     * (kin.M / kin.p_perp) ** (2.0 * f.delta)
-                    * (kin.E + s * kin.M)
+                    * e_plus_sm(kin)
                     / kin.M
                 )
                 assert recovered == pytest.approx(alpha, rel=1e-12)
+
+    @pytest.mark.parametrize("p_perp", [1e-10, 1e-5, 1e-3])
+    def test_small_momentum_with_s_minus_one(self, p_perp, capsys):
+        # E - M cancels at small p_perp (to 0 at 1e-10, to 6 digits at
+        # 1e-5); the ratio is finite and follows (p_perp^2 + p3^2)/(E + M)
+        ep = ExtensionParameter.finite(Channel.DIRAC_N, 1.0)
+        kin = DiracKinematics.from_momenta(1.0, p_perp, 0.0, -1)
+        ratio = dirac_ratio(ep, decompose(0.3), kin)
+        with mpmath.workdps(50):
+            p = mpmath.mpf(p_perp)
+            ref = p ** (2 * mpmath.mpf(0.3)) / (mpmath.sqrt(p * p + 1) - 1)
+        assert abs(ratio / float(ref) - 1.0) <= 1e-12
+        argv = ["sae-ratio", "--eq", "dirac", "--alpha", "1", "--delta", "0.3",
+                "--pperp", repr(p_perp), "--s", "-1"]
+        assert cli.run(argv) == 0
+        assert json.loads(capsys.readouterr().out)["outputs"]["ratio"] == ratio
 
     def test_schrodinger_channel_rejected(self):
         ep = ExtensionParameter.finite(Channel.SCHRODINGER_N, 1.0)

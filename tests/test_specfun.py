@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 
 import mpmath
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from abmodes import _kernels_py
-from abmodes.errors import DomainError, PoleError
+from abmodes.errors import DomainError, NumericalFailureError, PoleError
 from abmodes.specfun import bessel_j, bessel_j_prime, gamma
 
 SQRT_PI = math.sqrt(math.pi)
@@ -158,6 +159,27 @@ class TestBesselJ:
         assert bessel_j(0.7, 0.0) == 0.0
         with pytest.raises(DomainError):
             bessel_j(-0.3, 0.0)
+
+    def test_subnormal_half_argument_is_a_numerical_failure(self):
+        # below the normal range the halving x/2 rounds coarsely, or to 0,
+        # and (x/2)^nu would carry that (24% at nu = -0.95, x = 1.5e-323)
+        for nu in (-0.95, -0.3, 0.3, 2.0):
+            for x in (5e-324, 1.5e-323, 3e-315, 4.4e-308):
+                with pytest.raises(NumericalFailureError):
+                    bessel_j(nu, x)
+                with pytest.raises(NumericalFailureError):
+                    bessel_j_prime(nu, x)
+        # (x/2)^0 = 1 is exact, and x/2 is normal from x = 2 * min on
+        assert bessel_j(0.0, 5e-324) == pytest.approx(1.0, rel=1e-15)
+        x = 2.0 * sys.float_info.min
+        with mpmath.workdps(30):
+            ref = mpmath.besselj(-0.95, x)
+        assert bessel_j(-0.95, x) == pytest.approx(float(ref), rel=1e-14)
+
+    def test_underflowed_half_argument_gives_nan_in_the_kernel(self):
+        # what the compiled twin returns, never a raw ZeroDivisionError
+        for nu in (-0.9, -0.5, -1.5):
+            assert math.isnan(_kernels_py.bessel_j(nu, 5e-324))
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
