@@ -18,3 +18,4 @@ except ImportError:
 gamma_kernel = _impl.gamma
 bessel_kernel = _impl.bessel_j
 product_panel_kernel = _impl.kronrod21_product_panel
+hankel_panel_kernel = _impl.hankel_product_panel

@@ -1,8 +1,9 @@
 """Pure-Python numerical kernels (fallback backend).
 
 Hot scalar routines used throughout the library: Gamma for real arguments,
-Bessel J of arbitrary real order, and the embedded Gauss-Kronrod G10/K21 pair
-on one panel of the product integrand J_nu(p rho) J_mu(p' rho) rho.
+Bessel J of arbitrary real order, and two panels of the product integrand
+J_nu(p rho) J_mu(p' rho) rho: the embedded Gauss-Kronrod G10/K21 pair, and a
+Filon-Legendre panel for where both arguments exceed 12.
 `abmodes._kernels_c`, compiled from the hand-written `_kernels_c.c`, is the
 twin: it mirrors each function here operation for operation, so an edit here
 goes into the C as well, and `tests/test_backends.py` compares the two with
@@ -24,10 +25,28 @@ goes into the C as well, and `tests/test_backends.py` compares the two with
   the embedded 10-point Gauss estimates from the same 21 integrand values
   (Piessens et al., QUADPACK, 1983); `_quad` accepts the Kronrod value when
   the two agree.
+* Hankel panel: `hankel_product_panel`, for p lo and p' lo above 12, where
+  J_nu(x) = sqrt(2/(pi x)) (P cos chi - Q sin chi).  The integrand is then
+  1/(pi sqrt(p p')) times two phases, (p + p') r and (p - p') r, with
+  amplitudes P1 P2 -+ Q1 Q2 and P1 Q2 +- Q1 P2 that are smooth in r (P and
+  Q from the same loop, `_hankel_pq`, as J_nu).  Each amplitude is
+  interpolated at the 16 Gauss-Legendre nodes, expanded in Legendre
+  polynomials, and integrated term by term with
+  int_{-1}^{1} P_k(t) e^{i kappa t} dt = 2 i^k j_k(kappa), kappa the
+  frequency times the half length: exact for amplitudes of degree 15 at
+  any number of periods (Filon-type quadrature; Iserles and Norsett, Proc.
+  R. Soc. A 461, 2005, 1383).  The coarse estimate drops the last four
+  Legendre terms.  The spherical Bessel j_k come from `spherical_j`: the
+  forward recurrence for kappa > 16, Miller's backward recurrence below,
+  rescaled below overflow and normalized by j_0 or j_1, and the leading
+  term kappa^k/(2k+1)!! below 1e-8 (exact at 0); within 5e-16 of mpmath,
+  relative to |j_k| for kappa < 1 and to max(|j_k|, 1/kappa) above.  Real
+  arithmetic only, so the C mirrors it operation for operation.
 
-`tests/test_specfun.py` asserts both bounds against mpmath, and
-`tests/test_quad.py` checks the G10/K21 table against Legendre's nodes and
-the moments of [-1, 1].
+`tests/test_specfun.py` asserts the J bounds against mpmath, and
+`tests/test_quad.py` checks the G10/K21 and 16-node tables against
+Legendre's nodes and the moments of [-1, 1], and `spherical_j` and the
+Hankel panel against mpmath.
 
 `gauss15_product_panel`, a 15-point Gauss panel of the same integrand, is
 used by no code in the package.  It stays, in both twins, only because the
@@ -92,6 +111,24 @@ _GK21 = (
     (0.9956571630258081, 0.011694638867371874, 0.0),
 )
 
+# Gauss-Legendre nodes on [-1, 1], order 16 (exact to degree 31): (node x,
+# weight) for the eight symmetric pairs +-x, innermost first.
+_GL16 = (
+    (0.09501250983763744, 0.1894506104550685),
+    (0.2816035507792589, 0.18260341504492358),
+    (0.45801677765722737, 0.16915651939500254),
+    (0.6178762444026438, 0.14959598881657674),
+    (0.755404408355003, 0.12462897125553388),
+    (0.8656312023878318, 0.09515851168249279),
+    (0.9445750230732326, 0.062253523938647894),
+    (0.9894009349916499, 0.027152459411754096),
+)
+
+# Miller's backward recurrence for j_k starts at n = 40: at kappa = 16, the
+# worst case, the start reaches j_0..j_15 damped below 3e-23 relative
+# ((j_40/y_40)(y_k/j_k))
+_MILLER_START = 40
+
 
 def sinpi(x):
     """sin(pi*x) with x reduced exactly to [-1/2, 1/2] about the nearest integer."""
@@ -136,8 +173,8 @@ def _series(nu, x):
     return s
 
 
-def _asymptotic(nu, x):
-    # Hankel expansion J_nu ~ sqrt(2/(pi x)) (P cos chi - Q sin chi).
+def _hankel_pq(nu, x):
+    # Hankel's P and Q of J_nu ~ sqrt(2/(pi x)) (P cos chi - Q sin chi).
     # Terms may grow once before decaying (large nu), hence the k > 2 guard;
     # stop at the smallest term (optimal truncation of the divergent tail).
     mu = 4.0 * nu * nu
@@ -164,6 +201,12 @@ def _asymptotic(nu, x):
             q -= t
         if a <= 1e-18:
             break
+    return p, q
+
+
+def _asymptotic(nu, x):
+    # Hankel expansion J_nu ~ sqrt(2/(pi x)) (P cos chi - Q sin chi)
+    p, q = _hankel_pq(nu, x)
     chi = x - (0.5 * nu + 0.25) * math.pi
     return math.sqrt(2.0 / (math.pi * x)) * (math.cos(chi) * p - math.sin(chi) * q)
 
@@ -205,3 +248,148 @@ def kronrod21_product_panel(nu, mu, p, pp, lo, hi):
         k += wk * f
         g += wg * f
     return k * h, g * h
+
+
+def spherical_j(kappa):
+    """[j_0(kappa), ..., j_15(kappa)], spherical Bessel functions, kappa >= 0."""
+    j = [0.0] * 16
+    if kappa < 1e-8:
+        # the leading term kappa^k/(2k+1)!!, off by less than kappa^2/6 in
+        # relative terms; exact at 0, and Miller's ratios (2k+1)/kappa
+        # would overflow below about 1e-306
+        t = 1.0
+        for k in range(16):
+            j[k] = t
+            t *= kappa / (2 * k + 3)
+        return j
+    j0 = math.sin(kappa) / kappa
+    j1 = (j0 - math.cos(kappa)) / kappa
+    if kappa > 16.0:
+        # forward recurrence j_{k+1} = (2k+1)/kappa j_k - j_{k-1}, stable for k < kappa
+        j[0] = j0
+        j[1] = j1
+        for k in range(1, 15):
+            j[k + 1] = (2 * k + 1) / kappa * j[k] - j[k - 1]
+        return j
+    # Miller: the same recurrence run downwards from f_41 = 0, f_40 = 1,
+    # rescaled below overflow, then normalized by j_0 or j_1, whichever is
+    # larger (j_0 vanishes at multiples of pi; j_1 loses digits for small kappa)
+    above = 0.0
+    f = 1.0
+    for n in range(_MILLER_START, 0, -1):
+        above, f = f, (2 * n + 1) / kappa * f - above
+        if n <= 16:
+            j[n - 1] = f
+        if abs(f) > 1e250:
+            above *= 1e-250
+            f *= 1e-250
+            for i in range(n - 1, 16):
+                j[i] *= 1e-250
+    scale = j0 / j[0] if abs(j0) >= abs(j1) else j1 / j[1]
+    for k in range(16):
+        j[k] *= scale
+    return j
+
+
+def _filon_weights(kappa):
+    # (2k+1) i^k j_k(kappa) P_k(t) sums to e^{i kappa t} truncated, and
+    # int_{-1}^{1} P_k(t) e^{i kappa t} dt = 2 i^k j_k(kappa); the returned
+    # a_k = (2k+1) Re or Im of i^k j_k, the even k real, the odd k imaginary
+    j = spherical_j(kappa)
+    a = [0.0] * 16
+    for k in range(16):
+        a[k] = (2 * k + 1) * j[k] if (k & 2) == 0 else -((2 * k + 1) * j[k])
+    return a
+
+
+def hankel_product_panel(nu, mu, p, pp, lo, hi):
+    """(value, coarse) estimates of int_lo^hi J_nu(p r) J_mu(pp r) r dr, p lo, pp lo > 12.
+
+    Filon-Legendre panel on Hankel's expansion: J_nu(p r) J_mu(pp r) r is
+    (1/(pi sqrt(p pp))) Re[F_s e^{i chi_s} + F_d e^{i chi_d}], with the
+    phases chi_s,d = (p +- pp) r - const and the amplitudes
+    F_s = (P1 P2 - Q1 Q2) + i (P1 Q2 + Q1 P2) and
+    F_d = (P1 P2 + Q1 Q2) + i (Q1 P2 - P1 Q2) smooth in r.  Each amplitude
+    is interpolated at the 16 Gauss-Legendre nodes and multiplied out
+    against the exact moments 2 i^k j_k(kappa), kappa = |p +- pp| h, term by
+    term; `coarse` drops the last four Legendre terms.
+    """
+    c = 0.5 * (lo + hi)
+    h = 0.5 * (hi - lo)
+    off_nu = (0.5 * nu + 0.25) * math.pi
+    off_mu = (0.5 * mu + 0.25) * math.pi
+    w_sum = p + pp
+    w_dif = p - pp
+    # e^{i chi_d} runs backwards when pp > p: take the conjugate of the
+    # difference term, which flips its phase and the sign of Im F_d
+    sign = 1.0
+    if w_dif < 0.0:
+        w_dif = -w_dif
+        sign = -1.0
+    a_s = _filon_weights(w_sum * h)
+    a_d = _filon_weights(w_dif * h)
+    # sums over the node pairs, (coarse, tail) x (real, imaginary) x (s, d)
+    cs_re = cs_im = ts_re = ts_im = cd_re = cd_im = td_re = td_im = 0.0
+    for x, w in _GL16:
+        r = c - h * x
+        p1, q1 = _hankel_pq(nu, p * r)
+        p2, q2 = _hankel_pq(mu, pp * r)
+        s_re = p1 * p2 - q1 * q2
+        s_im = p1 * q2 + q1 * p2
+        d_re = p1 * p2 + q1 * q2
+        d_im = sign * (q1 * p2 - p1 * q2)
+        r = c + h * x
+        p1, q1 = _hankel_pq(nu, p * r)
+        p2, q2 = _hankel_pq(mu, pp * r)
+        # even (e) and odd (o) parts of the amplitudes about the center:
+        # F(x) + F(-x) and F(x) - F(-x)
+        e_s_re = p1 * p2 - q1 * q2
+        e_s_im = p1 * q2 + q1 * p2
+        e_d_re = p1 * p2 + q1 * q2
+        e_d_im = sign * (q1 * p2 - p1 * q2)
+        o_s_re = e_s_re - s_re
+        o_s_im = e_s_im - s_im
+        o_d_re = e_d_re - d_re
+        o_d_im = e_d_im - d_im
+        e_s_re += s_re
+        e_s_im += s_im
+        e_d_re += d_re
+        e_d_im += d_im
+        # P_k(x) by the three-term recurrence, summed against both phases'
+        # weights: even k with the even part, odd k with the odd part
+        leg_prev = 1.0
+        leg = x
+        ge_s = a_s[0]
+        go_s = a_s[1] * x
+        ge_d = a_d[0]
+        go_d = a_d[1] * x
+        for k in range(1, 15):
+            leg_prev, leg = leg, ((2 * k + 1) * x * leg - k * leg_prev) / (k + 1)
+            if k == 11:
+                # P_12 onwards form the tail
+                cge_s, cgo_s, cge_d, cgo_d = ge_s, go_s, ge_d, go_d
+                ge_s = go_s = ge_d = go_d = 0.0
+            if k & 1:
+                ge_s += a_s[k + 1] * leg
+                ge_d += a_d[k + 1] * leg
+            else:
+                go_s += a_s[k + 1] * leg
+                go_d += a_d[k + 1] * leg
+        cs_re += w * (e_s_re * cge_s - o_s_im * cgo_s)
+        cs_im += w * (e_s_im * cge_s + o_s_re * cgo_s)
+        cd_re += w * (e_d_re * cge_d - o_d_im * cgo_d)
+        cd_im += w * (e_d_im * cge_d + o_d_re * cgo_d)
+        ts_re += w * (e_s_re * ge_s - o_s_im * go_s)
+        ts_im += w * (e_s_im * ge_s + o_s_re * go_s)
+        td_re += w * (e_d_re * ge_d - o_d_im * go_d)
+        td_im += w * (e_d_im * ge_d + o_d_re * go_d)
+    chi_s = w_sum * c - (off_nu + off_mu)
+    chi_d = w_dif * c - sign * (off_nu - off_mu)
+    cos_s = math.cos(chi_s)
+    sin_s = math.sin(chi_s)
+    cos_d = math.cos(chi_d)
+    sin_d = math.sin(chi_d)
+    scale = h / (math.pi * (math.sqrt(p) * math.sqrt(pp)))
+    coarse = scale * ((cos_s * cs_re - sin_s * cs_im) + (cos_d * cd_re - sin_d * cd_im))
+    tail = scale * ((cos_s * ts_re - sin_s * ts_im) + (cos_d * td_re - sin_d * td_im))
+    return coarse + tail, coarse

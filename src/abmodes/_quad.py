@@ -1,4 +1,4 @@
-"""Adaptive Gauss-Kronrod quadrature of Bessel-product integrands.
+"""Adaptive quadrature of Bessel-product integrands: G10/K21 and Hankel panels.
 
 The integrand J_nu(p rho) J_mu(p' rho) rho is pre-split at the quasi-period
 boundaries k*pi/max(p, p').  Each cell is one panel of the embedded
@@ -23,6 +23,17 @@ p c/2 or p' c/2 (c its length) falls below the normal range of doubles.
 When nu + mu is an integer the integrand is analytic at 0 and the origin
 cell is an ordinary G10/K21 cell.
 
+Where both p rho and p' rho exceed 12, `hankel_quad` takes over: the
+kernels' Filon-Legendre panel (`hankel_product_panel`) integrates Hankel's
+expansion over any number of periods, so its cells double in length from
+the lower end and their number grows with the log of the range.  It
+returns a (value, coarse) pair like G10/K21, and the same loop, `_accepted`,
+accepts and bisects both kinds of cell by the same rule and spends the same
+budget.  `hankel_quad` refuses a range whose upper end the doubles cannot
+place: an ulp of hi moves the integral by up to ulp(hi) 2/(pi sqrt(p p')),
+and when that exceeds tol, or (p + p') hi overflows, it raises
+ConvergenceError before the first panel.
+
 Accepted contributions are summed by math.fsum, correctly rounded, so the
 result does not depend on their order.
 
@@ -38,12 +49,12 @@ benchmark.
 import math
 import sys
 
-from ._backend import bessel_kernel, product_panel_kernel
+from ._backend import bessel_kernel, hankel_panel_kernel, product_panel_kernel
 from ._kernels_py import _GK21, _K21_CENTER
 from .errors import ConvergenceError, NumericalFailureError
 from .specfun import power
 
-__all__ = ["PanelBudget", "product_quad"]
+__all__ = ["PanelBudget", "hankel_quad", "product_quad"]
 
 
 class PanelBudget:
@@ -185,29 +196,83 @@ def product_quad(
         def panel(a, b):
             return _weighted_panel(nu, mu, p, pp, a, b, weight)
 
-    pieces = []  # values of accepted cells
-    first = 0
+    cells = list(zip(breaks, breaks[1:]))
+    origin = []
     # r^(nu+mu+1) has a branch point at 0 unless nu + mu is an integer
     if lo == 0.0 and weight is None and nu + mu != math.floor(nu + mu):
         budget.spend()
-        pieces.append(_origin_cell(nu, mu, p, pp, breaks[1]))
-        first = 1
-    for i in range(first, len(breaks) - 1):
+        origin.append(_origin_cell(nu, mu, p, pp, breaks[1]))
+        cells = cells[1:]
+    return math.fsum(origin + _accepted(panel, cells, tol, total, budget, (nu, mu, p, pp)))
+
+
+def hankel_quad(
+    nu: float,
+    mu: float,
+    p: float,
+    pp: float,
+    lo: float,
+    hi: float,
+    tol: float,
+    budget: PanelBudget,
+) -> float:
+    """Integral of J_nu(p r) J_mu(pp r) r over [lo, hi] on Filon-Legendre panels.
+
+    Needs min(p, pp) lo >= 12, where both Bessel functions take Hankel's
+    expansion.  The cells double from lo, [lo, 2 lo], [2 lo, 4 lo], ..., up
+    to hi, so their number grows with log(hi/lo); each is accepted and
+    bisected by product_quad's rule.  Raises ConvergenceError before the
+    first panel when the doubles cannot place hi to within tol: an ulp of
+    hi moves the integral by up to ulp(hi) 2/(pi sqrt(p pp)), and the phase
+    (p + pp) hi must be finite.
+    """
+    if hi <= lo:
+        return 0.0
+    envelope = 2.0 / (math.pi * (math.sqrt(p) * math.sqrt(pp)))
+    if not math.isfinite((p + pp) * hi) or math.ulp(hi) * envelope > tol:
+        raise ConvergenceError(
+            f"window end {hi} is not resolved to tol = {tol}: its ulp moves the "
+            f"integral of J_{nu}(p r) J_{mu}(p' r) r by up to "
+            f"{math.ulp(hi) * envelope:.3e} at p = {p}, p' = {pp}"
+        )
+    cells = []
+    a = lo
+    while a < hi:
+        b = min(2.0 * a, hi)
+        cells.append((a, b))
+        a = b
+
+    def panel(a, b):
+        return hankel_panel_kernel(nu, mu, p, pp, a, b)
+
+    return math.fsum(_accepted(panel, cells, tol, hi - lo, budget, (nu, mu, p, pp)))
+
+
+def _accepted(panel, cells, tol, total, budget, orders_and_momenta):
+    """Values of the cells, each bisected until its pieces meet their shares.
+
+    panel(a, b) returns a (fine, coarse) pair of estimates; a piece [a, b]
+    is accepted, at its fine value, when |fine - coarse| <= tol (b - a)/total.
+    One panel is spent per cell and two per bisection.
+    """
+    pieces = []
+    for a, b in cells:
         budget.spend()
-        stack = [(breaks[i], breaks[i + 1], panel(breaks[i], breaks[i + 1]))]
+        stack = [(a, b, panel(a, b))]
         while stack:
-            a, b, (kronrod, gauss) = stack.pop()
-            if not math.isfinite(kronrod):
+            a, b, (fine, coarse) = stack.pop()
+            if not math.isfinite(fine):
                 # bisection cannot make a NaN or infinite cell finite
+                nu, mu, p, pp = orders_and_momenta
                 raise NumericalFailureError(
                     f"panel [{a}, {b}] of J_{nu}(p r) J_{mu}(p' r) r is not finite "
-                    f"(K21 = {kronrod!r}) at p = {p}, p' = {pp}"
+                    f"({fine!r}) at p = {p}, p' = {pp}"
                 )
-            if abs(kronrod - gauss) <= tol * (b - a) / total:
-                pieces.append(kronrod)
+            if abs(fine - coarse) <= tol * (b - a) / total:
+                pieces.append(fine)
             else:
                 mid = 0.5 * (a + b)
                 budget.spend(2)
                 stack.append((mid, b, panel(mid, b)))
                 stack.append((a, mid, panel(a, mid)))
-    return math.fsum(pieces)
+    return pieces

@@ -130,17 +130,24 @@ def dirac_ratio(
         )
     alpha = _require_finite(ep)
     if kin.s == 1:
-        scaled = alpha * kin.M / (kin.E + kin.M)
+        ratio = (
+            alpha
+            * kin.M
+            / (kin.E + kin.M)
+            * power(kin.p_perp / kin.M, 2.0 * flux.delta, "dirac_ratio (p_perp/M)^(2 delta)")
+        )
     else:
-        # M/(E - M) by E - M = (p_perp^2 + p3^2)/(E + M), since the
-        # difference cancels at small momenta (to 0 at p_perp = 1e-10)
-        m_over_p = kin.M / math.hypot(kin.p_perp, kin.p3)
-        scaled = alpha * ((kin.E + kin.M) / kin.M * m_over_p * m_over_p)
-    return _finite_ratio(
-        scaled
-        * power(kin.p_perp / kin.M, 2.0 * flux.delta, "dirac_ratio (p_perp/M)^(2 delta)"),
-        "dirac_ratio",
-    )
+        # M/(E - M) by E - M = p^2/(E + M), p = hypot(p_perp, p3), since the
+        # difference cancels at small momenta (to 0 at p_perp = 1e-10); and
+        # (M/p)^2 (p_perp/M)^(2 delta) as the square of (M/p) (p_perp/M)^delta,
+        # since (M/p)^2 alone overflows below p = 1e-154 M where the ratio
+        # need not.  The equal (M/p)^(2 - 2 delta) (p_perp/p)^(2 delta) would
+        # round 2 - 2 delta, which costs 5e-14 at p = 1e-215 M
+        half = kin.M / math.hypot(kin.p_perp, kin.p3) * power(
+            kin.p_perp / kin.M, flux.delta, "dirac_ratio (p_perp/M)^delta"
+        )
+        ratio = alpha * ((kin.E + kin.M) / kin.M * half * half)
+    return _finite_ratio(ratio, "dirac_ratio")
 
 
 def boundary_ratio_from_alpha(alpha: float, nu: float) -> float:

@@ -31,6 +31,23 @@ def mp_origin_integral(nu, mu, p, pp, c, bessel=None, dps=40):
         return mpmath.quad(f, [0, 1])
 
 
+def mp_lommel_cross(nu, p, pp, L):
+    """int_0^L J_nu(p r) J_{-nu}(pp r) r dr by Lommel's closed form at 40 digits:
+    (B(L) - B(0+))/(p^2 - p'^2), with B(0+) = -2 sin(pi nu) (p/p')^nu/pi."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        nu, p, pp, L = map(mpmath.mpf, (nu, p, pp, L))
+        j = mpmath.besselj
+
+        def dj(n, x):
+            return (j(n - 1, x) - j(n + 1, x)) / 2
+
+        bracket = L * (pp * j(nu, p * L) * dj(-nu, pp * L) - p * dj(nu, p * L) * j(-nu, pp * L))
+        origin = 2 * mpmath.sin(mpmath.pi * nu) * (p / pp) ** nu / mpmath.pi
+        return float((bracket + origin) / (p * p - pp * pp))
+
+
 def e_plus_sm(kin):
     """E + s M of DiracKinematics kin, for s = -1 as (p_perp^2 + p3^2)/(E + M),
     which does not cancel at small momenta."""

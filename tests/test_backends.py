@@ -17,6 +17,7 @@ import shutil
 import subprocess
 import sys
 import sysconfig
+import time
 
 import pytest
 
@@ -56,6 +57,7 @@ def use_kernels(monkeypatch, kernels):
     monkeypatch.setattr(specfun, "bessel_kernel", kernels.bessel_j)
     monkeypatch.setattr(_quad, "bessel_kernel", kernels.bessel_j)
     monkeypatch.setattr(_quad, "product_panel_kernel", kernels.kronrod21_product_panel)
+    monkeypatch.setattr(_quad, "hankel_panel_kernel", kernels.hankel_product_panel)
 
 
 def test_gamma_agreement(kernels_c, monkeypatch):
@@ -101,6 +103,25 @@ def test_panel_agreement(kernels_c):
         assert kernels_c.gauss15_product_panel(*args) == _kernels_py.gauss15_product_panel(*args)
 
 
+def test_hankel_panel_agreement(kernels_c):
+    # p lo and p' lo above 12, orders in (-1, 6]; every fifth panel has
+    # p = p' (kappa = 0 in the difference phase) and every fifth p'/p just
+    # above 1 (the leading-term and Miller branches of spherical_j)
+    rng = random.Random(4)
+    for i in range(500):
+        nu, mu = rng.uniform(-0.999, 6.0), rng.uniform(-0.999, 6.0)
+        p = rng.uniform(0.1, 5.0)
+        if i % 5 == 0:
+            pp = p
+        elif i % 5 == 1:
+            pp = p * (1.0 + rng.choice((1e-12, 1e-9, 1e-4, 0.05)))
+        else:
+            pp = rng.uniform(0.1, 5.0)
+        lo = 12.0 / min(p, pp) * rng.uniform(1.0, 100.0)
+        args = (nu, mu, p, pp, lo, lo * rng.uniform(1.001, 2.0))
+        assert kernels_c.hankel_product_panel(*args) == _kernels_py.hankel_product_panel(*args)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -117,6 +138,9 @@ def test_panel_agreement(kernels_c):
          "--window", "10"],
         ["windowed", "--nu", "-0.9", "--mu", "-0.9", "--p", "1", "--pprime", "2",
          "--window", "10"],
+        # past r_h = 12/min(p, p') the window continues on Hankel panels
+        ["windowed", "--nu", "0.3", "--mu", "-0.3", "--p", "1", "--pprime", "1.01",
+         "--window", "30", "--tol-quad", "1e-12"],
     ],
 )
 def test_backends_byte_stable_results(kernels_c, monkeypatch, capsys, argv):
@@ -142,3 +166,24 @@ def test_underflowed_panel_fails_alike(kernels_c, monkeypatch, capsys):
     code, (out, err) = runs[0]
     assert code == 3 and out == ""
     assert json.loads(err)["error"] == "NumericalFailureError"
+
+
+@pytest.mark.parametrize(
+    "momenta", [("1", "1.02"), ("1e300", "1.5e300")], ids=["ulp-of-the-end", "phase-overflow"]
+)
+def test_unresolved_window_end_fails_alike(kernels_c, monkeypatch, capsys, momenta):
+    # at L = 1e10 an ulp of the window end moves the integral by more than
+    # tol/2, and at p = 1e300 the phase (p + p') L overflows: hankel_quad
+    # refuses before its first panel, at once, with the same document
+    argv = ["windowed", "--nu", "0.3", "--mu", "-0.3", "--p", momenta[0],
+            "--pprime", momenta[1], "--window", "1e10"]
+    runs = []
+    for kernels in (kernels_c, _kernels_py):
+        use_kernels(monkeypatch, kernels)
+        start = time.perf_counter()
+        runs.append((cli.run(argv), capsys.readouterr()))
+        assert time.perf_counter() - start < 1.0
+    assert runs[0] == runs[1]
+    code, (out, err) = runs[0]
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"] == "ConvergenceError"

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import abmodes
 from abmodes import cli
 from abmodes.cli import _parse_grid
-from conftest import FIXTURES, run_cli
+from conftest import FIXTURES, mp_lommel_cross, run_cli
 
 GOLDEN = {
     "decompose.json": ["decompose", "--phi", "2.3"],
@@ -124,6 +124,17 @@ def test_bessel_subcommand():
     doc = json.loads(out)
     assert doc["outputs"]["j"] == pytest.approx(2.0 / math.pi, abs=1e-12)
     assert doc["outputs"]["jprime"] == pytest.approx(-2.0 / math.pi**2, abs=1e-12)
+
+
+def test_windowed_past_the_rounding_wall():
+    # one G10/K21 cell per quasi-period ran out of panels here (exit 3 after
+    # 44 s); past r_h = 12 the window continues on Hankel panels
+    argv = ["windowed", "--nu", "0.3", "--mu", "-0.3", "--p", "1", "--pprime", "1.01",
+            "--window", "30", "--tol-quad", "1e-12"]
+    code, out, _ = run_cli(argv)
+    assert code == 0
+    value = json.loads(out)["outputs"]["value"]
+    assert abs(value - mp_lommel_cross(0.3, 1.0, 1.01, 30.0)) <= 1e-12
 
 
 def test_windowed_subcommand():
@@ -256,7 +267,8 @@ class TestExitCodes:
             # a finite alpha times a finite power past the largest double
             (["cancel", "--delta", "0.3", "--channel", "n", "--alpha", "1e300", "--p", "1e100",
               "--pprime", "2e100"], "NumericalFailureError"),
-            # about 6e299 cells, refused before any break point is built
+            # an ulp of the window end moves the integral by 7e283, far above
+            # tol: refused before the first Hankel panel
             (["windowed", "--nu", "0.5", "--mu", "0.5", "--p", "1", "--pprime", "2",
               "--window", "1e300"], "ConvergenceError"),
             # subnormal momenta: infinite periods, a NaN cell count

@@ -8,7 +8,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from conftest import mp_origin_integral
+from conftest import mp_lommel_cross, mp_origin_integral
 
 import abmodes.overlap
 from abmodes._quad import PanelBudget
@@ -157,8 +157,27 @@ class TestWindowedOverlap:
         assert abs(value - mp_windowed(*args)) <= 1e-12
 
     def test_budget_exhaustion(self):
+        # the window needs 19 panels: 8 cells below r_h = 12, 9 doubling
+        # Hankel cells and one bisection
         with pytest.raises(ConvergenceError):
-            windowed_overlap(0.3, -0.3, 1.0, 2.0, 5000.0, panel_budget=1000)
+            windowed_overlap(0.3, -0.3, 1.0, 2.0, 5000.0, panel_budget=10)
+
+    @pytest.mark.parametrize(
+        "args, panels",
+        [((0.3, 1.0, 1.02, 300.0), 12), ((0.3, 1.0, 1.02, 2000.0), 20),
+         ((0.3, 1.0, 1.02, 25000.0), 40), ((0.3, 1.0, 2.0, 5000.0), 20),
+         ((0.8, 1.3, 0.7, 2000.0), 30)],
+    )
+    def test_long_windows_against_lommel(self, budgets, args, panels):
+        # (nu, p, p', L): the cross pair (nu, -nu) past r_h = 12/min(p, p')
+        # on Hankel panels, whose number grows with log L; before them,
+        # L = 25,000 took one G10/K21 cell per quasi-period and ran out of
+        # 400,000 panels at the rounding floor
+        nu, p, pp, L = args
+        value = windowed_overlap(nu, -nu, p, pp, L)
+        (budget,) = budgets
+        assert budget.used <= panels
+        assert abs(value - mp_lommel_cross(nu, p, pp, L)) <= 1e-10
 
     def test_domain(self):
         with pytest.raises(DomainError):

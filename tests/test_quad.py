@@ -1,4 +1,5 @@
-"""`product_quad`'s two rules: the G10/K21 table and the series origin cell.
+"""The quadrature's rules: the G10/K21 table, the series origin cell and the
+Filon-Legendre Hankel panels.
 
 `product_quad` accepts a cell when the two estimates agree, so a mistyped
 node or weight would show only as extra bisections or a loose result; these
@@ -7,6 +8,9 @@ The cell at the origin, summed from the ascending series when nu + mu is not
 an integer, is checked against a 40-digit mpmath quadrature, and on cells
 where one momentum times the cell length is negligible against a closed
 form; where p c/2 leaves the normal range of doubles it must fail loudly.
+The Hankel panels' 16-node table is compared with Legendre's nodes, their
+spherical Bessel moments and one panel with mpmath, and `hankel_quad` must
+refuse a window end that the doubles cannot place.
 """
 
 import math
@@ -17,9 +21,9 @@ import pytest
 
 from conftest import mp_origin_integral
 
-from abmodes._kernels_py import _GK21, _K21_CENTER
-from abmodes._quad import PanelBudget, product_quad
-from abmodes.errors import NumericalFailureError
+from abmodes._kernels_py import _GK21, _GL16, _K21_CENTER, hankel_product_panel, spherical_j
+from abmodes._quad import PanelBudget, hankel_quad, product_quad
+from abmodes.errors import ConvergenceError, NumericalFailureError
 
 
 def test_gauss_nodes_and_weights_are_legendres():
@@ -135,3 +139,61 @@ def test_non_finite_panel_fails_at_once():
     with pytest.raises(NumericalFailureError):
         product_quad(-0.9, 0.9, 5e-324, 1.0, 0.0, 1.0, 1e-9, budget)
     assert budget.used == 1
+
+
+def test_gauss16_nodes_and_weights_are_legendres():
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    expected = sorted((x, w) for x, w in zip(nodes, weights) if x > 0.0)
+    assert len(_GL16) == len(expected) == 8
+    for (x, w), (x_ref, w_ref) in zip(_GL16, expected):
+        assert abs(x - x_ref) <= 1e-15 and abs(w - w_ref) <= 1e-15
+
+
+@pytest.mark.parametrize("kappa", [0.0, 1e-12, 1e-8, 2e-8, 1e-3, 0.5, 15.9, 16.0, 16.1, 1e4])
+def test_spherical_j_against_mpmath(kappa):
+    # the leading-term branch (below 1e-8), Miller's backward recurrence (up
+    # to 16) and the forward recurrence (beyond); relative to |j_k| where
+    # j_k is monotone in k, and to the envelope 1/kappa where it oscillates
+    j = spherical_j(kappa)
+    if kappa == 0.0:
+        assert j == [1.0] + [0.0] * 15
+        return
+    with mpmath.workdps(40):
+        for k in range(16):
+            ref = float(mpmath.sqrt(mpmath.pi / (2 * mpmath.mpf(kappa)))
+                        * mpmath.besselj(k + 0.5, kappa))
+            scale = abs(ref) if kappa < 1.0 else max(abs(ref), 1.0 / kappa)
+            assert abs(j[k] - ref) <= 5e-16 * scale, k
+
+
+@pytest.mark.parametrize(
+    "args",
+    [(0.3, -0.3, 1.0, 1.02, 12.0, 24.0), (2.5, 1.0, 1.3, 0.7, 12.0 / 0.7, 24.0 / 0.7),
+     (-0.9, 6.0, 1.0, 1.5, 12.0, 13.0), (0.3, 0.3, 1.0, 1.0, 12.0, 24.0)],
+)
+def test_hankel_panel_against_mpmath(args):
+    # the panel integrates Hankel's expansion as the kernels truncate it,
+    # whose own error near x = 12 is about 1e-12 here
+    value, coarse = hankel_product_panel(*args)
+    nu, mu, p, pp, lo, hi = args
+    with mpmath.workdps(20):
+        # pieces of about a period of the fast phase, each smooth enough
+        # for Gauss-Legendre
+        n = int((hi - lo) * (p + pp) / 6.0) + 2
+        ref = mpmath.quad(
+            lambda r: mpmath.besselj(nu, p * r) * mpmath.besselj(mu, pp * r) * r,
+            [lo + (hi - lo) * i / n for i in range(n + 1)],
+            method="gauss-legendre",
+        )
+    assert abs(value - float(ref)) <= 1e-11
+    assert abs(value - coarse) <= 1e-10
+
+
+def test_hankel_quad_refuses_an_unplaceable_end():
+    # ulp(1e10) 2/pi is 1.2e-6, and (p + p') 1e10 overflows at p = 1e300
+    budget = PanelBudget(1000)
+    with pytest.raises(ConvergenceError):
+        hankel_quad(0.3, -0.3, 1.0, 1.02, 12.0, 1e10, 1e-9, budget)
+    with pytest.raises(ConvergenceError):
+        hankel_quad(0.3, -0.3, 1e300, 1.5e300, 1.2e-299, 1e10, 1e-9, budget)
+    assert budget.used == 0

@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 
 import mpmath
 import pytest
@@ -87,6 +88,18 @@ class TestSchrodingerRatio:
             assert all(b > a for a, b in zip(base, base[1:]))
 
 
+# two ulps of 1, 4.4e-16
+_TWO_ULPS = 2.0 * sys.float_info.epsilon
+
+
+def _mp_dirac_ratio(kin, delta):
+    """M/(E + s M) (p_perp/M)^(2 delta) at alpha = 1, by mpmath at 700 digits."""
+    with mpmath.workdps(700):
+        m, p_perp, p3, delta = map(mpmath.mpf, (kin.M, kin.p_perp, kin.p3, delta))
+        e = mpmath.sqrt(m * m + p_perp * p_perp + p3 * p3)
+        return float(m / (e + kin.s * m) * (p_perp / m) ** (2 * delta))
+
+
 class TestDiracRatio:
     def test_explicit_values(self):
         f = decompose(0.5)
@@ -136,6 +149,31 @@ class TestDiracRatio:
                 "--pperp", repr(p_perp), "--s", "-1"]
         assert cli.run(argv) == 0
         assert json.loads(capsys.readouterr().out)["outputs"]["ratio"] == ratio
+
+    def test_tiny_momentum_with_s_minus_one(self):
+        # (M/p)^2 = 1e600 overflowed here before (p_perp/M)^(2 delta) brought
+        # the ratio back to 2e30
+        kin = DiracKinematics.from_momenta(1.0, 1e-300, 0.0, -1)
+        flux = decompose(0.95)
+        ratio = dirac_ratio(ExtensionParameter.finite(Channel.DIRAC_N, 1.0), flux, kin)
+        assert abs(ratio / _mp_dirac_ratio(kin, flux.delta) - 1.0) <= _TWO_ULPS
+
+    def test_against_mpmath_wherever_the_ratio_is_a_double(self):
+        ep = ExtensionParameter.finite(Channel.DIRAC_N, 1.0)
+        checked = 0
+        for delta in (0.05, 0.3, 0.95):
+            flux = decompose(delta)
+            for exponent in range(-300, 101, 10):
+                for p3 in (0.0, 1e-12, 0.8, -3.0):
+                    for s in (1, -1):
+                        kin = DiracKinematics.from_momenta(1.0, 10.0**exponent, p3, s)
+                        ref = _mp_dirac_ratio(kin, flux.delta)
+                        if not 2.2250738585072014e-308 <= ref <= 1.7976931348623157e308:
+                            continue
+                        ratio = dirac_ratio(ep, flux, kin)
+                        assert abs(ratio / ref - 1.0) <= _TWO_ULPS, (delta, exponent, p3, s)
+                        checked += 1
+        assert checked > 800
 
     def test_schrodinger_channel_rejected(self):
         ep = ExtensionParameter.finite(Channel.SCHRODINGER_N, 1.0)
