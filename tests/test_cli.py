@@ -146,6 +146,20 @@ def test_windowed_subcommand():
     assert abs(json.loads(out)["outputs"]["value"]) <= 1e-9
 
 
+@pytest.mark.parametrize("p, pprime", [("0.01", "0.013"), ("0.013", "0.01")])
+def test_overlap_verify_at_small_momenta(p, pprime):
+    # the finite part's windows end at 3/2 quasi-periods, short enough that
+    # their integrals, of size L^2, still round below the absolute
+    # tolerance: with windows at 4, 6 and 8 the second orientation ran out
+    # of panels (exit 3 after more than a minute)
+    code, out, err = run_cli(
+        ["overlap", "--delta", "0.3", "--p", p, "--pprime", pprime, "--verify"]
+    )
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["outputs"]["abs_err"] <= 1e-13 * abs(doc["outputs"]["finite_closed"])
+
+
 def test_overlap_same_order_verify():
     code, out, _ = run_cli(
         ["overlap", "--delta", "0.5", "--p", "1", "--pprime", "2",

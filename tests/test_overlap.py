@@ -34,6 +34,10 @@ from abmodes.overlap import (
 from abmodes.specfun import bessel_j
 
 
+# p'/p from the diagonal to 10, on both sides of it
+RATIOS = (1.0 + 1e-6, 1.0001, 1.02, 1.3, 2.2, 3.0, 10.0, 1.0 / 1.3, 0.1)
+
+
 def mp_finite_part(d, p, pp):
     """The closed-form finite part at 40 digits: the oracle near the diagonal."""
     with mpmath.workdps(40):
@@ -222,13 +226,74 @@ class TestFinitePartEstimate:
 
     @pytest.mark.parametrize("ratio", [1.3, 1.05, 1.02, 1.001, 1.0001])
     def test_cost_flat_near_the_diagonal(self, budgets, ratio):
-        # one G10/K21 panel per quasi-period, 8 in all, at every ratio,
-        # whatever the slow period 2 pi/|p - p'|
+        # one G10/K21 cell per window, 3 in all, at every ratio, whatever
+        # the slow period 2 pi/|p - p'|
         value, _ = finite_part_estimate(0.3, -0.3, 1.0, ratio, panel_budget=1000)
         cf = closed_form_cross(0.3, 1.0, ratio).finite_part
-        assert abs(value - cf) <= 1e-10 * abs(cf)
+        assert abs(value - cf) <= 1e-13 * abs(cf)
         (budget,) = budgets
-        assert budget.used == budget.cells == 8
+        assert budget.used == budget.cells == 3
+
+    def test_cross_orders_against_mpmath(self):
+        # 189 cases: orders near 0, 1/2 and 1, ratios from the diagonal to
+        # 10 on both sides, small to large momenta; with the windows at 4,
+        # 6 and 8 quasi-periods, on the kernels' switch to Hankel's
+        # expansion at x = 12, 117 of them missed 3e-13 (worst 4.2e-10)
+        worst = 0.0
+        for d in (0.02, 0.05, 0.3, 0.5, 0.75, 0.95, 0.98):
+            for ratio in RATIOS:
+                for p in (0.3, 1.1, 50.0):
+                    value, _ = finite_part_estimate(d, -d, p, p * ratio)
+                    ref = mp_finite_part(d, p, p * ratio)
+                    worst = max(worst, abs(value - ref) / abs(ref))
+        assert worst <= 3e-13
+
+    @pytest.mark.parametrize("nu", [-0.9, -0.5, 1.5, 2.3, 3.7, 4.9, 5.0])
+    def test_same_orders_vanish(self, nu):
+        # the finite part of equal orders is 0; the error scales like the
+        # cross finite part, as 1/|p^2 - p'^2|, so the bound is 1e-11 where
+        # |p^2 - p'^2| >= 1e-3 and 1e-14/|p^2 - p'^2| closer to the diagonal
+        # (4.8e-9 at p = 0.3, p'/p = 1 + 1e-6)
+        for ratio in RATIOS:
+            for p in (0.3, 1.1, 50.0):
+                pp = p * ratio
+                value, _ = finite_part_estimate(nu, nu, p, pp)
+                assert abs(value) * min(1e-3, abs(p * p - pp * pp)) <= 1e-14, (ratio, p)
+
+    @pytest.mark.parametrize("ratio", RATIOS)
+    @pytest.mark.parametrize("nu, mu", [(0.3, -0.3), (-0.9, -0.9), (2.3, 2.3)])
+    def test_windows_stay_in_the_series_range(self, monkeypatch, nu, mu, ratio):
+        # every quadrature range and every bracket argument stays at
+        # max(p, p') r <= 3 pi/2, below the kernels' Hankel switch at 12
+        ends = []
+        args = []
+
+        def quad(nu, mu, p, pp, lo, hi, tol, budget):
+            ends.append(hi * max(p, pp))
+            return product_quad(nu, mu, p, pp, lo, hi, tol, budget)
+
+        def kernel(order, x):
+            args.append(x)
+            return bessel_kernel(order, x)
+
+        product_quad = abmodes.overlap.product_quad
+        bessel_kernel = abmodes.specfun.bessel_kernel
+        monkeypatch.setattr(abmodes.overlap, "product_quad", quad)
+        monkeypatch.setattr(abmodes.specfun, "bessel_kernel", kernel)
+        finite_part_estimate(nu, mu, 1.1, 1.1 * ratio)
+        assert len(ends) == 3 and len(args) == 12
+        limit = 1.5 * math.pi * (1.0 + 1e-15)
+        assert max(ends) <= limit
+        assert max(args) <= limit
+
+    @pytest.mark.parametrize("p, pp", [(1e-3, 1.3e-3), (1.3e-3, 1e-3), (0.013, 0.01)])
+    def test_small_momenta(self, p, pp):
+        # the windows at 4, 6 and 8 quasi-periods ran for over a minute and
+        # then out of panels here, since the absolute tolerance is below the
+        # rounding of integrals of size L^2
+        value, _ = finite_part_estimate(0.3, -0.3, p, pp)
+        ref = mp_finite_part(0.3, p, pp)
+        assert abs(value - ref) <= 1e-13 * abs(ref)
 
     def test_needs_equal_squared_orders(self):
         for nu, mu in ((0.3, 0.2), (0.3, -0.4), (0.5, 0.0)):
@@ -249,9 +314,11 @@ class TestFinitePartEstimate:
 
 def test_derivative_recurrence_against_mpmath():
     # the Lommel bracket's J'_nu = J_{nu-1} - (nu/x) J_nu, over the arguments
-    # both estimators reach: from 1e-3 (the smaller momentum when p'/p is
-    # far from 1, well below 4 pi) to 3e5 (the fit's windows at p'/p =
-    # 1.001); past x = 100 the bound is the ulp of the Hankel phase x
+    # both estimators reach: from 1e-3 (the smaller momentum at the first
+    # window of finite_part_estimate, (pi/2) min(p, p')/max(p, p'), when
+    # p'/p is far from 1; its windows end at 3 pi/2) to 3e5 (the fit's
+    # windows at p'/p = 1.001); past x = 100 the bound is the ulp of the
+    # Hankel phase x
     eps = 2.0**-52
     with mpmath.workdps(40):
         for nu in (-0.95, -0.5, -0.1, 0.0, 0.3, 0.9, 1.0, 2.3, 5.0):
