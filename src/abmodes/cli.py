@@ -8,12 +8,14 @@ units of 1/M.  Exit codes: 0 success, 2 invalid input, 3 numerical failure;
 failures print a one-line JSON error object to stderr.
 
 Every subcommand takes --out; the quadrature tuning flags --tol-quad and
---panel-budget belong to `overlap`, `cancel` and `windowed`, the subcommands
-that integrate, and --format to `scan`.  `inputs` echoes the subcommand's
-own flags in the order they are declared, omitting any left at None and the
-output and tuning flags.  The one exception is `sae-ratio`, which echoes
-only the flags of the chosen --eq.  This rule is what lets each `scan` row,
-which holds the echo, re-run as one invocation with the same tuning flags.
+--panel-budget belong to `windowed`, whose cost and accuracy they set (the
+finite part behind `overlap --verify` and `cancel --verify` runs at a fixed
+scale and takes none), and --format to `scan`.  `inputs` echoes the
+subcommand's own flags in the order they are declared, omitting any left at
+None and the output and tuning flags.  The one exception is `sae-ratio`,
+which echoes only the flags of the chosen --eq.  This rule is what lets each
+`scan` row, which holds the echo, re-run as one invocation with the same
+tuning flags.
 
 Floats are serialized with Python's shortest round-trip representation, so
 every printed number parses back to the exact double that was computed.
@@ -140,14 +142,7 @@ def _cmd_overlap(args):
     diags = {}
     if args.verify:
         orders = (args.delta, args.delta) if args.kind == "same" else (args.delta, -args.delta)
-        value, est = finite_part_estimate(
-            orders[0],
-            orders[1],
-            args.p,
-            args.pprime,
-            tol=args.tol_quad,
-            panel_budget=args.panel_budget,
-        )
+        value, est = finite_part_estimate(orders[0], orders[1], args.p, args.pprime)
         outputs["finite_numeric"] = value
         outputs["abs_err"] = abs(value - res.finite_part)
         diags["est_error"] = est
@@ -178,12 +173,7 @@ def _cmd_cancel(args):
     outputs = {"finite_part": finite, "cross_term_scale": scale}
     diags = {}
     if args.verify:
-        value, est = mode_overlap_finite_part_numeric(
-            mode_a,
-            mode_b,
-            tol=args.tol_quad,
-            panel_budget=args.panel_budget,
-        )
+        value, est = mode_overlap_finite_part_numeric(mode_a, mode_b)
         outputs["finite_numeric"] = value
         diags["est_error"] = est
     return outputs, diags
@@ -258,13 +248,9 @@ def _cmd_windowed(args):
 _COMMON = _Parser(add_help=False)
 _COMMON.add_argument("--out", default=None, help="output path (default stdout)")
 
-# the subcommands that integrate
-_TUNING = _Parser(add_help=False)
-_TUNING.add_argument("--tol-quad", type=_tol_quad, default=DEFAULT_TOL)
-_TUNING.add_argument("--panel-budget", type=_panel_budget, default=DEFAULT_PANEL_BUDGET)
-
-# namespace entries that no subcommand echoes as an input
-_NOT_ECHOED = {"command", "compute"}.union(*(vars(p.parse_args([])) for p in (_COMMON, _TUNING)))
+# namespace entries that no subcommand echoes as an input: the output flag
+# and windowed's tuning flags
+_NOT_ECHOED = {"command", "compute", "out", "tol_quad", "panel_budget"}
 # sae-ratio flags that the chosen --eq does not read
 _SAE_NOT_ECHOED = {"schrodinger": {"pperp", "p3", "s"}, "dirac": {"channel", "p"}}
 
@@ -289,23 +275,23 @@ def _build_parser():
     sp.add_argument("--x", type=float, required=True)
     sp.add_argument("--prime", action="store_true")
 
-    sp = sub("overlap", _cmd_overlap, _TUNING,
-             help="closed-form overlap, optionally verified numerically")
+    sp = sub("overlap", _cmd_overlap, help="closed-form overlap, optionally verified numerically")
     sp.add_argument("--delta", type=float, required=True)
     sp.add_argument("--p", type=float, required=True)
     sp.add_argument("--pprime", type=float, required=True)
     sp.add_argument("--kind", choices=("cross", "same"), default="cross")
     sp.add_argument("--verify", action="store_true")
 
-    sp = sub("windowed", _cmd_windowed, _TUNING, help="finite-window overlap integral")
+    sp = sub("windowed", _cmd_windowed, help="finite-window overlap integral")
     sp.add_argument("--nu", type=float, required=True)
     sp.add_argument("--mu", type=float, required=True)
     sp.add_argument("--p", type=float, required=True)
     sp.add_argument("--pprime", type=float, required=True)
     sp.add_argument("--window", type=float, required=True)
+    sp.add_argument("--tol-quad", type=_tol_quad, default=DEFAULT_TOL)
+    sp.add_argument("--panel-budget", type=_panel_budget, default=DEFAULT_PANEL_BUDGET)
 
-    sp = sub("cancel", _cmd_cancel, _TUNING,
-             help="finite part of a critical-channel mode overlap")
+    sp = sub("cancel", _cmd_cancel, help="finite part of a critical-channel mode overlap")
     sp.add_argument("--delta", type=float, required=True)
     sp.add_argument("--enn", type=int, default=0)
     sp.add_argument("--channel", default="n", choices=("n", "n1"))
@@ -358,8 +344,8 @@ def _build_parser():
     sp.add_argument("--glo", type=float, default=-10.0)
     sp.add_argument("--ghi", type=float, default=10.0)
 
-    # the tuning flags are left over from this parse and pass through to the
-    # swept subcommand
+    # the swept subcommand's flags are left over from this parse and pass
+    # through to it
     sweepable = tuple(subs.choices)
     sp = subs.add_parser(
         "scan",

@@ -22,9 +22,13 @@ and -B(0+)/(p^2 - p'^2) is the finite part (the closed form above for
 (d, -d), zero for equal orders).  So the quadrature over [0, L] minus
 B(L)/((p - p')(p + p')) is the finite part at any L; the estimate takes L at
 1/2, 1 and 3/2 quasi-periods pi/max(p, p'), where the kernels sum the
-ascending series, and costs 3 G10/K21 cells at every p'/p.  Against mpmath
-(tests/test_overlap.py) it is within 3e-13 of the closed form in relative
-terms for d in [0.02, 0.98] and p'/p from 1 + 1e-6 to 10 on both sides.
+ascending series, and costs 3 G10/K21 cells at every p'/p.  It runs at the
+momenta divided by 2^e, the least power of two above max(p, p'), which is
+exact, and multiplies the result by 2^-2e: FP(p, p') = FP(p 2^-e, p' 2^-e)
+2^-2e.  So it takes no tolerance, and its cost and relative accuracy do not
+depend on the scale of the momenta.  Against mpmath (tests/test_overlap.py)
+it is within 3e-13 of the closed form in relative terms for d in
+[0.02, 0.98] and p'/p from 1 + 1e-6 to 10 on both sides.
 `fit_delta_coefficient` regresses B(L)/((p - p')(p + p')), the windowed
 overlap less that constant, on the oscillation and its 1/L corrections to
 recover the delta coefficient itself, with no quadrature: 17 to 49 samples,
@@ -49,6 +53,7 @@ from .errors import (
     DomainError,
     EqualMomentaError,
     InsufficientSamplesError,
+    NumericalFailureError,
     SingularFitError,
 )
 from .modes import RadialMode
@@ -113,6 +118,27 @@ def _check_distinct(p, p_prime):
         )
 
 
+def _unit_scale(p, p_prime):
+    """(e, p 2^-e, p' 2^-e), e the binary exponent of max(p, p').
+
+    The larger scaled momentum lies in [1/2, 1).  Dividing by a power of two
+    is exact unless the smaller one falls below the normal range, and the
+    finite part scales as FP(p, p') = FP(p 2^-e, p' 2^-e) 2^-2e.
+    """
+    e = math.frexp(max(p, p_prime))[1]
+    return e, math.ldexp(p, -e), math.ldexp(p_prime, -e)
+
+
+def _scale_back(x, e):
+    # x 2^-2e, the finite part at the momenta _unit_scale took e from
+    try:
+        return math.ldexp(x, -2 * e)
+    except OverflowError:
+        raise NumericalFailureError(
+            f"finite part {x!r} * 2^{-2 * e} overflows a double"
+        ) from None
+
+
 def _check_orders(*orders):
     # above -1 for convergence at 0; up to the order cap of specfun.bessel_j,
     # since the quadrature calls the kernels without it
@@ -145,6 +171,10 @@ def closed_form_cross(delta_order: float, p: float, p_prime: float) -> OverlapRe
 
     delta coefficient cos(pi d); finite part
     2 sin(pi d) / (pi (p^2 - p'^2)) * (p/p')^d, singular on the diagonal.
+    The formula is evaluated at the momenta scaled by a power of two
+    (`_unit_scale`) and scaled back, so (p - p')(p + p') cannot leave the
+    range of doubles; a finite part that overflows a double raises
+    NumericalFailureError, and one below the normal range returns subnormal.
     """
     _check_momenta(p, p_prime)
     if not 0.0 < delta_order < 1.0:
@@ -152,13 +182,16 @@ def closed_form_cross(delta_order: float, p: float, p_prime: float) -> OverlapRe
             f"cross-order formula needs 0 < delta < 1, got {delta_order}"
         )
     _check_distinct(p, p_prime)
+    e, p, p_prime = _unit_scale(p, p_prime)
     finite = (
         2.0
         * math.sin(math.pi * delta_order)
         / (math.pi * (p - p_prime) * (p + p_prime))
         * (p / p_prime) ** delta_order
     )
-    return OverlapResult(delta_coeff=math.cos(math.pi * delta_order), finite_part=finite)
+    return OverlapResult(
+        delta_coeff=math.cos(math.pi * delta_order), finite_part=_scale_back(finite, e)
+    )
 
 
 def windowed_overlap(
@@ -224,15 +257,7 @@ def _lommel_bracket(nu, mu, p, p_prime, r):
     return r * (p_prime * j_nu * d_mu - p * d_nu * j_mu)
 
 
-def finite_part_estimate(
-    nu: float,
-    mu: float,
-    p: float,
-    p_prime: float,
-    *,
-    tol: float = DEFAULT_TOL,
-    panel_budget: int = DEFAULT_PANEL_BUDGET,
-) -> tuple:
+def finite_part_estimate(nu: float, mu: float, p: float, p_prime: float) -> tuple:
     """Estimate the non-delta part of the infinite overlap; returns (value, est_error).
 
     Needs nu^2 = mu^2 and |nu| <= MAX_ORDER (DomainError otherwise).  By
@@ -249,32 +274,39 @@ def finite_part_estimate(
     3/2; est_error is the half-spread of the three.  Every node and bracket
     argument stays at max(p, p') r <= 3 pi/2, where the kernels sum the
     ascending series, clear of their switch to Hankel's expansion at 12.
-    B(0+) and the closed form are never evaluated, so the estimate checks
-    the closed form independently: within 3e-13 of it in relative terms
-    for d in [0.02, 0.98], p'/p from 1 + 1e-6 to 10 on both sides and p
-    from 1e-3 to 50.  EqualMomentaError when p and p' agree to 1e-12;
-    ConvergenceError when the spread exceeds 1e-3 * max(1, |value|).
+    The windows run at the momenta divided by 2^e, e the binary exponent of
+    max(p, p'), which is exact, and the value and est_error are multiplied
+    by 2^-2e: the scaled problem is the same at every magnitude of the
+    momenta, so the quadrature takes the fixed DEFAULT_TOL and
+    DEFAULT_PANEL_BUDGET and no tolerance is settable.  B(0+) and the
+    closed form are never evaluated, so the estimate checks the closed
+    form independently: within 3e-13 of it in relative terms for d in
+    [0.02, 0.98] and p'/p from 1 + 1e-6 to 10 on both sides, and within
+    1e-14 at p'/p = 1.3 and 1/1.3 for p from 1e-150 to 1e5.
+    EqualMomentaError when p and p' agree to 1e-12; NumericalFailureError
+    when the finite part overflows a double; ConvergenceError when the
+    spread exceeds 1e-3 * max(1, |value|).
     """
     _check_lommel_orders(nu, mu)
     _check_momenta(p, p_prime)
     _check_distinct(p, p_prime)
+    e, p, p_prime = _unit_scale(p, p_prime)
     step = math.pi / max(p, p_prime)
     scale = (p - p_prime) * (p + p_prime)
-    budget = PanelBudget(panel_budget)
+    budget = PanelBudget(DEFAULT_PANEL_BUDGET)
     running = 0.0
     prev = 0.0
     values = []
     for periods in _LOMMEL_PERIODS:
         L = periods * step
-        running += product_quad(nu, mu, p, p_prime, prev, L, tol, budget)
+        running += product_quad(nu, mu, p, p_prime, prev, L, DEFAULT_TOL, budget)
         prev = L
         values.append(running - _lommel_bracket(nu, mu, p, p_prime, L) / scale)
-    value = values[-1]
-    est_error = 0.5 * (max(values) - min(values))
+    value = _scale_back(values[-1], e)
+    est_error = _scale_back(0.5 * (max(values) - min(values)), e)
     if est_error > 1e-3 * max(1.0, abs(value)):
         raise ConvergenceError(
-            f"finite part did not settle: spread {est_error:.3e} at "
-            f"value {value:.6e}; tighten tol"
+            f"finite part did not settle: spread {est_error:.3e} at value {value:.6e}"
         )
     return value, est_error
 
@@ -412,13 +444,7 @@ def mode_overlap_finite_part(mode_a: RadialMode, mode_b: RadialMode) -> float:
     return total
 
 
-def mode_overlap_finite_part_numeric(
-    mode_a: RadialMode,
-    mode_b: RadialMode,
-    *,
-    tol: float = DEFAULT_TOL,
-    panel_budget: int = DEFAULT_PANEL_BUDGET,
-) -> tuple:
+def mode_overlap_finite_part_numeric(mode_a: RadialMode, mode_b: RadialMode) -> tuple:
     """Independent quadrature estimate of the mode overlap finite part.
 
     Runs finite_part_estimate on each cross term; returns (value, est_error)
@@ -432,14 +458,7 @@ def mode_overlap_finite_part_numeric(
     for coeff, p_first, p_second in ((ca, pa, pb), (cb, qa, qb)):
         if coeff == 0.0:
             continue
-        v, e = finite_part_estimate(
-            nu,
-            -nu,
-            p_first,
-            p_second,
-            tol=tol,
-            panel_budget=panel_budget,
-        )
+        v, e = finite_part_estimate(nu, -nu, p_first, p_second)
         value += coeff * v
         err += abs(coeff) * e
     return value, err

@@ -75,10 +75,10 @@ def test_gfactor_reference_value():
 ECHO_ORDER = [
     (["decompose", "--phi", "2.3"], ["phi"]),
     (["bessel", "--x", "1.4", "--prime", "--nu", "0.3"], ["nu", "x", "prime"]),
-    (["overlap", "--pprime", "1", "--delta", "0.5", "--p", "2", "--tol-quad", "1e-8"],
+    (["overlap", "--pprime", "1", "--delta", "0.5", "--p", "2"],
      ["delta", "p", "pprime", "kind", "verify"]),
     (["windowed", "--window", "3.14159", "--nu", "0.5", "--mu", "0.5", "--p", "1",
-      "--pprime", "2"],
+      "--tol-quad", "1e-8", "--pprime", "2"],
      ["nu", "mu", "p", "pprime", "window"]),
     (["cancel", "--alpha", "1", "--delta", "0.3", "--channel", "n", "--p", "1.3",
       "--pprime", "0.7"],
@@ -160,6 +160,24 @@ def test_overlap_verify_at_small_momenta(p, pprime):
     assert doc["outputs"]["abs_err"] <= 1e-13 * abs(doc["outputs"]["finite_closed"])
 
 
+@pytest.mark.parametrize("argv", [
+    ["overlap", "--delta", "0.3", "--p", "1e-4", "--pprime", "1.3e-4", "--verify"],
+    ["cancel", "--delta", "0.3", "--alpha", "1", "--p", "1e-4", "--pprime", "1.3e-4",
+     "--verify"],
+])
+def test_verify_at_any_momentum_scale(argv):
+    # the finite part runs at the momenta scaled by a power of two: with an
+    # absolute tolerance on the integrals themselves, of size 1/p^2 here,
+    # both ran out of 200,000 panels (exit 3 after about 46 s)
+    code, out, err = run_cli(argv)
+    assert code == 0, err
+    outputs = json.loads(out)["outputs"]
+    if argv[0] == "overlap":
+        assert outputs["abs_err"] <= 1e-14 * abs(outputs["finite_closed"])
+    else:
+        assert abs(outputs["finite_numeric"]) <= 1e-12 * outputs["cross_term_scale"]
+
+
 def test_overlap_same_order_verify():
     code, out, _ = run_cli(
         ["overlap", "--delta", "0.5", "--p", "1", "--pprime", "2",
@@ -196,12 +214,20 @@ def test_cancel_explicit_coefficients():
 def test_run_config_validation():
     windowed = ["windowed", "--nu", "0.5", "--mu", "0.5", "--p", "1", "--pprime", "2",
                 "--window", "3"]
+    overlap = ["overlap", "--delta", "0.3", "--p", "1", "--pprime", "2", "--verify"]
+    cancel = ["cancel", "--delta", "0.3", "--alpha", "1", "--p", "1", "--pprime", "2",
+              "--verify"]
     for argv in (
         [*windowed, "--panel-budget", "10"],
         [*windowed, "--tol-quad", "-1"],
         [*windowed, "--tol-quad", "nan"],
-        # only the subcommands that integrate take the tuning flags
+        # only windowed takes the tuning flags: the finite part behind
+        # overlap and cancel runs at a fixed scale
         ["decompose", "--phi", "2.3", "--tol-quad", "1e-9"],
+        [*overlap, "--tol-quad", "1e-9"],
+        [*overlap, "--panel-budget", "1000"],
+        [*cancel, "--tol-quad", "1e-9"],
+        [*cancel, "--panel-budget", "1000"],
     ):
         code, out, err = run_cli(argv)
         assert (code, out) == (2, b""), argv
@@ -285,10 +311,11 @@ class TestExitCodes:
             # tol: refused before the first Hankel panel
             (["windowed", "--nu", "0.5", "--mu", "0.5", "--p", "1", "--pprime", "2",
               "--window", "1e300"], "ConvergenceError"),
-            # subnormal momenta: infinite periods, a NaN cell count
+            # subnormal momenta, once infinite periods and a NaN cell count:
+            # the finite part at the momenta scaled by 2^1063 is finite, and
+            # scaling it back by 2^2126 overflows
             (["overlap", "--kind", "same", "--delta", "1e-320", "--p", "4.9e-324",
-              "--pprime", "1e-320", "--verify", "--panel-budget", "1000"],
-             "ConvergenceError"),
+              "--pprime", "1e-320", "--verify"], "NumericalFailureError"),
         ):
             code, out, err = run_cli(argv)
             assert code == 3, err
@@ -494,7 +521,7 @@ _SUBPARSERS = next(
 # flags never drawn: --out writes files, --panel-budget is pinned to its
 # minimum so that no example runs long
 _NOT_DRAWN = {"--out", "--panel-budget", "-h"}
-_SHARED = {a.option_strings[0] for a in cli._TUNING._actions}
+_TUNING = {"--tol-quad", "--panel-budget"}
 _EXTREME = [
     math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 1e-310,
     1e300, -1e300, 1.7976931348623157e308, -1.7976931348623157e308,
@@ -526,7 +553,7 @@ def _flag_tokens(draw, sub):
             continue
         # kept: a required flag 19 times in 20, a subcommand's optional flag
         # one time in 2, a tuning flag one time in 6
-        kept, out_of = (19, 20) if action.required else (1, 6) if name in _SHARED else (1, 2)
+        kept, out_of = (19, 20) if action.required else (1, 6) if name in _TUNING else (1, 2)
         if draw(st.integers(0, out_of - 1)) >= kept:
             continue
         if action.nargs == 0:
@@ -577,14 +604,13 @@ def _argv(draw):
 # argv that once ended in a traceback, ran without end or escaped the order cap
 @example(argv=["windowed", "--nu=1", "--mu=1e-13", "--p=nan", "--pprime=3", "--window=2",
                "--panel-budget=1000"])
-@example(argv=["overlap", "--delta=0.3", "--p=nan", "--pprime=1", "--verify",
-               "--panel-budget=1000"])
+@example(argv=["overlap", "--delta=0.3", "--p=nan", "--pprime=1", "--verify"])
 @example(argv=["windowed", "--nu=inf", "--mu=3", "--p=0.25", "--pprime=3", "--window=0.01",
                "--panel-budget=1000"])
 @example(argv=["windowed", "--nu=0.3", "--mu=0.3", "--p=1", "--pprime=1", "--window=nan",
                "--panel-budget=1000"])
 @example(argv=["overlap", "--kind=same", "--delta=1e-320", "--p=4.9e-324",
-               "--pprime=1e-320", "--verify", "--panel-budget=1000"])
+               "--pprime=1e-320", "--verify"])
 @example(argv=["windowed", "--nu=7", "--mu=0.3", "--p=1", "--pprime=2", "--window=30",
                "--panel-budget=1000"])
 # float powers that overflowed into a raw OverflowError
@@ -597,7 +623,12 @@ def _argv(draw):
                "--s=-1"])
 @example(argv=["windowed", "--nu=-0.9", "--mu=0.9", "--p=5e-324", "--pprime=1",
                "--window=1", "--panel-budget=1000"])
-def test_every_argv_keeps_the_contract(capsys, argv):
+def test_every_argv_keeps_the_contract(capsys, monkeypatch, argv):
+    # the finite part behind overlap and cancel --verify takes no budget
+    # flag; its fixed budget is pinned to the flag's minimum the same way
+    # (overlap --delta 0.7 --p 0.7 --pprime 1.3e-48 --verify spends all
+    # 200,000 panels, about 40 s, before exit 3)
+    monkeypatch.setattr(abmodes.overlap, "DEFAULT_PANEL_BUDGET", 1000)
     capsys.readouterr()
     code = cli.run(argv)
     out, err = capsys.readouterr()

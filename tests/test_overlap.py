@@ -18,6 +18,7 @@ from abmodes.errors import (
     DomainError,
     EqualMomentaError,
     InsufficientSamplesError,
+    NumericalFailureError,
 )
 from abmodes.flux import decompose
 from abmodes.modes import make_schrodinger_mode
@@ -112,6 +113,25 @@ class TestClosedForms:
         cf = closed_form_cross(0.3, 1.0, ratio).finite_part
         ref = mp_finite_part(0.3, 1.0, ratio)
         assert abs(cf - ref) <= 2e-15 * abs(ref)
+
+    def test_cross_scale_identity(self):
+        # evaluated at the momenta scaled by a power of two: at p = 2^k the
+        # finite part times 4^k is the same double for every k
+        scaled = {
+            closed_form_cross(0.3, 2.0**k, 1.3 * 2.0**k).finite_part * 4.0**k
+            for k in range(-40, 41)
+        }
+        assert len(scaled) == 1
+
+    def test_cross_extreme_momenta(self):
+        # (p - p')(p + p') left the normal range: -inf at p = 1e-160, a raw
+        # ZeroDivisionError at 1e-165 and 1e-320, and -0.0 at 1e160
+        for p in (1e-160, 1e-165, 1e-320):
+            with pytest.raises(NumericalFailureError):
+                closed_form_cross(0.3, p, 1.3 * p)
+        finite = closed_form_cross(0.3, 1e160, 1.3e160).finite_part
+        ref = mp_finite_part(0.3, 1e160, 1.3e160)
+        assert ref < -6e-321 and abs(finite - ref) <= 1e-323
 
     def test_cross_order_domain(self):
         with pytest.raises(DomainError):
@@ -228,7 +248,7 @@ class TestFinitePartEstimate:
     def test_cost_flat_near_the_diagonal(self, budgets, ratio):
         # one G10/K21 cell per window, 3 in all, at every ratio, whatever
         # the slow period 2 pi/|p - p'|
-        value, _ = finite_part_estimate(0.3, -0.3, 1.0, ratio, panel_budget=1000)
+        value, _ = finite_part_estimate(0.3, -0.3, 1.0, ratio)
         cf = closed_form_cross(0.3, 1.0, ratio).finite_part
         assert abs(value - cf) <= 1e-13 * abs(cf)
         (budget,) = budgets
@@ -294,6 +314,31 @@ class TestFinitePartEstimate:
         value, _ = finite_part_estimate(0.3, -0.3, p, pp)
         ref = mp_finite_part(0.3, p, pp)
         assert abs(value - ref) <= 1e-13 * abs(ref)
+
+    def test_scale_identity(self):
+        # the windows run at the momenta divided by 2^e, e the binary
+        # exponent of max(p, p'): at p = 2^k the value and est_error times
+        # 4^k are the same doubles for every k
+        scaled = set()
+        for k in range(-40, 41):
+            value, est = finite_part_estimate(0.3, -0.3, 2.0**k, 1.3 * 2.0**k)
+            scaled.add((value * 4.0**k, est * 4.0**k))
+        assert len(scaled) == 1
+
+    @pytest.mark.parametrize("p", [1e-3, 1e-4, 1e-6, 1e5, 1e-150])
+    @pytest.mark.parametrize("ratio", [1.3, 1.0 / 1.3])
+    def test_any_momentum_scale(self, p, ratio):
+        # with an absolute tolerance on the integrals themselves, of size
+        # 1/p^2, p = 1e-4, 1e-6 and 1e-150 ran out of 200,000 panels
+        value, _ = finite_part_estimate(0.3, -0.3, p, p * ratio)
+        ref = mp_finite_part(0.3, p, p * ratio)
+        assert abs(value - ref) <= 1e-14 * abs(ref)
+
+    def test_overflow_is_a_numerical_failure(self):
+        # the finite part near 1e400 is finite at the scaled momenta and
+        # overflows when scaled back
+        with pytest.raises(NumericalFailureError):
+            finite_part_estimate(0.3, -0.3, 1e-200, 1.3e-200)
 
     def test_needs_equal_squared_orders(self):
         for nu, mu in ((0.3, 0.2), (0.3, -0.4), (0.5, 0.0)):
