@@ -11,17 +11,17 @@ ConvergenceError.  A panel whose K21 value is not finite (the kernels give
 NaN where p r/2 underflows under a negative order) raises
 NumericalFailureError at once, since bisection cannot mend it.
 
-The cell at the origin is the one exception, when nu + mu is not an
-integer.  There the integrand is r^(nu+mu+1) times a power series in r^2,
-with a branch point at r = 0 that no polynomial rule resolves.  That cell is
-integrated term by term from the ascending series of both Bessel functions
-(Watson, Theory of Bessel Functions, 3.1): each product term
-r^(nu+mu+1+2j+2k) has an exact integral.  The cell is at most a quasi-period
-long, so p rho and p' rho stay below pi and both series converge fast.  It
-spends one panel, like every cell, and raises NumericalFailureError where
-p c/2 or p' c/2 (c its length) falls below the normal range of doubles.
-When nu + mu is an integer the integrand is analytic at 0 and the origin
-cell is an ordinary G10/K21 cell.
+The cell at the origin of an unweighted range is the one exception,
+whatever the orders.  There the integrand is r^(nu+mu+1) times a power
+series in r^2, with a branch point at r = 0 unless nu + mu is an integer,
+which no polynomial rule resolves.  That cell is integrated term by term
+from the ascending series of both Bessel functions (Watson, Theory of
+Bessel Functions, 3.1): each product term r^(nu+mu+1+2j+2k) has an exact
+integral.  The cell is at most a quasi-period long, so p rho and p' rho
+stay below pi and both series converge fast.  It spends one panel, like
+every cell, and no panel kernel call, and raises NumericalFailureError
+where p c/2 or p' c/2 (c its length) falls below the normal range of
+doubles under a nonzero order; (p c/2)^0 = 1 is exact.
 
 Where both p rho and p' rho exceed 12, `hankel_quad` takes over: the
 kernels' Filon-Legendre panel (`hankel_product_panel`) integrates Hankel's
@@ -72,8 +72,8 @@ class PanelBudget:
         """Raise ConvergenceError unless n more panels are left (n NaN included)."""
         if not self.left >= n:
             raise ConvergenceError(
-                f"panel budget {self.initial} exhausted; raise the budget or "
-                "relax the tolerance"
+                f"panel budget of {self.initial} panels exhausted: cells still "
+                "missed their share of the tolerance"
             )
 
     @property
@@ -123,13 +123,13 @@ def _origin_cell(nu, mu, p, pp, c):
     With r = c t, x = p c/2 and y = pp c/2 the integrand is
     c^2 x^nu y^mu sum_jk a_j b_k t^(nu+mu+1+2j+2k), and t^m integrates to
     1/(m + 1) on [0, 1].  Needs nu, mu > -1.  Raises NumericalFailureError
-    where x or y falls below the normal range, since the rounding of the
-    product p c there would spoil x^nu (at p = 1e-315, p' = 1 and c = 1, by
-    5e-9 relative), and where the value overflows.
+    where x or y falls below the normal range under a nonzero order, since
+    the rounding of the product p c there would spoil x^nu (at p = 1e-315,
+    p' = 1 and c = 1, by 5e-9 relative), and where the value overflows.
     """
     x = 0.5 * (p * c)
     y = 0.5 * (pp * c)
-    if min(x, y) < sys.float_info.min:
+    if (x < sys.float_info.min and nu) or (y < sys.float_info.min and mu):
         raise NumericalFailureError(
             f"origin cell over [0, {c}]: p c/2 = {x!r} or p' c/2 = {y!r} is below "
             "the normal range of doubles"
@@ -198,8 +198,7 @@ def product_quad(
 
     cells = list(zip(breaks, breaks[1:]))
     origin = []
-    # r^(nu+mu+1) has a branch point at 0 unless nu + mu is an integer
-    if lo == 0.0 and weight is None and nu + mu != math.floor(nu + mu):
+    if lo == 0.0 and weight is None:
         budget.spend()
         origin.append(_origin_cell(nu, mu, p, pp, breaks[1]))
         cells = cells[1:]

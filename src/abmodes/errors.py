@@ -78,4 +78,4 @@ class ZeroAlphaError(InvalidInputError):
 
 
 class NoBracketError(NumericalFailureError):
-    """Root bracket does not contain a sign change."""
+    """No g in the bracket [g_lo, g_hi] reaches the target matching ratio."""

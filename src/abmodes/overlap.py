@@ -22,7 +22,8 @@ and -B(0+)/(p^2 - p'^2) is the finite part (the closed form above for
 (d, -d), zero for equal orders).  So the quadrature over [0, L] minus
 B(L)/((p - p')(p + p')) is the finite part at any L; the estimate takes L at
 1/2, 1 and 3/2 quasi-periods pi/max(p, p'), where the kernels sum the
-ascending series, and costs 3 G10/K21 cells at every p'/p.  It runs at the
+ascending series, and costs 3 cells at every p'/p: the origin cell from the
+series of J_nu and J_mu, then two G10/K21 cells.  It runs at the
 momenta divided by 2^e, the least power of two above max(p, p'), which is
 exact, and multiplies the result by 2^-2e: FP(p, p') = FP(p 2^-e, p' 2^-e)
 2^-2e.  So it takes no tolerance, and its cost and relative accuracy do not
@@ -33,8 +34,9 @@ it is within 3e-13 of the closed form in relative terms for d in
 overlap less that constant, on the oscillation and its 1/L corrections to
 recover the delta coefficient itself, with no quadrature: 17 to 49 samples,
 spaced so that the fast (p + p') oscillation cannot alias onto the slow
-one, within 3e-6 of cos(pi d) for p'/p in [1/3, 3].  B takes J' from the
-recurrence J'_nu = J_{nu-1} - (nu/x) J_nu, four kernel calls in all.
+one, within 3e-6 of cos(pi d) for p'/p in [1/3, 3].  B takes J_nu and J'_nu
+from `specfun.bessel_j_and_prime` (the recurrence J'_nu = J_{nu-1} -
+(nu/x) J_nu), four kernel calls in all.
 
 Mode-level operations assemble the finite (non-delta) part of a channel
 overlap from the closed forms: the same-order terms contribute none, and the
@@ -57,7 +59,7 @@ from .errors import (
     SingularFitError,
 )
 from .modes import RadialMode
-from .specfun import MAX_ORDER, bessel_j
+from .specfun import MAX_ORDER, bessel_j_and_prime
 
 __all__ = [
     "OverlapResult",
@@ -87,7 +89,7 @@ _FIT_SAMPLES = 16
 MIN_RELATIVE_SEPARATION = 1e-3
 
 # lengths of the Lommel windows of finite_part_estimate, in quasi-periods
-# pi/max(p, p'): one G10/K21 cell each, and every node and bracket argument
+# pi/max(p, p'): one cell each, and every node and bracket argument
 # at max(p, p') r <= 3 pi/2, where the kernels sum the ascending series
 _LOMMEL_PERIODS = (0.5, 1.0, 1.5)
 
@@ -154,7 +156,7 @@ def _check_lommel_orders(nu, mu):
         raise DomainError(
             f"Lommel's identity needs nu^2 = mu^2, got orders {nu}, {mu}"
         )
-    # the orders the library guarantees, the domain of bessel_j_prime too
+    # the orders the library guarantees, the domain of bessel_j_and_prime too
     if abs(nu) > MAX_ORDER:
         raise DomainError(f"Lommel's bracket needs |nu| <= {MAX_ORDER}, got {nu}")
 
@@ -209,11 +211,11 @@ def windowed_overlap(
     Absolute accuracy `tol` (default 1e-9): every panel meets its share of
     it, or the panels run out and ConvergenceError is raised.  Up to
     r_h = 12/min(p, p') the integrand is split into quasi-periods of
-    G10/K21 cells.  When nu + mu is not an integer it has a branch point at
-    r = 0, and the first quasi-period is summed from the ascending series of
-    J_nu and J_mu instead, exact to rounding: (-0.9, -0.9, 1, 2, 10) is
-    within 4e-13 of a 40-digit mpmath value in 7 panels,
-    (-0.6, -0.6, 1, 1.7, 10) within 3e-13 in 6.  Past r_h both Bessel
+    G10/K21 cells, except the first, which is summed from the ascending
+    series of J_nu and J_mu, exact to rounding, whatever the orders (at
+    r = 0 the integrand has a branch point unless nu + mu is an integer):
+    (-0.9, -0.9, 1, 2, 10) is within 4e-13 of a 40-digit mpmath value in 7
+    panels, (-0.6, -0.6, 1, 1.7, 10) within 3e-13 in 6.  Past r_h both Bessel
     functions take Hankel's expansion, and [r_h, L] is integrated on
     Filon-Legendre panels that double in length (`_quad.hankel_quad`), so
     the cost grows with log L: L = 25,000 at p'/p = 1.02 takes 20 panels,
@@ -237,23 +239,11 @@ def windowed_overlap(
     )
 
 
-def _j_and_derivative(nu, x):
-    """(J_nu(x), J'_nu(x)) from two kernel calls: J'_nu = J_{nu-1} - (nu/x) J_nu.
-
-    The recurrence reuses J_nu, where bessel_j_prime's (J_{nu-1} - J_{nu+1})/2
-    makes two more calls.  Relative to the envelope max(|J'_nu|,
-    sqrt(2/(pi x))) both are within 1e-11 of mpmath for x in [1e-3, 100]
-    and within the ulp of x (the phase of the Hankel branch) beyond.
-    """
-    j = bessel_j(nu, x)
-    return j, bessel_j(nu - 1.0, x) - nu / x * j
-
-
 def _lommel_bracket(nu, mu, p, p_prime, r):
     # B(r) = r [p' J_nu(p r) J'_mu(p' r) - p J'_nu(p r) J_mu(p' r)], four
     # kernel calls
-    j_nu, d_nu = _j_and_derivative(nu, p * r)
-    j_mu, d_mu = _j_and_derivative(mu, p_prime * r)
+    j_nu, d_nu = bessel_j_and_prime(nu, p * r)
+    j_mu, d_mu = bessel_j_and_prime(mu, p_prime * r)
     return r * (p_prime * j_nu * d_mu - p * d_nu * j_mu)
 
 
@@ -268,10 +258,11 @@ def finite_part_estimate(nu: float, mu: float, p: float, p_prime: float) -> tupl
 
     the finite part -B(0+)/(p^2 - p'^2) equals the quadrature over [0, L]
     minus B(L)/((p - p')(p + p')) at every L.  The estimate takes L at 1/2,
-    1 and 3/2 quasi-periods pi/max(p, p') in one running sum, one G10/K21
-    cell each (the first from the ascending series when nu + mu is not an
-    integer), so its cost does not depend on p'/p, and returns the value at
-    3/2; est_error is the half-spread of the three.  Every node and bracket
+    1 and 3/2 quasi-periods pi/max(p, p') in one running sum, one cell each
+    (the first summed from the ascending series, the others G10/K21), so
+    its cost does not depend on p'/p, and returns the value at 3/2;
+    est_error is the half-spread of the three.  J'_nu comes from
+    `specfun.bessel_j_and_prime`.  Every node and bracket
     argument stays at max(p, p') r <= 3 pi/2, where the kernels sum the
     ascending series, clear of their switch to Hankel's expansion at 12.
     The windows run at the momenta divided by 2^e, e the binary exponent of

@@ -21,7 +21,7 @@ import time
 
 import pytest
 
-from conftest import REPO
+from conftest import REPO, SUBNORMAL_ARGV
 
 from abmodes import _kernels_py, _quad, cli, specfun
 
@@ -151,11 +151,21 @@ def test_backends_byte_stable_results(kernels_c, monkeypatch, capsys, argv):
     assert compiled == (cli.run(argv), capsys.readouterr())
 
 
+@pytest.mark.parametrize("argv, code", SUBNORMAL_ARGV)
+def test_subnormal_arguments_alike(kernels_c, monkeypatch, capsys, argv, code):
+    runs = []
+    for kernels in (kernels_c, _kernels_py):
+        use_kernels(monkeypatch, kernels)
+        runs.append((cli.run(argv), capsys.readouterr()))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == code
+
 
 def test_underflowed_panel_fails_alike(kernels_c, monkeypatch, capsys):
-    # the panel is NaN on both kernel sets, and product_quad refuses it at
-    # once: the same exit-3 document, neither a raw ZeroDivisionError nor a
-    # bisection until the budget runs out
+    # p c/2 underflows to 0 under a negative order, and the origin cell
+    # refuses it before any panel: the same exit-3 document on both kernel
+    # sets, neither a raw ZeroDivisionError nor a bisection until the budget
+    # runs out
     argv = ["windowed", "--nu", "-0.9", "--mu", "0.9", "--p", "5e-324", "--pprime", "1",
             "--window", "1"]
     runs = []

@@ -6,6 +6,7 @@ import io
 import json
 import math
 
+import mpmath
 import pytest
 from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 import abmodes
 from abmodes import cli
 from abmodes.cli import _parse_grid
-from conftest import FIXTURES, mp_lommel_cross, run_cli
+from conftest import FIXTURES, SUBNORMAL_ARGV, mp_lommel_cross, run_cli
 
 GOLDEN = {
     "decompose.json": ["decompose", "--phi", "2.3"],
@@ -144,6 +145,18 @@ def test_windowed_subcommand():
     )
     assert code == 0
     assert abs(json.loads(out)["outputs"]["value"]) <= 1e-9
+
+
+@pytest.mark.parametrize("argv, code", SUBNORMAL_ARGV)
+def test_subnormal_arguments(argv, code):
+    got, out, err = run_cli(argv)
+    assert got == code, err
+    if code == 0:
+        # int_0^1 J_0(0) J_0(r) r dr = J_1(1)
+        value = json.loads(out)["outputs"]["value"]
+        assert abs(value - float(mpmath.besselj(1, 1))) <= 1e-15
+    else:
+        assert out == b"" and json.loads(err)["error"] == "NumericalFailureError"
 
 
 @pytest.mark.parametrize("p, pprime", [("0.01", "0.013"), ("0.013", "0.01")])

@@ -32,7 +32,7 @@ from abmodes.overlap import (
     mode_overlap_finite_part_numeric,
     windowed_overlap,
 )
-from abmodes.specfun import bessel_j
+from abmodes.specfun import bessel_j, bessel_j_and_prime
 
 
 # p'/p from the diagonal to 10, on both sides of it
@@ -182,9 +182,15 @@ class TestWindowedOverlap:
 
     def test_budget_exhaustion(self):
         # the window needs 19 panels: 8 cells below r_h = 12, 9 doubling
-        # Hankel cells and one bisection
-        with pytest.raises(ConvergenceError):
+        # Hankel cells and one bisection.  The message states the budget and
+        # why it ran out, and names no flag: `overlap --verify` and `cancel
+        # --verify` have none to raise it
+        with pytest.raises(ConvergenceError) as info:
             windowed_overlap(0.3, -0.3, 1.0, 2.0, 5000.0, panel_budget=10)
+        assert str(info.value) == (
+            "panel budget of 10 panels exhausted: cells still missed their share "
+            "of the tolerance"
+        )
 
     @pytest.mark.parametrize(
         "args, panels",
@@ -246,8 +252,9 @@ class TestFinitePartEstimate:
 
     @pytest.mark.parametrize("ratio", [1.3, 1.05, 1.02, 1.001, 1.0001])
     def test_cost_flat_near_the_diagonal(self, budgets, ratio):
-        # one G10/K21 cell per window, 3 in all, at every ratio, whatever
-        # the slow period 2 pi/|p - p'|
+        # one cell per window, 3 in all (the first from the series, the
+        # others G10/K21), at every ratio, whatever the slow period
+        # 2 pi/|p - p'|
         value, _ = finite_part_estimate(0.3, -0.3, 1.0, ratio)
         cf = closed_form_cross(0.3, 1.0, ratio).finite_part
         assert abs(value - cf) <= 1e-13 * abs(cf)
@@ -370,7 +377,7 @@ def test_derivative_recurrence_against_mpmath():
             for x in (1e-3 * 3e8 ** (i / 119) for i in range(120)):
                 ref = mpmath.besselj(nu, x, derivative=1)
                 envelope = max(abs(ref), mpmath.sqrt(2 / (mpmath.pi * x)))
-                _, prime = abmodes.overlap._j_and_derivative(nu, x)
+                _, prime = bessel_j_and_prime(nu, x)
                 assert abs(prime - ref) <= max(1e-11, eps * x) * envelope, (nu, x)
 
 

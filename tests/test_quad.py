@@ -4,10 +4,11 @@ Filon-Legendre Hankel panels.
 `product_quad` accepts a cell when the two estimates agree, so a mistyped
 node or weight would show only as extra bisections or a loose result; these
 tests compare the table with Legendre's nodes and the moments of [-1, 1].
-The cell at the origin, summed from the ascending series when nu + mu is not
-an integer, is checked against a 40-digit mpmath quadrature, and on cells
-where one momentum times the cell length is negligible against a closed
-form; where p c/2 leaves the normal range of doubles it must fail loudly.
+The cell at the origin, summed from the ascending series at every order
+pair, is checked against a 40-digit mpmath quadrature, and on cells where
+one momentum times the cell length is negligible against a closed form;
+where p c/2 leaves the normal range of doubles under a nonzero order it
+must fail loudly.
 The Hankel panels' 16-node table is compared with Legendre's nodes, their
 spherical Bessel moments and one panel with mpmath, and `hankel_quad` must
 refuse a window end that the doubles cannot place.
@@ -22,6 +23,7 @@ import pytest
 from conftest import mp_origin_integral
 
 from abmodes._kernels_py import _GK21, _GL16, _K21_CENTER, hankel_product_panel, spherical_j
+from abmodes import _quad
 from abmodes._quad import PanelBudget, hankel_quad, product_quad
 from abmodes.errors import ConvergenceError, NumericalFailureError
 
@@ -57,9 +59,11 @@ def test_gauss_is_exact_to_degree_19(k):
     assert abs(value - 2.0 / (2 * k + 1)) <= MOMENT_TOL
 
 
-# orders from -0.95 to 5.5 with nu + mu not an integer
+# orders from -0.95 to 5.5, with nu + mu not an integer (a branch point at
+# r = 0) and an integer (an analytic integrand, summed the same way)
 ORIGIN_ORDERS = [(-0.95, -0.95), (-0.9, 0.35), (-0.5, -0.7), (0.3, 0.3),
-                 (2.5, -0.6), (5.5, 5.5), (5.5, -0.95), (1.3, 4.1)]
+                 (2.5, -0.6), (5.5, 5.5), (5.5, -0.95), (1.3, 4.1),
+                 (0.3, -0.3), (-0.5, -0.5), (0.0, 0.0), (5.0, 5.0), (2.5, -0.5)]
 # (p, p', cell length in quasi-periods pi/max(p, p')): p'/p on both sides of
 # 1, far from it and next to it, with whole cells and ones cut short by hi
 ORIGIN_CELLS = [(1.0, 2.0, 1.0), (2.0, 1.0, 0.3), (1.0, 1e-3, 1.0), (0.7, 0.69, 0.3)]
@@ -123,7 +127,9 @@ def test_origin_cell_at_extreme_momentum_ratios(nu, mu, p, pp, hi):
     "p, pp, hi", [(5e-324, 1.0, 1.0), (1.0, 1.0, 5e-324), (1e-315, 1.0, 1.0),
                   (5e-324, 5e-324, 1e300)]
 )
-@pytest.mark.parametrize("nu, mu", [(-0.95, -0.95), (5.5, -0.95), (-0.9, 0.35)])
+@pytest.mark.parametrize(
+    "nu, mu", [(-0.95, -0.95), (5.5, -0.95), (-0.9, 0.35), (0.3, -0.3), (0.5, 0.5)]
+)
 def test_origin_cell_out_of_range_is_a_numerical_failure(nu, mu, p, pp, hi):
     # a library error, never a raw ZeroDivisionError or OverflowError from
     # the powers of an underflowed or huge argument, nor lost digits
@@ -134,11 +140,33 @@ def test_origin_cell_out_of_range_is_a_numerical_failure(nu, mu, p, pp, hi):
 def test_non_finite_panel_fails_at_once():
     # the kernels give NaN where p r/2 underflows under a negative order;
     # bisection cannot mend a NaN cell, so the first panel raises instead of
-    # spending the budget (about 200,000 panels)
-    budget = PanelBudget(200_000)
-    with pytest.raises(NumericalFailureError):
-        product_quad(-0.9, 0.9, 5e-324, 1.0, 0.0, 1.0, 1e-9, budget)
-    assert budget.used == 1
+    # spending the budget (about 200,000 panels).  From r = 0 the origin
+    # cell refuses the subnormal p c/2 before any panel; from r = 0.5 the
+    # first cell is a G10/K21 panel
+    for lo in (0.0, 0.5):
+        budget = PanelBudget(200_000)
+        with pytest.raises(NumericalFailureError):
+            product_quad(-0.9, 0.9, 5e-324, 1.0, lo, 1.0, 1e-9, budget)
+        assert budget.used == 1
+
+
+@pytest.mark.parametrize("nu, mu", [(0.3, -0.3), (0.0, 0.0), (-0.5, -0.5), (5.0, 5.0)])
+def test_integer_sum_origin_cell_calls_no_panel(monkeypatch, nu, mu):
+    # the origin cell comes from the series at every order pair; only the
+    # cells past it call the G10/K21 panel kernel
+    calls = []
+    kernel = _quad.product_panel_kernel
+
+    def counted(*args):
+        calls.append(args[4:])
+        return kernel(*args)
+
+    monkeypatch.setattr(_quad, "product_panel_kernel", counted)
+    budget = PanelBudget(10)
+    product_quad(nu, mu, 1.0, 2.0, 0.0, 0.5 * math.pi, 1e-9, budget)
+    assert calls == [] and budget.used == 1
+    product_quad(nu, mu, 1.0, 2.0, 0.0, math.pi, 1e-9, budget)
+    assert calls[0] == (0.5 * math.pi, math.pi)
 
 
 def test_gauss16_nodes_and_weights_are_legendres():

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from abmodes import _kernels_py
 from abmodes.errors import DomainError, NumericalFailureError, PoleError
-from abmodes.specfun import bessel_j, bessel_j_prime, gamma
+from abmodes.specfun import bessel_j, bessel_j_and_prime, bessel_j_prime, gamma
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -169,6 +169,11 @@ class TestBesselJ:
                     bessel_j(nu, x)
                 with pytest.raises(NumericalFailureError):
                     bessel_j_prime(nu, x)
+        # J'_0 = -J_1 carries (x/2)^1 too: at x = 1.5e-323 the halving alone
+        # puts it 35% off
+        for x in (5e-324, 1.5e-323, 3e-315, 4.4e-308):
+            with pytest.raises(NumericalFailureError):
+                bessel_j_prime(0.0, x)
         # (x/2)^0 = 1 is exact, and x/2 is normal from x = 2 * min on
         assert bessel_j(0.0, 5e-324) == pytest.approx(1.0, rel=1e-15)
         x = 2.0 * sys.float_info.min
@@ -248,6 +253,27 @@ class TestBesselJPrime:
         h = 1e-4
         richardson = (4.0 * central(h / 2.0) - central(h)) / 3.0
         assert bessel_j_prime(nu, x) == pytest.approx(richardson, abs=5e-10)
+
+    def test_is_the_second_element_of_the_pair(self):
+        # one recurrence, J'_nu = J_{nu-1} - (nu/x) J_nu, behind both names
+        rng = random.Random(5)
+        for _ in range(500):
+            nu, x = rng.uniform(-5.0, 5.0), 1e-3 * 1e5 ** rng.random()
+            assert bessel_j_and_prime(nu, x) == (bessel_j(nu, x), bessel_j_prime(nu, x))
+
+    @pytest.mark.parametrize(
+        "nu, x",
+        [(0.3, 0.0), (0.3, -2.0), (5.5, 1.0), (-5.5, 1.0), (float("nan"), 1.0),
+         (0.3, float("inf")), (0.3, float("nan")), (0.0, 5e-324), (0.0, 1.5e-323),
+         (-0.5, 3e-315), (1.0, 4.4e-308)],
+    )
+    def test_pair_refuses_what_bessel_j_prime_refuses(self, nu, x):
+        errors = []
+        for f in (bessel_j_and_prime, bessel_j_prime):
+            with pytest.raises((DomainError, NumericalFailureError)) as info:
+                f(nu, x)
+            errors.append(type(info.value))
+        assert errors[0] is errors[1]
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
