@@ -1,27 +1,33 @@
-"""Adaptive quadrature of Bessel-product integrands: G10/K21 and Hankel panels.
+"""Quadrature of Bessel-product integrands: G10/K21 and Hankel panels.
 
-The integrand J_nu(p rho) J_mu(p' rho) rho is pre-split at the quasi-period
-boundaries k*pi/max(p, p').  Each cell is one panel of the embedded
-Gauss-Kronrod G10/K21 pair (Piessens et al., QUADPACK, 1983), 21 integrand
-values for both estimates.  A cell [a, b] of the range [lo, hi] is accepted
-by one rule, |K21 - G10| <= tol (b - a)/(hi - lo), its length-proportional
-share of the absolute tolerance, and bisected otherwise.  A cell that never
-meets its share bisects until the panel budget runs out; exhaustion raises
-ConvergenceError.  A panel whose K21 value is not finite (the kernels give
-NaN where p r/2 underflows under a negative order) raises
-NumericalFailureError at once, since bisection cannot mend it.
+`cell` is the rule for one cell [lo, hi] of J_nu(p rho) J_mu(p' rho) rho.
+It returns a (fine, coarse) pair: one panel of the embedded Gauss-Kronrod
+G10/K21 pair (Piessens et al., QUADPACK, 1983), 21 integrand values for both
+estimates, called through the module global product_panel_kernel, and at
+lo == 0 the sum of the ascending series for both.  A panel whose K21 value
+is not finite (the kernels give NaN where p r/2 underflows under a negative
+order) raises NumericalFailureError at once, since bisection cannot mend
+it.  `overlap.finite_part_estimate` calls `cell` directly, once per Lommel
+window, with no tolerance and no budget.
 
-The cell at the origin of an unweighted range is the one exception,
-whatever the orders.  There the integrand is r^(nu+mu+1) times a power
-series in r^2, with a branch point at r = 0 unless nu + mu is an integer,
-which no polynomial rule resolves.  That cell is integrated term by term
-from the ascending series of both Bessel functions (Watson, Theory of
-Bessel Functions, 3.1): each product term r^(nu+mu+1+2j+2k) has an exact
-integral.  The cell is at most a quasi-period long, so p rho and p' rho
-stay below pi and both series converge fast.  It spends one panel, like
-every cell, and no panel kernel call, and raises NumericalFailureError
-where p c/2 or p' c/2 (c its length) falls below the normal range of
-doubles under a nonzero order; (p c/2)^0 = 1 is exact.
+At the origin the integrand is r^(nu+mu+1) times a power series in r^2,
+with a branch point at r = 0 unless nu + mu is an integer, which no
+polynomial rule resolves.  So `cell` integrates [0, c] term by term from the
+ascending series of both Bessel functions (Watson, Theory of Bessel
+Functions, 3.1), whatever the orders: each product term
+r^(nu+mu+1+2j+2k) has an exact integral, and fine and coarse are that one
+value.  The cell is at most a quasi-period long, so p rho and p' rho stay
+below pi and both series converge fast.  It calls no panel kernel, and
+raises NumericalFailureError where p c/2 or p' c/2 falls below the normal
+range of doubles under a nonzero order; (p c/2)^0 = 1 is exact.
+
+`product_quad` integrates adaptively.  It pre-splits [lo, hi] at the
+quasi-period boundaries k*pi/max(p, p'), takes each cell by `cell`, and
+accepts a cell [a, b] by one rule, |fine - coarse| <= tol (b - a)/(hi - lo),
+its length-proportional share of the absolute tolerance, bisecting it
+otherwise.  A series cell is always accepted.  Every cell spends one panel of
+a `PanelBudget`, and every bisection two; a cell that never meets its share
+bisects until the budget runs out, and exhaustion raises ConvergenceError.
 
 Where both p rho and p' rho exceed 12, `hankel_quad` takes over: the
 kernels' Filon-Legendre panel (`hankel_product_panel`) integrates Hankel's
@@ -39,11 +45,11 @@ result does not depend on their order.
 
 An optional scalar weight(rho) multiplies the integrand, and extra_breaks
 force cell boundaries; weighted panels run the same pair through the Python
-node loop, unweighted ones through the backend kernel.  No code in the
-package passes either.  They stay only because the benchmark's tracer wraps
-`_weighted_panel` (without it its quad.panels would read as unmeasured) and
-a benchmark test passes extra_breaks; both go with the next change to the
-benchmark.
+node loop, with no series cell at the origin, and unweighted ones through
+`cell`.  No code in the package passes either.  They stay only because the
+benchmark's tracer wraps `_weighted_panel` (without it its quad.panels would
+read as unmeasured) and a benchmark test passes extra_breaks; both go with
+the next change to the benchmark.
 """
 
 import math
@@ -54,11 +60,16 @@ from ._kernels_py import _GK21, _K21_CENTER
 from .errors import ConvergenceError, NumericalFailureError
 from .specfun import power
 
-__all__ = ["PanelBudget", "hankel_quad", "product_quad"]
+__all__ = ["PanelBudget", "cell", "hankel_quad", "product_quad"]
 
 
 class PanelBudget:
-    """Mutable countdown of G10/K21 panel evaluations shared across blocks."""
+    """Mutable countdown of the cells product_quad and hankel_quad evaluate.
+
+    One unit pays for one G10/K21 panel, one series cell at the origin or one
+    Hankel panel, whichever the cell takes; a budget is shared across the
+    ranges of one integral.  Only `overlap.windowed_overlap` makes one.
+    """
 
     def __init__(self, panels: int):
         self.initial = int(panels)
@@ -153,6 +164,30 @@ def _origin_cell(nu, mu, p, pp, c):
     return value
 
 
+def _finite(estimates, a, b, nu, mu, p, pp):
+    # the (fine, coarse) pair of the cell [a, b], refused unless fine is finite
+    if not math.isfinite(estimates[0]):
+        raise NumericalFailureError(
+            f"panel [{a}, {b}] of J_{nu}(p r) J_{mu}(p' r) r is not finite "
+            f"({estimates[0]!r}) at p = {p}, p' = {pp}"
+        )
+    return estimates
+
+
+def cell(nu, mu, p, pp, lo, hi):
+    """(fine, coarse) estimates of int_lo^hi J_nu(p r) J_mu(pp r) r dr on one cell.
+
+    At lo == 0 both are the sum of the ascending series (`_origin_cell`);
+    elsewhere they are the K21 and G10 values of one panel, evaluated through
+    the module global product_panel_kernel.  Raises NumericalFailureError
+    when the fine value is not finite.
+    """
+    if lo == 0.0:
+        value = _origin_cell(nu, mu, p, pp, hi)
+        return value, value
+    return _finite(product_panel_kernel(nu, mu, p, pp, lo, hi), lo, hi, nu, mu, p, pp)
+
+
 def product_quad(
     nu: float,
     mu: float,
@@ -187,22 +222,14 @@ def product_quad(
         if lo < x < hi:
             breaks.add(float(x))
     breaks = sorted(breaks)
-    total = hi - lo
 
-    if weight is None:
-        def panel(a, b):
-            return product_panel_kernel(nu, mu, p, pp, a, b)
-    else:
-        def panel(a, b):
-            return _weighted_panel(nu, mu, p, pp, a, b, weight)
+    def panel(a, b):
+        if weight is None:
+            return cell(nu, mu, p, pp, a, b)
+        return _weighted_panel(nu, mu, p, pp, a, b, weight)
 
-    cells = list(zip(breaks, breaks[1:]))
-    origin = []
-    if lo == 0.0 and weight is None:
-        budget.spend()
-        origin.append(_origin_cell(nu, mu, p, pp, breaks[1]))
-        cells = cells[1:]
-    return math.fsum(origin + _accepted(panel, cells, tol, total, budget, (nu, mu, p, pp)))
+    cells = zip(breaks, breaks[1:])
+    return math.fsum(_accepted(panel, cells, tol, hi - lo, budget, (nu, mu, p, pp)))
 
 
 def hankel_quad(
@@ -259,14 +286,9 @@ def _accepted(panel, cells, tol, total, budget, orders_and_momenta):
         budget.spend()
         stack = [(a, b, panel(a, b))]
         while stack:
-            a, b, (fine, coarse) = stack.pop()
-            if not math.isfinite(fine):
-                # bisection cannot make a NaN or infinite cell finite
-                nu, mu, p, pp = orders_and_momenta
-                raise NumericalFailureError(
-                    f"panel [{a}, {b}] of J_{nu}(p r) J_{mu}(p' r) r is not finite "
-                    f"({fine!r}) at p = {p}, p' = {pp}"
-                )
+            a, b, estimates = stack.pop()
+            # bisection cannot make a NaN or infinite cell finite
+            fine, coarse = _finite(estimates, a, b, *orders_and_momenta)
             if abs(fine - coarse) <= tol * (b - a) / total:
                 pieces.append(fine)
             else:

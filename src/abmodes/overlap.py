@@ -22,12 +22,14 @@ and -B(0+)/(p^2 - p'^2) is the finite part (the closed form above for
 (d, -d), zero for equal orders).  So the quadrature over [0, L] minus
 B(L)/((p - p')(p + p')) is the finite part at any L; the estimate takes L at
 1/2, 1 and 3/2 quasi-periods pi/max(p, p'), where the kernels sum the
-ascending series, and costs 3 cells at every p'/p: the origin cell from the
-series of J_nu and J_mu, then two G10/K21 cells.  It runs at the
-momenta divided by 2^e, the least power of two above max(p, p'), which is
-exact, and multiplies the result by 2^-2e: FP(p, p') = FP(p 2^-e, p' 2^-e)
-2^-2e.  So it takes no tolerance, and its cost and relative accuracy do not
-depend on the scale of the momenta.  Against mpmath (tests/test_overlap.py)
+ascending series, and runs fixed rules on the three windows at every p'/p:
+the first summed from the series of J_nu and J_mu, the other two one
+G10/K21 panel each (`_quad.cell`), with no tolerance, no panel budget and no
+bisection.  It runs at the momenta divided by 2^e, the least power of two
+above max(p, p'), which is exact, and multiplies the result by 2^-2e:
+FP(p, p') = FP(p 2^-e, p' 2^-e) 2^-2e.  So its cost and relative accuracy do
+not depend on the scale of the momenta, and an extreme ratio p'/p costs no
+more than an ordinary one.  Against mpmath (tests/test_overlap.py)
 it is within 3e-13 of the closed form in relative terms for d in
 [0.02, 0.98] and p'/p from 1 + 1e-6 to 10 on both sides.
 `fit_delta_coefficient` regresses B(L)/((p - p')(p + p')), the windowed
@@ -48,7 +50,7 @@ down the extension-parameter conditions.
 import math
 from dataclasses import dataclass
 
-from ._quad import PanelBudget, hankel_quad, product_quad
+from ._quad import PanelBudget, cell, hankel_quad, product_quad
 from .errors import (
     ChannelMismatchError,
     ConvergenceError,
@@ -258,25 +260,33 @@ def finite_part_estimate(nu: float, mu: float, p: float, p_prime: float) -> tupl
 
     the finite part -B(0+)/(p^2 - p'^2) equals the quadrature over [0, L]
     minus B(L)/((p - p')(p + p')) at every L.  The estimate takes L at 1/2,
-    1 and 3/2 quasi-periods pi/max(p, p') in one running sum, one cell each
-    (the first summed from the ascending series, the others G10/K21), so
-    its cost does not depend on p'/p, and returns the value at 3/2;
-    est_error is the half-spread of the three.  J'_nu comes from
+    1 and 3/2 quasi-periods pi/max(p, p') in one running sum, one fixed
+    rule a window (`_quad.cell`): the first summed from the ascending
+    series, the others one G10/K21 panel each, at its K21 value.  It takes
+    no tolerance and no panel budget and never bisects, so its cost does
+    not depend on p'/p, and it returns the value at 3/2; est_error is the
+    half-spread of the three.  J'_nu comes from
     `specfun.bessel_j_and_prime`.  Every node and bracket
     argument stays at max(p, p') r <= 3 pi/2, where the kernels sum the
     ascending series, clear of their switch to Hankel's expansion at 12.
     The windows run at the momenta divided by 2^e, e the binary exponent of
     max(p, p'), which is exact, and the value and est_error are multiplied
     by 2^-2e: the scaled problem is the same at every magnitude of the
-    momenta, so the quadrature takes the fixed DEFAULT_TOL and
-    DEFAULT_PANEL_BUDGET and no tolerance is settable.  B(0+) and the
-    closed form are never evaluated, so the estimate checks the closed
-    form independently: within 3e-13 of it in relative terms for d in
-    [0.02, 0.98] and p'/p from 1 + 1e-6 to 10 on both sides, and within
-    1e-14 at p'/p = 1.3 and 1/1.3 for p from 1e-150 to 1e5.
+    momenta.  The two panels' cells lie three and five half-lengths from
+    r = 0, and the integrand is analytic there, so K21's error is about
+    rho^-42 with the Bernstein parameter rho about 5.8 and 9.9, far below
+    rounding; bisecting could not improve it.  B(0+) and the closed form
+    are never evaluated, so the estimate checks the closed form
+    independently: within 3e-13 of it in relative terms for d in
+    [0.02, 0.98] and p'/p from 1 + 1e-6 to 10 on both sides, within 1e-14
+    at p'/p = 1.3 and 1/1.3 for p from 1e-150 to 1e5, and within 1e-13 for
+    the orders (d, -d), d in {0.3, 0.7, 0.95}, and (-0.7, 0.7) at p'/p from
+    1e-48 to 1e-10.
     EqualMomentaError when p and p' agree to 1e-12; NumericalFailureError
-    when the finite part overflows a double; ConvergenceError when the
-    spread exceeds 1e-3 * max(1, |value|).
+    when a panel is not finite or the finite part overflows a double;
+    ConvergenceError when the spread, or the summed |K21 - G10| of the two
+    panels scaled back by 2^-2e, exceeds 1e-3 * max(1, |value|), with the
+    message naming which.
     """
     _check_lommel_orders(nu, mu)
     _check_momenta(p, p_prime)
@@ -284,21 +294,22 @@ def finite_part_estimate(nu: float, mu: float, p: float, p_prime: float) -> tupl
     e, p, p_prime = _unit_scale(p, p_prime)
     step = math.pi / max(p, p_prime)
     scale = (p - p_prime) * (p + p_prime)
-    budget = PanelBudget(DEFAULT_PANEL_BUDGET)
-    running = 0.0
-    prev = 0.0
+    ends = [periods * step for periods in _LOMMEL_PERIODS]
+    running = disagreement = 0.0
     values = []
-    for periods in _LOMMEL_PERIODS:
-        L = periods * step
-        running += product_quad(nu, mu, p, p_prime, prev, L, DEFAULT_TOL, budget)
-        prev = L
+    for lo, L in zip([0.0] + ends, ends):
+        fine, coarse = cell(nu, mu, p, p_prime, lo, L)
+        running += fine
+        disagreement += abs(fine - coarse)
         values.append(running - _lommel_bracket(nu, mu, p, p_prime, L) / scale)
     value = _scale_back(values[-1], e)
     est_error = _scale_back(0.5 * (max(values) - min(values)), e)
-    if est_error > 1e-3 * max(1.0, abs(value)):
-        raise ConvergenceError(
-            f"finite part did not settle: spread {est_error:.3e} at value {value:.6e}"
-        )
+    gate = 1e-3 * max(1.0, abs(value))
+    for what, size in (("spread", est_error), ("panel disagreement", _scale_back(disagreement, e))):
+        if size > gate:
+            raise ConvergenceError(
+                f"finite part did not settle: {what} {size:.3e} at value {value:.6e}"
+            )
     return value, est_error
 
 

@@ -177,11 +177,18 @@ def test_overlap_verify_at_small_momenta(p, pprime):
     ["overlap", "--delta", "0.3", "--p", "1e-4", "--pprime", "1.3e-4", "--verify"],
     ["cancel", "--delta", "0.3", "--alpha", "1", "--p", "1e-4", "--pprime", "1.3e-4",
      "--verify"],
+    ["overlap", "--delta", "0.7", "--p", "0.7", "--pprime", "1.343990807315964e-48",
+     "--verify"],
+    ["cancel", "--delta", "0.7", "--alpha", "1", "--p", "0.7", "--pprime",
+     "1.343990807315964e-48", "--verify"],
 ])
 def test_verify_at_any_momentum_scale(argv):
     # the finite part runs at the momenta scaled by a power of two: with an
     # absolute tolerance on the integrals themselves, of size 1/p^2 here,
-    # both ran out of 200,000 panels (exit 3 after about 46 s)
+    # the first two ran out of 200,000 panels (exit 3 after about 46 s); the
+    # last two, whose integrands keep a factor (p/p')^0.7 of 1e33 at that
+    # scale, ran out of them in about 43 s while the windows were still
+    # integrated adaptively to an absolute tolerance
     code, out, err = run_cli(argv)
     assert code == 0, err
     outputs = json.loads(out)["outputs"]
@@ -636,12 +643,10 @@ def _argv(draw):
                "--s=-1"])
 @example(argv=["windowed", "--nu=-0.9", "--mu=0.9", "--p=5e-324", "--pprime=1",
                "--window=1", "--panel-budget=1000"])
-def test_every_argv_keeps_the_contract(capsys, monkeypatch, argv):
-    # the finite part behind overlap and cancel --verify takes no budget
-    # flag; its fixed budget is pinned to the flag's minimum the same way
-    # (overlap --delta 0.7 --p 0.7 --pprime 1.3e-48 --verify spends all
-    # 200,000 panels, about 40 s, before exit 3)
-    monkeypatch.setattr(abmodes.overlap, "DEFAULT_PANEL_BUDGET", 1000)
+# spent 200,000 panels, about 40 s, before exit 3
+@example(argv=["overlap", "--delta=0.7", "--p=0.7", "--pprime=1.343990807315964e-48",
+               "--verify"])
+def test_every_argv_keeps_the_contract(capsys, argv):
     capsys.readouterr()
     code = cli.run(argv)
     out, err = capsys.readouterr()

@@ -11,6 +11,7 @@ import pytest
 from conftest import mp_lommel_cross, mp_origin_integral
 
 import abmodes.overlap
+from abmodes import _quad
 from abmodes._quad import PanelBudget
 from abmodes.errors import (
     ChannelMismatchError,
@@ -251,15 +252,26 @@ class TestFinitePartEstimate:
             finite_part_estimate(0.3, -0.3, 1.0, 1.0)
 
     @pytest.mark.parametrize("ratio", [1.3, 1.05, 1.02, 1.001, 1.0001])
-    def test_cost_flat_near_the_diagonal(self, budgets, ratio):
+    def test_cost_flat_near_the_diagonal(self, monkeypatch, budgets, ratio):
         # one cell per window, 3 in all (the first from the series, the
-        # others G10/K21), at every ratio, whatever the slow period
-        # 2 pi/|p - p'|
+        # others one G10/K21 panel each), at every ratio, whatever the slow
+        # period 2 pi/|p - p'|, and no panel budget
+        calls = []
+
+        def counted(name, f):
+            def wrapper(*args):
+                calls.append(name)
+                return f(*args)
+
+            monkeypatch.setattr(_quad, name, wrapper)
+
+        counted("_origin_cell", _quad._origin_cell)
+        counted("product_panel_kernel", _quad.product_panel_kernel)
         value, _ = finite_part_estimate(0.3, -0.3, 1.0, ratio)
         cf = closed_form_cross(0.3, 1.0, ratio).finite_part
         assert abs(value - cf) <= 1e-13 * abs(cf)
-        (budget,) = budgets
-        assert budget.used == budget.cells == 3
+        assert calls == ["_origin_cell", "product_panel_kernel", "product_panel_kernel"]
+        assert budgets == []
 
     def test_cross_orders_against_mpmath(self):
         # 189 cases: orders near 0, 1/2 and 1, ratios from the diagonal to
@@ -290,22 +302,28 @@ class TestFinitePartEstimate:
     @pytest.mark.parametrize("ratio", RATIOS)
     @pytest.mark.parametrize("nu, mu", [(0.3, -0.3), (-0.9, -0.9), (2.3, 2.3)])
     def test_windows_stay_in_the_series_range(self, monkeypatch, nu, mu, ratio):
-        # every quadrature range and every bracket argument stays at
-        # max(p, p') r <= 3 pi/2, below the kernels' Hankel switch at 12
+        # every cell end and every bracket argument stays at max(p, p') r <=
+        # 3 pi/2 at unit scale, below the kernels' Hankel switch at 12
         ends = []
         args = []
 
-        def quad(nu, mu, p, pp, lo, hi, tol, budget):
+        def series(nu, mu, p, pp, c):
+            ends.append(c * max(p, pp))
+            return origin_cell(nu, mu, p, pp, c)
+
+        def panel(nu, mu, p, pp, lo, hi):
             ends.append(hi * max(p, pp))
-            return product_quad(nu, mu, p, pp, lo, hi, tol, budget)
+            return panel_kernel(nu, mu, p, pp, lo, hi)
 
         def kernel(order, x):
             args.append(x)
             return bessel_kernel(order, x)
 
-        product_quad = abmodes.overlap.product_quad
+        origin_cell = _quad._origin_cell
+        panel_kernel = _quad.product_panel_kernel
         bessel_kernel = abmodes.specfun.bessel_kernel
-        monkeypatch.setattr(abmodes.overlap, "product_quad", quad)
+        monkeypatch.setattr(_quad, "_origin_cell", series)
+        monkeypatch.setattr(_quad, "product_panel_kernel", panel)
         monkeypatch.setattr(abmodes.specfun, "bessel_kernel", kernel)
         finite_part_estimate(nu, mu, 1.1, 1.1 * ratio)
         assert len(ends) == 3 and len(args) == 12
@@ -340,6 +358,43 @@ class TestFinitePartEstimate:
         value, _ = finite_part_estimate(0.3, -0.3, p, p * ratio)
         ref = mp_finite_part(0.3, p, p * ratio)
         assert abs(value - ref) <= 1e-14 * abs(ref)
+
+    @pytest.mark.parametrize("ratio", [1e-10, 1e-20, 1e-48])
+    @pytest.mark.parametrize("nu", [0.7, 0.95, 0.3, -0.7])
+    def test_extreme_ratios(self, nu, ratio):
+        # the scaling leaves a factor (p/p')^d of the integrand's size; with
+        # each window integrated adaptively to an absolute tolerance, orders
+        # (0.7, -0.7), (0.95, -0.95) and (0.3, -0.3) ran out of 200,000
+        # panels at some of these ratios (about 40 s a call)
+        value, _ = finite_part_estimate(nu, -nu, 1.0, ratio)
+        with mpmath.workdps(40):
+            d, pp = mpmath.mpf(nu), mpmath.mpf(ratio)
+            ref = float(2 * mpmath.sin(mpmath.pi * d) / (mpmath.pi * (1 - pp * pp)) / pp**d)
+        assert abs(value - ref) <= 1e-13 * abs(ref)
+
+    def test_spread_gate(self):
+        # equal orders far from the diagonal: the three Lommel values do not
+        # agree, and the estimate refuses at once instead of bisecting
+        with pytest.raises(ConvergenceError, match="spread"):
+            finite_part_estimate(-0.9, -0.9, 1.0, 1e-16)
+
+    def test_panel_disagreement_gate(self, monkeypatch):
+        # a G10 value off its K21 value by more than 1e-3 max(1, |value|),
+        # while K21 and so the value and spread are unchanged
+        panel_kernel = _quad.product_panel_kernel
+
+        def disagreeing(*args):
+            fine, coarse = panel_kernel(*args)
+            return fine, coarse + 1.0
+
+        monkeypatch.setattr(_quad, "product_panel_kernel", disagreeing)
+        with pytest.raises(ConvergenceError, match="panel disagreement"):
+            finite_part_estimate(0.3, -0.3, 1.0, 1.3)
+
+    def test_non_finite_panel_is_a_numerical_failure(self, monkeypatch):
+        monkeypatch.setattr(_quad, "product_panel_kernel", lambda *args: (math.nan, 0.0))
+        with pytest.raises(NumericalFailureError, match="not finite"):
+            finite_part_estimate(0.3, -0.3, 1.0, 1.3)
 
     def test_overflow_is_a_numerical_failure(self):
         # the finite part near 1e400 is finite at the scaled momenta and
