@@ -15,7 +15,14 @@ subcommand's own flags in the order they are declared, omitting any left at
 None and the output and tuning flags.  The one exception is `sae-ratio`,
 which echoes only the flags of the chosen --eq.  This rule is what lets each
 `scan` row, which holds the echo, re-run as one invocation with the same
-tuning flags.
+tuning flags.  A negative number is a value also as a separate token in
+exponent form (`--nu -1e-3`), or as -inf or -nan, so every number the CLI
+prints passes back as it is.
+
+`scan` parses the swept subcommand once, with its fixed flags and the first
+grid point, and then converts each grid value once per grid, by its flag's
+type and choices as argparse would; a row is the parsed flags with the grid
+values put in.  A bad grid value therefore exits 2 before any row runs.
 
 Floats are serialized with Python's shortest round-trip representation, so
 every printed number parses back to the exact double that was computed.
@@ -30,6 +37,7 @@ import io
 import itertools
 import json
 import math
+import re
 import sys
 from dataclasses import replace
 
@@ -70,6 +78,13 @@ _EXIT_NUMERICAL = 3
 # scan holds its rows until the CSV header is known: a cap on their number
 _MAX_SCAN_ROWS = 100_000
 
+# a float literal after a minus sign, as float() reads it: -1, -1.5, -.5,
+# -1e-3, -inf, -nan.  argparse's own matcher knows only the first three and
+# takes the others for options ("expected one argument")
+_NEGATIVE_NUMBER = re.compile(
+    r"-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf(inity)?|nan)\Z", re.IGNORECASE
+)
+
 
 class _CliParseError(InvalidInputError):
     pass
@@ -79,12 +94,15 @@ class _Parser(argparse.ArgumentParser):
     """argparse that raises instead of exiting, so errors serialize uniformly.
 
     Abbreviated flags are disabled: scan forwards unrecognized flags to the
-    swept subcommand, and prefix matching would capture them.
+    swept subcommand, and prefix matching would capture them.  Every negative
+    float literal is a value, so that each number the CLI prints passes back
+    as a separate token; no flag looks like a number.
     """
 
     def __init__(self, *args, **kwargs):
         kwargs.setdefault("allow_abbrev", False)
         super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
 
     def error(self, message):
         raise _CliParseError(message)
@@ -364,10 +382,11 @@ def _build_parser():
     )
     sp.add_argument("--format", default="json", choices=("json", "csv"))
 
-    return parser
+    return parser, subs.choices
 
 
-_PARSER = _build_parser()
+# the top-level parser, and each subcommand's parser by its name
+_PARSER, _SUBCOMMANDS = _build_parser()
 
 
 def _inputs(args):
@@ -457,12 +476,10 @@ def _grid_points(lo, hi, n, log):
     return vals
 
 
-def _grid_flag(name, value):
-    # attached with '=' so that a small negative value is not read as an
-    # option; an integral value goes as an int, which an int flag such as
-    # --l accepts and a float flag reads back as the same double
-    text = repr(int(value)) if value.is_integer() else repr(value)
-    return f"--{name}={text}"
+def _grid_text(value):
+    # an integral value goes as an int, which an int flag such as --l
+    # accepts and a float flag reads back as the same double
+    return repr(int(value)) if value.is_integer() else repr(value)
 
 
 def _run_scan(args, fixed):
@@ -471,16 +488,34 @@ def _run_scan(args, fixed):
     grids, room = [], _MAX_SCAN_ROWS
     for spec in args.grid:
         name, values = _parse_grid(spec, room)
-        grids.append([(name, v) for v in values])
+        grids.append((name, values))
         room //= len(values)
     fixed = [tok for tok in fixed if tok != "--"]
+    # one parse, at the first grid point, checks the fixed flags, the grid
+    # names, the required flags and flags that take no value
+    base = vars(_PARSER.parse_args(
+        [args.sub, *fixed, *(f"--{name}={_grid_text(values[0])}" for name, values in grids)]
+    ))
+    # then each grid value is converted once, by its flag's type and
+    # choices, as argparse converts it.  The inner grid is converted first:
+    # the first rows take the outer grid's first value, already checked, over
+    # the whole inner grid, so a bad inner value is the first bad row's error
+    parser = _SUBCOMMANDS[args.sub]
+    axes = []
+    for name, values in reversed(grids):
+        action = parser._option_string_actions[f"--{name}"]
+        try:
+            axes.insert(0, [(action.dest, parser._get_values(action, [_grid_text(v)]))
+                            for v in values])
+        except argparse.ArgumentError as exc:
+            parser.error(str(exc))
     rows = []
-    # first grid outer, second inner
-    for point in itertools.product(*grids):
-        sub_args = _PARSER.parse_args(
-            [args.sub, *fixed, *(_grid_flag(name, value) for name, value in point)]
-        )
-        inputs, outputs, _ = _compute(sub_args)
+    # first grid outer, second inner; each row's namespace is the base one
+    # with the grid entries replaced, so it keeps the order of the declarations
+    for point in itertools.product(*axes):
+        sub_args = dict(base)
+        sub_args.update(point)
+        inputs, outputs, _ = _compute(argparse.Namespace(**sub_args))
         row = dict(inputs)
         row.update(outputs)
         _check_finite(row, "scan")

@@ -1,6 +1,5 @@
 """CLI: golden files, determinism, exit codes, scan reproduction."""
 
-import argparse
 import csv
 import io
 import json
@@ -125,6 +124,39 @@ def test_bessel_subcommand():
     doc = json.loads(out)
     assert doc["outputs"]["j"] == pytest.approx(2.0 / math.pi, abs=1e-12)
     assert doc["outputs"]["jprime"] == pytest.approx(-2.0 / math.pi**2, abs=1e-12)
+
+
+@pytest.mark.parametrize("argv", [
+    ["bessel", "--x", "1", "--nu", "-1e-3"],
+    ["solve-g", "--l", "1", "--phi", "0.3", "--p", "2", "--rho0", "0.5", "--target", "-6.7e-05"],
+    ["gfactor", "--channel", "n", "--enn", "0", "--delta", "0.4", "--rho0", "0.01",
+     "--alpha", "-2.5E+2"],
+])
+def test_negative_exponent_form_as_a_separate_token(capsys, argv):
+    # the CLI prints numbers such as -6.7e-05 in exponent form, and each must
+    # pass back as a token of its own
+    attached = [*argv[:-2], f"{argv[-2]}={argv[-1]}"]
+    docs = []
+    for tokens in (argv, attached):
+        assert cli.run(tokens) == 0, tokens
+        docs.append(capsys.readouterr().out)
+    assert docs[0] == docs[1]
+
+
+def test_negative_number_matcher_reads_what_float_reads(capsys):
+    for text in ("-1", "-1.5", "-.5", "-5.", "-1e-3", "-1E+300", "-.5e3", "-inf", "-Infinity",
+                 "-NaN", "-", "-e3", "-1e", "-1.e", "-1e3.5", "--1", "-x", "-1x", "-inf-", "-h"):
+        try:
+            float(text)
+        except ValueError:
+            is_float = False
+        else:
+            is_float = True
+        assert bool(cli._NEGATIVE_NUMBER.match(text)) == is_float, text
+    # -inf and -nan reach the domain check as values
+    for text in ("-inf", "-nan"):
+        assert cli.run(["bessel", "--x", "1", "--nu", text]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "DomainError"
 
 
 def test_windowed_past_the_rounding_wall():
@@ -454,8 +486,8 @@ class TestScan:
         assert gs == sorted(gs)
 
     def test_negative_grid_values(self):
-        # -3.8e-05 would read as an option if forwarded as a separate token;
-        # the integer flag --l needs its grid values forwarded as integers
+        # a small negative value in exponent form, and the integer flag --l,
+        # whose grid values must be converted as integers
         for argv, rows in (
             (["scan", "fluxshell", "--grid", "g=-3.8e-05:1.5:2", "--l", "1",
               "--phi", "0.3", "--p", "1", "--rho0", "0.1"], 2),
@@ -465,6 +497,66 @@ class TestScan:
             code, out, err = run_cli(argv)
             assert code == 0, err
             assert len(json.loads(out)["rows"]) == rows
+
+    def test_rows_match_single_runs(self, capsys):
+        # each row is {**inputs, **outputs} of the single invocation at its
+        # grid point, byte for byte, with the point given as separate tokens
+        gfactor = ["--channel", "n", "--enn", "0", "--delta", "0.5", "--rho0", "0.01"]
+        fluxshell = ["--phi", "0.3", "--p", "1", "--rho0", "0.1"]
+        for sub, grids, fixed, rows in (
+            ("gfactor", ["alpha=0.5:1.5:3"], gfactor, 3),
+            ("fluxshell", ["l=0:2:3", "g=-1.5:-1e-05:4"], fluxshell, 12),
+        ):
+            assert cli.run(["scan", sub, *(f"--grid={g}" for g in grids), *fixed]) == 0
+            doc = json.loads(capsys.readouterr().out)
+            assert len(doc["rows"]) == rows
+            names = [g.split("=")[0] for g in grids]
+            for row in doc["rows"]:
+                point = [tok for name in names for tok in (f"--{name}", repr(row[name]))]
+                assert cli.run([sub, *fixed, *point]) == 0
+                single = json.loads(capsys.readouterr().out)
+                assert json.dumps(row) == json.dumps({**single["inputs"], **single["outputs"]})
+
+    # a subcommand with its fixed flags, the grids, and the flags of the first
+    # bad grid point: of the inner grid first, as a row-by-row parse meets it
+    BAD_GRIDS = [
+        (["fluxshell", "--phi", "0.3", "--g", "0.5", "--p", "1", "--rho0", "0.1"],
+         ["l=0:1:3"], ["--l=0.5"]),
+        (["gfactor", "--alpha", "1", "--enn", "0", "--delta", "0.3", "--rho0", "0.1"],
+         ["channel=0:1:2"], ["--channel=0"]),
+        (["bessel", "--nu", "0.3", "--x", "1"], ["prime=0:1:2"], ["--prime=0"]),
+        (["bessel", "--nu", "0.3", "--x", "1"], ["bogus=0:1:2"], ["--bogus=0"]),
+        (["overlap", "--delta", "0.3", "--p", "1", "--pprime", "2"],
+         ["tol-quad=1e-9:1e-8:2"], ["--tol-quad=1e-09"]),
+        (["windowed", "--nu", "0.3", "--mu", "0.3", "--p", "1", "--pprime", "2",
+          "--window", "1"], ["tol-quad=1e-9:-1:2"], ["--tol-quad=-1"]),
+        (["sae-ratio", "--eq", "dirac", "--alpha", "1", "--delta", "0.3"],
+         ["enn=0:1:3", "s=1:-1:3"], ["--enn=0", "--s=0"]),
+    ]
+
+    @pytest.mark.parametrize("argv, grids, point", BAD_GRIDS,
+                             ids=[f"{a[0]} {' '.join(g)}" for a, g, _ in BAD_GRIDS])
+    def test_invalid_grids_keep_their_error(self, capsys, argv, grids, point):
+        # argparse's message for the bad point given as plain flags, built
+        # here because its wording differs between Python versions
+        with pytest.raises(cli._CliParseError) as plain:
+            cli._PARSER.parse_args([*argv, *point])
+        code = cli.run(["scan", argv[0], *(f"--grid={g}" for g in grids), *argv[1:]])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1
+        assert json.loads(err) == {"error": "_CliParseError", "message": str(plain.value)}
+
+    def test_bad_grid_value_exits_before_any_row(self, capsys):
+        # the row (l=0, g=1) is resonant on its own (exit 3), but the grid's
+        # l=0.5 is refused before any row runs
+        fixed = ["--phi", "0.3", "--p", "1", "--rho0", "0.1"]
+        assert cli.run(["fluxshell", "--l=0", "--g=1", *fixed]) == 3
+        capsys.readouterr()
+        assert cli.run(["scan", "fluxshell", "--grid=l=0:1:3", "--grid=g=0:1:3", *fixed]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert json.loads(err)["message"] == "argument --l: invalid int value: '0.5'"
 
     def test_grid_ends_near_the_largest_double(self):
         # hi - lo and hi / lo overflow here; the points must not
@@ -535,9 +627,6 @@ def test_nonfinite_outputs_never_serialized():
 
 # --- the CLI contract as a property: any argv exits 0, 2 or 3 with one JSON line
 
-_SUBPARSERS = next(
-    a.choices for a in cli._PARSER._actions if isinstance(a, argparse._SubParsersAction)
-)
 # flags never drawn: --out writes files, --panel-budget is pinned to its
 # minimum so that no example runs long
 _NOT_DRAWN = {"--out", "--panel-budget", "-h"}
@@ -567,7 +656,7 @@ _TEXT = {
 
 def _flag_tokens(draw, sub):
     tokens = []
-    for action in _SUBPARSERS[sub]._actions:
+    for action in cli._SUBCOMMANDS[sub]._actions:
         name = action.option_strings[0] if action.option_strings else None
         if name is None or name in _NOT_DRAWN:
             continue
@@ -588,18 +677,18 @@ def _flag_tokens(draw, sub):
 
 
 def _min_budget(sub):
-    declared = any("--panel-budget" in a.option_strings for a in _SUBPARSERS[sub]._actions)
+    declared = any("--panel-budget" in a.option_strings for a in cli._SUBCOMMANDS[sub]._actions)
     return ["--panel-budget=1000"] if declared else []
 
 
 @st.composite
 def _argv(draw):
-    sub = draw(st.sampled_from(sorted(_SUBPARSERS)))
+    sub = draw(st.sampled_from(sorted(cli._SUBCOMMANDS)))
     if sub != "scan":
         return [sub, *_flag_tokens(draw, sub), *_min_budget(sub)]
-    swept = draw(st.sampled_from(sorted(set(_SUBPARSERS) - {"scan"})))
+    swept = draw(st.sampled_from(sorted(set(cli._SUBCOMMANDS) - {"scan"})))
     numeric = [
-        a.option_strings[0][2:] for a in _SUBPARSERS[swept]._actions
+        a.option_strings[0][2:] for a in cli._SUBCOMMANDS[swept]._actions
         if a.type in (int, float, cli._tol_quad) and a.option_strings[0] not in _NOT_DRAWN
     ]
     grids = []
