@@ -4,9 +4,12 @@
  * J_nu(p r) J_mu(pp r) r; the Python twin's docstring describes the
  * algorithms.
  *
- * Each function below mirrors the Python function of the same name, one
- * arithmetic operation for one, so both return the same doubles; the tests
- * in `tests/test_backends.py` compare them with ==.  Edit the two together.
+ * Each function below mirrors the Python function of the same name (j_at
+ * mirrors `_j`, bisect_left Python's `bisect.bisect_left`), one arithmetic
+ * operation for one, so both return the same doubles; the tests in
+ * `tests/test_backends.py` compare them with ==.  Edit the two together.
+ * The Python twin's lists of Hankel terms are fixed arrays here, of
+ * HANKEL_TERMS entries, with a count of those filled.
  * `setup.py` compiles this file with -ffp-contract=off, because a fused
  * multiply-add would round once where Python rounds twice.
  *
@@ -106,12 +109,30 @@ static double gamma_(double x)
     return SQRT_TWO_PI * pow(t, z + 0.5) * exp(-t) * acc;
 }
 
-static double series(double nu, double x)
+/* Hankel's expansion of one order: coef[0..n] are the signed coefficients
+ * c_k of P and Q, growth[k-1] and small[k-1] the running bounds of term k
+ * that hankel_pq bisects, as in the Python twin's _hankel_coefficients. */
+#define HANKEL_TERMS 59
+typedef struct {
+    int n;
+    double coef[HANKEL_TERMS + 1];
+    double growth[HANKEL_TERMS];
+    double small[HANKEL_TERMS];
+} hankel_t;
+
+/* J_nu's expansion for arguments in [x_lo, x_hi], the Python twin's
+ * _expansion: the series' Gamma(nu + 1) and Hankel's coefficients. */
+typedef struct {
+    double sign, nu, g;
+    hankel_t hankel;
+} expansion_t;
+
+static double series(double nu, double x, double g)
 {
     double h = 0.5 * x;
     if (h == 0.0 && nu < 0.0)
         return NAN;
-    double t = pow(h, nu) / gamma_(nu + 1.0);
+    double t = pow(h, nu) / g;
     double s = t;
     double q = -h * h;
     double biggest = fabs(t);
@@ -127,37 +148,106 @@ static double series(double nu, double x)
     return s;
 }
 
-static void hankel_pq(double nu, double x, double *p_out, double *q_out)
+static void hankel_coefficients(double nu, double x_lo, double x_hi, hankel_t *hk)
 {
     double mu = 4.0 * nu * nu;
-    double p = 1.0, q = 0.0, t = 1.0, prev = 1.0;
-    for (int k = 1; k < 60; k++) {
-        /* m * m, as in the Python twin: exact for these small odd integers */
-        double m = 2.0 * k - 1.0;
-        t *= (mu - m * m) / (8.0 * k * x);
-        double a = fabs(t);
-        if (k > 2 && a >= prev)
-            break;
-        prev = a;
-        switch (k & 3) {
-        case 0: p += t; break;
-        case 1: q += t; break;
-        case 2: p -= t; break;
-        default: q -= t; break;
+    double c = 1.0, top = 0.0, least = INFINITY, reach = 2.0;
+    hk->n = 0;
+    hk->coef[0] = 1.0;
+    for (int k = 1; k <= HANKEL_TERMS; k++) {
+        /* (2k - 1)^2 and 8k, negated for even k, as in _HANKEL_STEPS */
+        double m2 = (double)((2 * k - 1) * (2 * k - 1));
+        double d = (k & 1) ? 8.0 * k : -8.0 * k;
+        double ratio = (mu - m2) / d;
+        if (k > 2) {
+            double r = fabs(ratio);
+            if (r >= x_hi)
+                break;
+            if (r > top)
+                top = r;
         }
-        if (a <= 1e-18)
+        c *= ratio;
+        double a = fabs(c) * 1e18;
+        /* the root only where it may reach x_hi, as in the Python twin */
+        reach *= x_hi;
+        if (a <= reach) {
+            double bound = pow(a, 1.0 / k);
+            if (bound < least)
+                least = bound;
+        }
+        hk->coef[k] = c;
+        hk->growth[k - 1] = top;
+        hk->small[k - 1] = -least;
+        hk->n = k;
+        if (least <= x_lo)
             break;
     }
-    *p_out = p;
-    *q_out = q;
 }
 
-static double asymptotic(double nu, double x)
+/* Python's bisect.bisect_left: the first i with a[i] >= x, n if none. */
+static int bisect_left(const double *a, int n, double x)
+{
+    int lo = 0, hi = n;
+    while (lo < hi) {
+        int mid = (lo + hi) / 2;
+        if (a[mid] < x)
+            lo = mid + 1;
+        else
+            hi = mid;
+    }
+    return lo;
+}
+
+static void hankel_pq(const hankel_t *hk, double x, double *p_out, double *q_out)
+{
+    int cut = bisect_left(hk->growth, hk->n, x);
+    int stop = bisect_left(hk->small, hk->n, -x) + 1;
+    if (stop < cut)
+        cut = stop;
+    double xi = 1.0 / x;
+    double y = xi * xi;
+    double p = 0.0, q = 0.0;
+    /* Horner over the even and the odd coefficients up to the cut */
+    for (int i = cut - (cut & 1); i >= 0; i -= 2)
+        p = p * y + hk->coef[i];
+    for (int i = cut - 1 + (cut & 1); i >= 1; i -= 2)
+        q = q * y + hk->coef[i];
+    *p_out = p;
+    *q_out = q * xi;
+}
+
+static double asymptotic(double nu, double x, const hankel_t *hk)
 {
     double p, q;
-    hankel_pq(nu, x, &p, &q);
+    hankel_pq(hk, x, &p, &q);
     double chi = x - (0.5 * nu + 0.25) * PI;
     return sqrt(2.0 / (PI * x)) * (cos(chi) * p - sin(chi) * q);
+}
+
+static void expansion(double nu, double x_lo, double x_hi, expansion_t *e)
+{
+    e->sign = 1.0;
+    if (nu < 0.0 && nu == floor(nu)) {
+        e->sign = ((long)(-nu) & 1) == 0 ? 1.0 : -1.0;
+        nu = -nu;
+    }
+    e->nu = nu;
+    e->g = 0.0;
+    e->hankel.n = 0;
+    e->hankel.coef[0] = 1.0;
+    if (!(x_lo > 12.0))
+        e->g = gamma_(nu + 1.0);
+    if (!(x_hi <= 12.0))
+        hankel_coefficients(nu, x_lo > 12.0 ? x_lo : 12.0, x_hi, &e->hankel);
+}
+
+static double j_at(const expansion_t *e, double x)
+{
+    if (x == 0.0)
+        return e->sign * (e->nu == 0.0 ? 1.0 : 0.0);
+    if (x <= 12.0)
+        return e->sign * series(e->nu, x, e->g);
+    return e->sign * asymptotic(e->nu, x, &e->hankel);
 }
 
 static double bessel_j_(double nu, double x)
@@ -169,8 +259,10 @@ static double bessel_j_(double nu, double x)
     if (x == 0.0)
         return nu == 0.0 ? 1.0 : 0.0;
     if (x <= 12.0)
-        return series(nu, x);
-    return asymptotic(nu, x);
+        return series(nu, x, gamma_(nu + 1.0));
+    hankel_t hk;
+    hankel_coefficients(nu, x, x, &hk);
+    return asymptotic(nu, x, &hk);
 }
 
 /* j_0(kappa), ..., j_15(kappa); the branches of the Python twin's spherical_j. */
@@ -282,13 +374,17 @@ static PyObject *py_kronrod21_product_panel(PyObject *Py_UNUSED(module),
     double nu = a[0], mu = a[1], p = a[2], pp = a[3], lo = a[4], hi = a[5];
     double c = 0.5 * (lo + hi);
     double h = 0.5 * (hi - lo);
-    double k = K21_CENTER * (bessel_j_(nu, p * c) * bessel_j_(mu, pp * c) * c);
+    double edge = fabs(h) * GK21_NODE[9];
+    expansion_t j_nu, j_mu;
+    expansion(nu, p * (c - edge), p * (c + edge), &j_nu);
+    expansion(mu, pp * (c - edge), pp * (c + edge), &j_mu);
+    double k = K21_CENTER * (j_at(&j_nu, p * c) * j_at(&j_mu, pp * c) * c);
     double g = 0.0;
     for (int i = 0; i < 10; i++) {
         double r = c - h * GK21_NODE[i];
-        double f = bessel_j_(nu, p * r) * bessel_j_(mu, pp * r) * r;
+        double f = j_at(&j_nu, p * r) * j_at(&j_mu, pp * r) * r;
         r = c + h * GK21_NODE[i];
-        f += bessel_j_(nu, p * r) * bessel_j_(mu, pp * r) * r;
+        f += j_at(&j_nu, p * r) * j_at(&j_mu, pp * r) * r;
         k += K21_WEIGHT[i] * f;
         g += G10_WEIGHT[i] * f;
     }
@@ -316,21 +412,25 @@ static PyObject *py_hankel_product_panel(PyObject *Py_UNUSED(module),
     double a_s[16], a_d[16];
     filon_weights(w_sum * h, a_s);
     filon_weights(w_dif * h, a_d);
+    double edge = fabs(h) * GL16_NODE[7];
+    hankel_t hk_nu, hk_mu;
+    hankel_coefficients(nu, p * (c - edge), p * (c + edge), &hk_nu);
+    hankel_coefficients(mu, pp * (c - edge), pp * (c + edge), &hk_mu);
     double cs_re = 0.0, cs_im = 0.0, ts_re = 0.0, ts_im = 0.0;
     double cd_re = 0.0, cd_im = 0.0, td_re = 0.0, td_im = 0.0;
     for (int i = 0; i < 8; i++) {
         double x = GL16_NODE[i], w = GL16_WEIGHT[i];
         double p1, q1, p2, q2;
         double r = c - h * x;
-        hankel_pq(nu, p * r, &p1, &q1);
-        hankel_pq(mu, pp * r, &p2, &q2);
+        hankel_pq(&hk_nu, p * r, &p1, &q1);
+        hankel_pq(&hk_mu, pp * r, &p2, &q2);
         double s_re = p1 * p2 - q1 * q2;
         double s_im = p1 * q2 + q1 * p2;
         double d_re = p1 * p2 + q1 * q2;
         double d_im = sign * (q1 * p2 - p1 * q2);
         r = c + h * x;
-        hankel_pq(nu, p * r, &p1, &q1);
-        hankel_pq(mu, pp * r, &p2, &q2);
+        hankel_pq(&hk_nu, p * r, &p1, &q1);
+        hankel_pq(&hk_mu, pp * r, &p2, &q2);
         double e_s_re = p1 * p2 - q1 * q2;
         double e_s_im = p1 * q2 + q1 * p2;
         double e_d_re = p1 * p2 + q1 * q2;

@@ -14,11 +14,19 @@ goes into the C as well, and `tests/test_backends.py` compares the two with
   [-1/2, 1/2] about the nearest integer.  Relative error at most 1e-14 on
   [-5, 10], next to the poles too.
 * J_nu: ascending power series for x <= 12, Hankel large-argument expansion
-  with optimal truncation (up to ~40 correction terms) for x > 12; its loop
-  squares m = 2k - 1 as m * m, exact like (2k - 1) ** 2 and about 15%
-  faster on Hankel panels.  Negative integer orders reduce to
-  J_{-m} = (-1)^m J_m.  Where x/2 underflows to 0 under a negative order
-  the series returns NaN.  On (0, 100] the error
+  with optimal truncation (up to 59 correction terms) for x > 12.  A panel
+  builds each order's expansion once, `_expansion`, for all its arguments
+  (`bessel_j` the same parts for its one argument): Gamma(nu + 1) of the
+  series, which keeps its term recurrence, order of operations and stop
+  rule at every argument; and Hankel's coefficients c_k, from which P and Q
+  are Horner sums in 1/x^2.  Each argument cuts
+  Hankel's sum where the term loop did: before the first k > 2 whose term
+  does not shrink, or after the first term <= 1e-18, found by bisecting
+  running bounds of the coefficients.  (A cut fixed per panel would be
+  faster, but the truncation errors of P and Q then share a sign and add
+  up in the slow (p - p') phase of a Hankel panel.)  Negative integer orders
+  reduce to J_{-m} = (-1)^m J_m, once per expansion.  Where x/2 underflows
+  to 0 under a negative order the series returns NaN.  On (0, 100] the error
   relative to max(|J_nu|, sqrt(2/(pi x))) is at most 1e-11 for |nu| <= 2 and
   3e-11 for |nu| <= 6, largest just around the switch at x = 12.
 * Product panel: `kronrod21_product_panel` returns the 21-point Kronrod and
@@ -29,9 +37,9 @@ goes into the C as well, and `tests/test_backends.py` compares the two with
   J_nu(x) = sqrt(2/(pi x)) (P cos chi - Q sin chi).  The integrand is then
   1/(pi sqrt(p p')) times two phases, (p + p') r and (p - p') r, with
   amplitudes P1 P2 -+ Q1 Q2 and P1 Q2 +- Q1 P2 that are smooth in r (P and
-  Q from the same loop, `_hankel_pq`, as J_nu).  Each amplitude is
-  interpolated at the 16 Gauss-Legendre nodes, expanded in Legendre
-  polynomials, and integrated term by term with
+  Q from the same coefficients and cut, `_hankel_pq`, as J_nu).  Each
+  amplitude is interpolated at the 16 Gauss-Legendre nodes, expanded in
+  Legendre polynomials, and integrated term by term with
   int_{-1}^{1} P_k(t) e^{i kappa t} dt = 2 i^k j_k(kappa), kappa the
   frequency times the half length: exact for amplitudes of degree 15 at
   any number of periods (Filon-type quadrature; Iserles and Norsett, Proc.
@@ -58,6 +66,7 @@ wraps these with validation.
 """
 
 import math
+from bisect import bisect_left
 
 _SQRT_TWO_PI = 2.5066282746310002
 
@@ -110,6 +119,7 @@ _GK21 = (
     (0.9739065285171717, 0.032558162307964725, 0.06667134430868814),
     (0.9956571630258081, 0.011694638867371874, 0.0),
 )
+_GK21_EDGE = _GK21[-1][0]
 
 # Gauss-Legendre nodes on [-1, 1], order 16 (exact to degree 31): (node x,
 # weight) for the eight symmetric pairs +-x, innermost first.
@@ -123,11 +133,19 @@ _GL16 = (
     (0.9445750230732326, 0.062253523938647894),
     (0.9894009349916499, 0.027152459411754096),
 )
+_GL16_EDGE = _GL16[-1][0]
 
 # Miller's backward recurrence for j_k starts at n = 40: at kappa = 16, the
 # worst case, the start reaches j_0..j_15 damped below 3e-23 relative
 # ((j_40/y_40)(y_k/j_k))
 _MILLER_START = 40
+
+# Hankel's expansion, term k = 1..59: (k, (2k - 1)^2, +-8k, 1/k).  The sign
+# of 8k, + for odd k and - for even k, makes the products of the term ratios
+# the signed coefficients + + - - of P and Q (exactly, as negation is exact).
+_HANKEL_STEPS = tuple(
+    (k, float((2 * k - 1) ** 2), 8.0 * k if k & 1 else -8.0 * k, 1.0 / k) for k in range(1, 60)
+)
 
 
 def sinpi(x):
@@ -150,15 +168,46 @@ def gamma(x):
     return _SQRT_TWO_PI * t ** (z + 0.5) * math.exp(-t) * acc
 
 
-def _series(nu, x):
-    # ascending series; term recurrence t_k = -t_{k-1} (x/2)^2 / (k (nu+k)).
-    # nu must not be a negative integer (gamma pole); bessel_j reduces those.
+def _expansion(nu, x_lo, x_hi):
+    """J_nu's expansion for arguments in [x_lo, x_hi], built once for all of them.
+
+    (sign, nu, g, hankel): a negative integer order reflected,
+    J_{-m} = (-1)^m J_m; Gamma(nu + 1) for the series (when x_lo <= 12);
+    Hankel's coefficients for the arguments above 12 (when x_hi > 12).
+    `_j` evaluates it at one argument.
+    """
+    sign = 1.0
+    if nu < 0.0 and nu == math.floor(nu):
+        sign = 1.0 if (int(-nu) & 1) == 0 else -1.0
+        nu = -nu
+    g = hankel = None
+    if not x_lo > 12.0:
+        g = gamma(nu + 1.0)
+    if not x_hi <= 12.0:
+        hankel = _hankel_coefficients(nu, x_lo if x_lo > 12.0 else 12.0, x_hi)
+    return sign, nu, g, hankel
+
+
+def _j(expansion, x):
+    """J_nu(x) from `_expansion(nu, x_lo, x_hi)`, x in [x_lo, x_hi]."""
+    sign, nu, g, hankel = expansion
+    if x == 0.0:
+        return sign * (1.0 if nu == 0.0 else 0.0)
+    if x <= 12.0:
+        return sign * _series(nu, x, g)
+    return sign * _asymptotic(nu, x, hankel)
+
+
+def _series(nu, x, g):
+    # ascending series; term recurrence t_k = -t_{k-1} (x/2)^2 / (k (nu+k)),
+    # g = Gamma(nu + 1).  nu must not be a negative integer (gamma pole);
+    # _expansion and bessel_j reduce those.
     h = 0.5 * x
     if h == 0.0 and nu < 0.0:
         # x/2 underflowed to 0, where h**nu has no finite value (Python's
         # power raises, C's is inf and the series inf * 0): NaN in both twins
         return math.nan
-    t = h**nu / gamma(nu + 1.0)
+    t = h**nu / g
     s = t
     q = -h * h
     biggest = abs(t)
@@ -173,54 +222,93 @@ def _series(nu, x):
     return s
 
 
-def _hankel_pq(nu, x):
-    # Hankel's P and Q of J_nu ~ sqrt(2/(pi x)) (P cos chi - Q sin chi).
-    # Terms may grow once before decaying (large nu), hence the k > 2 guard;
-    # stop at the smallest term (optimal truncation of the divergent tail).
+def _hankel_coefficients(nu, x_lo, x_hi):
+    # Hankel's P = sum_i c_2i y^i and Q = x^-1 sum_i c_2i+1 y^i, y = x^-2,
+    # with c_k = +-a_k, a_k = prod_{j <= k} (4 nu^2 - (2j - 1)^2)/(8j), the
+    # signs + + - - by k mod 4: term k is a_k x^-k.  Each argument sums up
+    # to its own cut, that of optimal truncation of the divergent tail: it
+    # stops before the first k > 2 whose term does not shrink, |a_k/a_k-1|
+    # >= x (terms may grow once before decaying, for large nu), or after the
+    # first term <= 1e-18, x >= (1e18 |a_k|)^(1/k).  `growth` holds the
+    # running maximum of |a_k/a_k-1| from k = 3 on (0 before), `small` minus
+    # the running minimum of (1e18 |a_k|)^(1/k), both ascending, so that
+    # `_hankel_pq` bisects them for the first k to meet either rule.  The
+    # lists end at x_hi's growth cut or at x_lo's 1e-18 cut, past which no
+    # argument in [x_lo, x_hi] sums.
     mu = 4.0 * nu * nu
-    p = 1.0
+    coef = [1.0]
+    growth = []
+    small = []
+    c = 1.0
+    top = 0.0
+    least = math.inf
+    reach = 2.0
+    for k, m2, d, inv_k in _HANKEL_STEPS:
+        ratio = (mu - m2) / d
+        if k > 2:
+            r = abs(ratio)
+            if r >= x_hi:
+                break
+            if r > top:
+                top = r
+        c *= ratio
+        a = abs(c) * 1e18
+        # the root only where it may reach x_hi: above reach = 2 x_hi^k it
+        # exceeds x_hi by 2^(1/k) >= 1.0118, far more than the rounding, so
+        # it cuts no argument in the range and is left out of the minimum
+        reach *= x_hi
+        if a <= reach:
+            bound = a**inv_k
+            if bound < least:
+                least = bound
+        coef.append(c)
+        growth.append(top)
+        small.append(-least)
+        if least <= x_lo:
+            break
+    return coef, growth, small
+
+
+def _hankel_pq(hankel, x):
+    # Hankel's P and Q of J_nu ~ sqrt(2/(pi x)) (P cos chi - Q sin chi), by
+    # Horner in 1/x^2 over the terms up to x's cut
+    coef, growth, small = hankel
+    cut = bisect_left(growth, x)
+    stop = bisect_left(small, -x) + 1
+    if stop < cut:
+        cut = stop
+    xi = 1.0 / x
+    y = xi * xi
+    p = 0.0
+    for c in reversed(coef[0 : cut + 1 : 2]):
+        p = p * y + c
     q = 0.0
-    t = 1.0
-    prev = 1.0
-    for k in range(1, 60):
-        # m * m is exact for these small odd integers, and cheaper than ** 2
-        m = 2.0 * k - 1.0
-        t *= (mu - m * m) / (8.0 * k * x)
-        a = abs(t)
-        if k > 2 and a >= prev:
-            break
-        prev = a
-        r = k & 3
-        if r == 0:
-            p += t
-        elif r == 1:
-            q += t
-        elif r == 2:
-            p -= t
-        else:
-            q -= t
-        if a <= 1e-18:
-            break
-    return p, q
+    for c in reversed(coef[1 : cut + 1 : 2]):
+        q = q * y + c
+    return p, q * xi
 
 
-def _asymptotic(nu, x):
+def _asymptotic(nu, x, hankel):
     # Hankel expansion J_nu ~ sqrt(2/(pi x)) (P cos chi - Q sin chi)
-    p, q = _hankel_pq(nu, x)
+    p, q = _hankel_pq(hankel, x)
     chi = x - (0.5 * nu + 0.25) * math.pi
     return math.sqrt(2.0 / (math.pi * x)) * (math.cos(chi) * p - math.sin(chi) * q)
 
 
 def bessel_j(nu, x):
-    """J_nu(x) for real order and x >= 0 (x = 0 only with nu >= 0)."""
+    """J_nu(x) for real order and x >= 0 (x = 0 only with nu >= 0).
+
+    `_j(_expansion(nu, x, x), x)` spelled out for one argument: the same
+    reflection, series and Hankel sum, with no tuple to build.
+    """
     if nu < 0.0 and nu == math.floor(nu):
         sign = 1.0 if (int(-nu) & 1) == 0 else -1.0
         return sign * bessel_j(-nu, x)
     if x == 0.0:
         return 1.0 if nu == 0.0 else 0.0
     if x <= 12.0:
-        return _series(nu, x)
-    return _asymptotic(nu, x)
+        return _series(nu, x, gamma(nu + 1.0))
+    return _asymptotic(nu, x, _hankel_coefficients(nu, x, x))
 
 
 def gauss15_product_panel(nu, mu, p, pp, lo, hi):
@@ -238,13 +326,18 @@ def kronrod21_product_panel(nu, mu, p, pp, lo, hi):
     """(Kronrod 21, Gauss 10) estimates of int_lo^hi J_nu(p r) J_mu(pp r) r dr."""
     c = 0.5 * (lo + hi)
     h = 0.5 * (hi - lo)
-    k = _K21_CENTER * (bessel_j(nu, p * c) * bessel_j(mu, pp * c) * c)
+    # each order's expansion once, for the arguments between those of the
+    # outermost nodes, where every node's lies (lo > hi too: hence abs)
+    edge = abs(h) * _GK21_EDGE
+    j_nu = _expansion(nu, p * (c - edge), p * (c + edge))
+    j_mu = _expansion(mu, pp * (c - edge), pp * (c + edge))
+    k = _K21_CENTER * (_j(j_nu, p * c) * _j(j_mu, pp * c) * c)
     g = 0.0
     for x, wk, wg in _GK21:
         r = c - h * x
-        f = bessel_j(nu, p * r) * bessel_j(mu, pp * r) * r
+        f = _j(j_nu, p * r) * _j(j_mu, pp * r) * r
         r = c + h * x
-        f += bessel_j(nu, p * r) * bessel_j(mu, pp * r) * r
+        f += _j(j_nu, p * r) * _j(j_mu, pp * r) * r
         k += wk * f
         g += wg * f
     return k * h, g * h
@@ -328,19 +421,23 @@ def hankel_product_panel(nu, mu, p, pp, lo, hi):
         sign = -1.0
     a_s = _filon_weights(w_sum * h)
     a_d = _filon_weights(w_dif * h)
+    # each order's coefficients once, as in kronrod21_product_panel
+    edge = abs(h) * _GL16_EDGE
+    hk_nu = _hankel_coefficients(nu, p * (c - edge), p * (c + edge))
+    hk_mu = _hankel_coefficients(mu, pp * (c - edge), pp * (c + edge))
     # sums over the node pairs, (coarse, tail) x (real, imaginary) x (s, d)
     cs_re = cs_im = ts_re = ts_im = cd_re = cd_im = td_re = td_im = 0.0
     for x, w in _GL16:
         r = c - h * x
-        p1, q1 = _hankel_pq(nu, p * r)
-        p2, q2 = _hankel_pq(mu, pp * r)
+        p1, q1 = _hankel_pq(hk_nu, p * r)
+        p2, q2 = _hankel_pq(hk_mu, pp * r)
         s_re = p1 * p2 - q1 * q2
         s_im = p1 * q2 + q1 * p2
         d_re = p1 * p2 + q1 * q2
         d_im = sign * (q1 * p2 - p1 * q2)
         r = c + h * x
-        p1, q1 = _hankel_pq(nu, p * r)
-        p2, q2 = _hankel_pq(mu, pp * r)
+        p1, q1 = _hankel_pq(hk_nu, p * r)
+        p2, q2 = _hankel_pq(hk_mu, pp * r)
         # even (e) and odd (o) parts of the amplitudes about the center:
         # F(x) + F(-x) and F(x) - F(-x)
         e_s_re = p1 * p2 - q1 * q2

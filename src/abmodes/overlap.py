@@ -318,11 +318,18 @@ def _solve_normal_equations(rows, ys):
     m = len(rows[0])
     ata = [[0.0] * m for _ in range(m)]
     atb = [0.0] * m
+    # the upper triangle only, mirrored below: products commute exactly and
+    # each sum keeps its order, so the doubles are those of the full square
     for row, y in zip(rows, ys):
         for i in range(m):
-            atb[i] += row[i] * y
-            for j in range(m):
-                ata[i][j] += row[i] * row[j]
+            a = row[i]
+            atb[i] += a * y
+            ata_i = ata[i]
+            for j in range(i, m):
+                ata_i[j] += a * row[j]
+    for i in range(1, m):
+        for j in range(i):
+            ata[i][j] = ata[j][i]
     aug = [ata[i] + [atb[i]] for i in range(m)]
     for c in range(m):
         piv = max(range(c, m), key=lambda r: abs(aug[r][c]))

@@ -92,15 +92,52 @@ def test_underflowed_half_argument_alike(kernels_c):
         assert math.isnan(_kernels_py.bessel_j(nu, 5e-324))
 
 
+# orders where the expansions branch: negative integers (reflected once per
+# panel) and half-integers (a Hankel coefficient is exactly 0)
+SPECIAL_ORDERS = [-5.0, -4.0, -3.0, -2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.5, 3.5, 4.5, 5.5]
+
+
+def cut_rule(nu, x):
+    """The rule that ends Hankel's sum for J_nu(x): "growth" or "1e-18"."""
+    _, _, small = _kernels_py._hankel_coefficients(nu, x, x)
+    return "1e-18" if -small[-1] <= x else "growth"
+
+
+def straddling_panels(rng, n, x_lo, x_hi):
+    """(p, lo, hi) with p lo in x_lo and p hi in x_hi, both (low, high) ranges."""
+    for _ in range(n):
+        p = rng.uniform(0.1, 5.0)
+        yield p, rng.uniform(*x_lo) / p, rng.uniform(*x_hi) / p
+
+
 def test_panel_agreement(kernels_c):
     rng = random.Random(3)
+    panels = []
     for _ in range(500):
         nu, mu = rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0)
         p, pp = rng.uniform(0.1, 5.0), rng.uniform(0.1, 5.0)
         lo = rng.uniform(0.01, 50.0)
-        args = (nu, mu, p, pp, lo, lo + rng.uniform(0.01, 5.0))
-        assert kernels_c.kronrod21_product_panel(*args) == _kernels_py.kronrod21_product_panel(*args)
-        assert kernels_c.gauss15_product_panel(*args) == _kernels_py.gauss15_product_panel(*args)
+        panels.append((nu, mu, p, pp, lo, lo + rng.uniform(0.01, 5.0)))
+    # one order's arguments straddle the switch at x = 12, the other's stay
+    # below it; then orders where the expansions branch; then arguments
+    # across the switch between the cut's growth and 1e-18 rules (x near 20)
+    for p, lo, hi in straddling_panels(rng, 200, (9.0, 11.9), (12.1, 15.0)):
+        nu, mu = rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0)
+        panels.append((nu, mu, p, 12.0 / hi * rng.uniform(0.1, 0.99), lo, hi))
+    for _ in range(300):
+        nu, mu = rng.choice(SPECIAL_ORDERS), rng.choice(SPECIAL_ORDERS + [rng.uniform(-5.0, 5.0)])
+        p, pp = rng.uniform(0.1, 5.0), rng.uniform(0.1, 5.0)
+        lo = rng.uniform(0.01, 50.0)
+        panels.append((nu, mu, p, pp, lo, lo + rng.uniform(0.01, 5.0)))
+    rules = set()
+    for p, lo, hi in straddling_panels(rng, 200, (14.0, 18.0), (22.0, 30.0)):
+        nu, mu = rng.uniform(-0.999, 6.0), rng.uniform(-0.999, 6.0)
+        rules.add((cut_rule(nu, p * lo), cut_rule(nu, p * hi)))
+        panels.append((nu, mu, p, p * rng.uniform(0.8, 1.25), lo, hi))
+    assert ("growth", "1e-18") in rules
+    for args in panels:
+        assert kernels_c.kronrod21_product_panel(*args) == _kernels_py.kronrod21_product_panel(*args), args
+        assert kernels_c.gauss15_product_panel(*args) == _kernels_py.gauss15_product_panel(*args), args
 
 
 def test_hankel_panel_agreement(kernels_c):
@@ -108,6 +145,7 @@ def test_hankel_panel_agreement(kernels_c):
     # p = p' (kappa = 0 in the difference phase) and every fifth p'/p just
     # above 1 (the leading-term and Miller branches of spherical_j)
     rng = random.Random(4)
+    panels = []
     for i in range(500):
         nu, mu = rng.uniform(-0.999, 6.0), rng.uniform(-0.999, 6.0)
         p = rng.uniform(0.1, 5.0)
@@ -118,8 +156,22 @@ def test_hankel_panel_agreement(kernels_c):
         else:
             pp = rng.uniform(0.1, 5.0)
         lo = 12.0 / min(p, pp) * rng.uniform(1.0, 100.0)
-        args = (nu, mu, p, pp, lo, lo * rng.uniform(1.001, 2.0))
-        assert kernels_c.hankel_product_panel(*args) == _kernels_py.hankel_product_panel(*args)
+        panels.append((nu, mu, p, pp, lo, lo * rng.uniform(1.001, 2.0)))
+    # orders where the expansion branches, then arguments across the switch
+    # between the cut's growth and 1e-18 rules
+    for _ in range(200):
+        nu, mu = rng.choice(SPECIAL_ORDERS), rng.choice(SPECIAL_ORDERS)
+        p, pp = rng.uniform(0.1, 5.0), rng.uniform(0.1, 5.0)
+        lo = 12.0 / min(p, pp) * rng.uniform(1.0, 10.0)
+        panels.append((nu, mu, p, pp, lo, lo * rng.uniform(1.001, 2.0)))
+    rules = set()
+    for p, lo, hi in straddling_panels(rng, 200, (14.0, 18.0), (22.0, 30.0)):
+        nu, mu = rng.uniform(-0.999, 6.0), rng.uniform(-0.999, 6.0)
+        rules.add((cut_rule(nu, p * lo), cut_rule(nu, p * hi)))
+        panels.append((nu, mu, p, p * rng.uniform(1.0, 1.25), lo, hi))
+    assert ("growth", "1e-18") in rules
+    for args in panels:
+        assert kernels_c.hankel_product_panel(*args) == _kernels_py.hankel_product_panel(*args), args
 
 
 @pytest.mark.parametrize(

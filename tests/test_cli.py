@@ -586,6 +586,20 @@ class TestScan:
         assert cli.run(["scan", "gfactor", "--grid=alpha=0.5:1.5:10", *fixed]) == 0
         assert len(json.loads(capsys.readouterr().out)["rows"]) == 10
 
+    def test_fixed_flag_before_the_swept_subcommand(self):
+        # SUB comes before the fixed flags it forwards: a flag put before it
+        # leaves its value to be read as SUB, and the scan exits 2 with one
+        # JSON line naming that choice
+        code, out, err = run_cli(
+            ["scan", "--delta", "0.5", "gfactor", "--grid", "alpha=1:2:2", "--channel", "n",
+             "--enn", "0", "--rho0", "0.01"]
+        )
+        assert (code, out) == (2, b"")
+        assert err.count(b"\n") == 1
+        doc = json.loads(err)
+        assert doc["error"] == "_CliParseError"
+        assert "argument sub: invalid choice: '0.5'" in doc["message"]
+
     def test_bad_grid_spec(self):
         code, _, err = run_cli(["scan", "gfactor", "--grid", "alpha=oops"])
         assert code == 2

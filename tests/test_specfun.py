@@ -224,18 +224,36 @@ class TestBesselJ:
                 )
                 assert abs(w) <= 1e-9 * (2.0 / (math.pi * x))
 
+    @pytest.mark.parametrize("x_lo, x_hi", [(12.0, 13.0), (12.0, 400.0), (1e-3, 13.0)])
+    def test_panel_expansion_matches_single_calls(self, x_lo, x_hi):
+        # an order's expansion, built once for a panel's arguments, gives each
+        # argument the double of a single call: Hankel's sum stops at every
+        # argument's own cut, not at one fixed for the range
+        rng = random.Random(21)
+        orders = [0.0, 0.5, 1.0, 1.5, 2.5, 6.0] + [rng.uniform(-0.999, 6.0) for _ in range(30)]
+        for nu in orders:
+            expansion = _kernels_py._expansion(nu, x_lo, x_hi)
+            xs = [x_lo, x_hi] + [rng.uniform(x_lo, x_hi) for _ in range(60)]
+            for x in xs:
+                assert _kernels_py._j(expansion, x) == _kernels_py.bessel_j(nu, x), (nu, x)
+
     def test_series_asymptotic_crossover_agreement(self):
         # both evaluation paths agree across the switch at x = 12
+        def both(nu, x):
+            series = _kernels_py._series(nu, x, _kernels_py.gamma(nu + 1.0))
+            hankel = _kernels_py._hankel_coefficients(nu, x, x)
+            return series, _kernels_py._asymptotic(nu, x, hankel)
+
         for nu in [0.1, 0.9, 1.5, 1.9, -0.7, -1.9]:
             for i in range(81):
                 x = 10.0 + 4.0 * i / 80.0
-                d = abs(_kernels_py._series(nu, x) - _kernels_py._asymptotic(nu, x))
-                assert d <= 1e-10
+                series, asymptotic = both(nu, x)
+                assert abs(series - asymptotic) <= 1e-10
         for nu in [2.5, 3.5, 4.5, 5.05, -4.3]:
             for i in range(61):
                 x = 11.0 + 3.0 * i / 60.0
-                d = abs(_kernels_py._series(nu, x) - _kernels_py._asymptotic(nu, x))
-                assert d <= 1e-10
+                series, asymptotic = both(nu, x)
+                assert abs(series - asymptotic) <= 1e-10
 
 
 class TestBesselJPrime:
