@@ -252,17 +252,9 @@ static double j_at(const expansion_t *e, double x)
 
 static double bessel_j_(double nu, double x)
 {
-    if (nu < 0.0 && nu == floor(nu)) {
-        double sign = ((long)(-nu) & 1) == 0 ? 1.0 : -1.0;
-        return sign * bessel_j_(-nu, x);
-    }
-    if (x == 0.0)
-        return nu == 0.0 ? 1.0 : 0.0;
-    if (x <= 12.0)
-        return series(nu, x, gamma_(nu + 1.0));
-    hankel_t hk;
-    hankel_coefficients(nu, x, x, &hk);
-    return asymptotic(nu, x, &hk);
+    expansion_t e;
+    expansion(nu, x, x, &e);
+    return j_at(&e, x);
 }
 
 /* j_0(kappa), ..., j_15(kappa); the branches of the Python twin's spherical_j. */

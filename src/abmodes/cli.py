@@ -19,9 +19,6 @@ tuning flags.  A negative number is a value also as a separate token in
 exponent form (`--nu -1e-3`), or as -inf or -nan, so every number the CLI
 prints passes back as it is.
 
-`scan SUB` takes the swept subcommand before the fixed flags it forwards: a
-fixed flag and its value put before SUB (`scan --delta 0.5 gfactor ...`)
-leave the value to be read as SUB, and the scan exits 2.
 `scan` parses the swept subcommand once, with its fixed flags and the first
 grid point, and then converts each grid value once per grid, by its flag's
 type and choices as argparse would; a row is the parsed flags with the grid
@@ -378,9 +375,7 @@ def _build_parser():
         "it forwards: in scan --delta 0.5 gfactor ... the value 0.5 is read "
         "as SUB, and the scan exits 2.",
     )
-    sp.add_argument(
-        "sub", choices=sweepable, help="subcommand to sweep, before the fixed flags it forwards"
-    )
+    sp.add_argument("sub", choices=sweepable, help="subcommand to sweep")
     sp.add_argument(
         "--grid",
         action="append",
