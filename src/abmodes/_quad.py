@@ -33,23 +33,23 @@ Where both p rho and p' rho exceed 12, `hankel_quad` takes over: the
 kernels' Filon-Legendre panel (`hankel_product_panel`) integrates Hankel's
 expansion over any number of periods, so its cells double in length from
 the lower end and their number grows with the log of the range.  It
-returns a (value, coarse) pair like G10/K21, and the same loop, `_accepted`,
-accepts and bisects both kinds of cell by the same rule and spends the same
-budget.  `hankel_quad` refuses a range whose upper end the doubles cannot
-place: an ulp of hi moves the integral by up to ulp(hi) 2/(pi sqrt(p p')),
-and when that exceeds tol, or (p + p') hi overflows, it raises
-ConvergenceError before the first panel.
+returns a (value, coarse) pair like G10/K21, refused the same way unless the
+value is finite, and the same loop, `_adaptive_sum`, accepts and bisects both
+kinds of cell by the same rule and spends the same budget.  `hankel_quad`
+refuses a range whose upper end the doubles cannot place: an ulp of hi moves
+the integral by up to ulp(hi) 2/(pi sqrt(p p')), and when that exceeds tol,
+or (p + p') hi overflows, it raises ConvergenceError before the first panel.
 
 Accepted contributions are summed by math.fsum, correctly rounded, so the
-result does not depend on their order.
+result does not depend on their order; a sum past the range of doubles
+raises NumericalFailureError.
 
-An optional scalar weight(rho) multiplies the integrand, and extra_breaks
-force cell boundaries; weighted panels run the same pair through the Python
-node loop, with no series cell at the origin, and unweighted ones through
-`cell`.  No code in the package passes either.  They stay only because the
-benchmark's tracer wraps `_weighted_panel` (without it its quad.panels would
-read as unmeasured) and a benchmark test passes extra_breaks; both go with
-the next change to the benchmark.
+`product_quad`'s extra_breaks force cell boundaries.  No code in the package
+passes them; they stay only because a benchmark test does.
+`_weighted_panel`, the G10/K21 pair of a weighted integrand through the
+Python node loop, has no caller; it stays only because the benchmark's
+tracer wraps it, and without it its quad.panels would read as unmeasured.
+Both go with the next change to the benchmark.
 """
 
 import math
@@ -197,13 +197,12 @@ def product_quad(
     hi: float,
     tol: float,
     budget: PanelBudget,
-    weight=None,
     extra_breaks=(),
 ) -> float:
-    """Adaptive integral of J_nu(p r) J_mu(pp r) r [* weight(r)] over [lo, hi].
+    """Adaptive integral of J_nu(p r) J_mu(pp r) r over [lo, hi].
 
     tol is an absolute target for this range; each cell gets a length-
-    proportional share.  extra_breaks force cell boundaries (weight kinks).
+    proportional share.  extra_breaks force cell boundaries.
     """
     if hi <= lo:
         return 0.0
@@ -224,12 +223,9 @@ def product_quad(
     breaks = sorted(breaks)
 
     def panel(a, b):
-        if weight is None:
-            return cell(nu, mu, p, pp, a, b)
-        return _weighted_panel(nu, mu, p, pp, a, b, weight)
+        return cell(nu, mu, p, pp, a, b)
 
-    cells = zip(breaks, breaks[1:])
-    return math.fsum(_accepted(panel, cells, tol, hi - lo, budget, (nu, mu, p, pp)))
+    return _adaptive_sum(panel, zip(breaks, breaks[1:]), tol, hi - lo, budget)
 
 
 def hankel_quad(
@@ -269,26 +265,25 @@ def hankel_quad(
         a = b
 
     def panel(a, b):
-        return hankel_panel_kernel(nu, mu, p, pp, a, b)
+        return _finite(hankel_panel_kernel(nu, mu, p, pp, a, b), a, b, nu, mu, p, pp)
 
-    return math.fsum(_accepted(panel, cells, tol, hi - lo, budget, (nu, mu, p, pp)))
+    return _adaptive_sum(panel, cells, tol, hi - lo, budget)
 
 
-def _accepted(panel, cells, tol, total, budget, orders_and_momenta):
-    """Values of the cells, each bisected until its pieces meet their shares.
+def _adaptive_sum(panel, cells, tol, total, budget):
+    """Sum of the cells, each bisected until its pieces meet their shares.
 
-    panel(a, b) returns a (fine, coarse) pair of estimates; a piece [a, b]
-    is accepted, at its fine value, when |fine - coarse| <= tol (b - a)/total.
-    One panel is spent per cell and two per bisection.
+    panel(a, b) returns a (fine, coarse) pair of estimates, fine finite; a
+    piece [a, b] is accepted, at its fine value, when |fine - coarse| <=
+    tol (b - a)/total.  One panel is spent per cell and two per bisection.
+    NumericalFailureError when the finite pieces sum past the doubles.
     """
     pieces = []
     for a, b in cells:
         budget.spend()
         stack = [(a, b, panel(a, b))]
         while stack:
-            a, b, estimates = stack.pop()
-            # bisection cannot make a NaN or infinite cell finite
-            fine, coarse = _finite(estimates, a, b, *orders_and_momenta)
+            a, b, (fine, coarse) = stack.pop()
             if abs(fine - coarse) <= tol * (b - a) / total:
                 pieces.append(fine)
             else:
@@ -296,4 +291,9 @@ def _accepted(panel, cells, tol, total, budget, orders_and_momenta):
                 budget.spend(2)
                 stack.append((mid, b, panel(mid, b)))
                 stack.append((a, mid, panel(a, mid)))
-    return pieces
+    try:
+        return math.fsum(pieces)
+    except OverflowError:  # fsum's "intermediate overflow"
+        raise NumericalFailureError(
+            f"the {len(pieces)} accepted cells sum past the range of doubles"
+        ) from None

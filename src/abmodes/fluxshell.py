@@ -222,11 +222,14 @@ def g_from_alpha(
 
     Exact special values: alpha = 0, N = 0 gives g = -1; channel N+1 with
     alpha = 0 and N >= 0 gives g = +1.  DegenerateDenominatorError at the
-    isolated negative-alpha combinations where the denominator vanishes.
+    isolated negative-alpha combinations where the denominator vanishes, and
+    where it underflows to 0 (alpha = 0 at rho0 = 5e-324).
     """
     shell, ext, lead_in, lead_out, nd = _dictionary_parts(ep, flux, rho0, M)
     den = shell - ext
-    if abs(den) < 1e-14 * (abs(shell) + abs(ext)):
+    # nd * den == 0: both parts of den underflowed, where the relative test
+    # reads 0 < 0, or their product did
+    if abs(den) < 1e-14 * (abs(shell) + abs(ext)) or nd * den == 0.0:
         raise DegenerateDenominatorError(
             f"dictionary denominator vanishes (alpha = {ep.alpha}, rho0 = {rho0})"
         )

@@ -186,13 +186,20 @@ def closed_form_cross(delta_order: float, p: float, p_prime: float) -> OverlapRe
             f"cross-order formula needs 0 < delta < 1, got {delta_order}"
         )
     _check_distinct(p, p_prime)
-    e, p, p_prime = _unit_scale(p, p_prime)
+    e, q, q_prime = _unit_scale(p, p_prime)
+    # a scaled p' below the normal range puts q/q' past the doubles, or at
+    # q' = 0 divides by zero
+    ratio = q / q_prime if q_prime else math.inf
     finite = (
         2.0
         * math.sin(math.pi * delta_order)
-        / (math.pi * (p - p_prime) * (p + p_prime))
-        * (p / p_prime) ** delta_order
+        / (math.pi * (q - q_prime) * (q + q_prime))
+        * ratio**delta_order
     )
+    if not math.isfinite(finite):
+        raise NumericalFailureError(
+            f"cross-order finite part overflows a double at p = {p!r}, p' = {p_prime!r}"
+        )
     return OverlapResult(
         delta_coeff=math.cos(math.pi * delta_order), finite_part=_scale_back(finite, e)
     )

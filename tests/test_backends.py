@@ -4,7 +4,8 @@ The extension is built by `setup.py` from the hand-written `_kernels_c.c`
 into a temporary directory and loaded from there, so no built module is left
 in `src/`.  The build adds `-Wall -Wextra -Werror` to CFLAGS, so a warning in
 the C fails these tests.  They skip only when the configured C compiler is not
-on PATH; any other build failure fails them with the compiler's output.
+on PATH; any other build failure fails them with the compiler's output.  One
+more build, with no compiler at all, must warn and build nothing.
 """
 
 import importlib.util
@@ -18,12 +19,16 @@ import subprocess
 import sys
 import sysconfig
 import time
+from functools import partial
 
 import pytest
 
 from conftest import REPO, SUBNORMAL_ARGV
 
+import abmodes
 from abmodes import _kernels_py, _quad, cli, specfun
+from abmodes.errors import AbmodesError, DegenerateDenominatorError, NumericalFailureError
+from abmodes.sae import Channel, ExtensionParameter
 
 
 @pytest.fixture(scope="session")
@@ -49,6 +54,23 @@ def kernels_c(tmp_path_factory):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.mark.skipif(sysconfig.get_platform().startswith("win"), reason="MSVC ignores CC")
+def test_build_without_a_compiler_warns_and_builds_nothing(tmp_path):
+    # the extension is optional: a missing compiler is a warning, not a
+    # failed install, and the package keeps the pure-Python kernels
+    build = subprocess.run(
+        [sys.executable, "setup.py", "build_ext",
+         "--build-lib", str(tmp_path / "lib"), "--build-temp", str(tmp_path / "tmp")],
+        cwd=REPO,
+        env=dict(os.environ, CC="/nonexistent/cc"),
+        capture_output=True,
+        text=True,
+    )
+    assert build.returncode == 0, build.stderr
+    assert 'building extension "abmodes._kernels_c" failed' in build.stdout + build.stderr
+    assert not list(tmp_path.rglob("_kernels_c*"))
 
 
 def use_kernels(monkeypatch, kernels):
@@ -249,3 +271,36 @@ def test_unresolved_window_end_fails_alike(kernels_c, monkeypatch, capsys, momen
     code, (out, err) = runs[0]
     assert code == 3 and out == ""
     assert json.loads(err)["error"] == "ConvergenceError"
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        # (x/2)^nu overflows under a negative order: the Python kernels'
+        # power raises OverflowError, the C kernels' series gives NaN
+        (partial(abmodes.bessel_j, -5.5, 1e-300), NumericalFailureError),
+        (partial(specfun.bessel_j_and_prime, -0.9, 1e-300), NumericalFailureError),
+        (partial(abmodes.finite_part_estimate, 0.9, -0.9, 1.0, 1e-300), NumericalFailureError),
+        # the scaled p' is 0, and subnormal
+        (partial(abmodes.closed_form_cross, 0.5, 1e300, 5e-324), NumericalFailureError),
+        (partial(abmodes.closed_form_cross, 0.5, 1.0, 1e-310), NumericalFailureError),
+        # both parts of the denominator underflow to 0
+        (partial(abmodes.g_from_alpha, ExtensionParameter.finite(Channel.SCHRODINGER_N, 0.0),
+                 abmodes.decompose(0.5), 5e-324), DegenerateDenominatorError),
+        # finite cells whose sum overflows
+        (partial(abmodes.windowed_overlap, 0.0, 0.0, 3e-154, 3e-154, 2.5e155, tol=1.7e308),
+         NumericalFailureError),
+    ],
+    ids=["bessel_j", "bessel_j_and_prime", "finite_part", "cross-zero-pprime",
+         "cross-subnormal-pprime", "g_from_alpha", "windowed-sum"],
+)
+def test_overflow_refused_alike(kernels_c, monkeypatch, call, error):
+    # the same library error, with the same message, on both kernel sets
+    failures = []
+    for kernels in (kernels_c, _kernels_py):
+        use_kernels(monkeypatch, kernels)
+        with pytest.raises(AbmodesError) as info:
+            call()
+        failures.append((type(info.value), str(info.value)))
+    assert failures[0] == failures[1]
+    assert failures[0][0] is error

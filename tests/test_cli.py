@@ -695,6 +695,13 @@ def _min_budget(sub):
     return ["--panel-budget=1000"] if declared else []
 
 
+def _subclass_names(cls):
+    return {cls.__name__}.union(*map(_subclass_names, cls.__subclasses__()))
+
+
+_LIBRARY_ERRORS = _subclass_names(abmodes.AbmodesError)
+
+
 @st.composite
 def _argv(draw):
     sub = draw(st.sampled_from(sorted(cli._SUBCOMMANDS)))
@@ -749,6 +756,15 @@ def _argv(draw):
 # spent 200,000 panels, about 40 s, before exit 3
 @example(argv=["overlap", "--delta=0.7", "--p=0.7", "--pprime=1.343990807315964e-48",
                "--verify"])
+# a raw OverflowError or ZeroDivisionError, or an inf left to the serializer
+@example(argv=["bessel", "--nu=-5.5", "--x=1e-300"])
+@example(argv=["overlap", "--delta=0.9", "--p=1", "--pprime=1e-300", "--verify"])
+@example(argv=["overlap", "--delta=0.5", "--p=1e300", "--pprime=5e-324"])
+@example(argv=["overlap", "--delta=0.5", "--p=1", "--pprime=1e-310"])
+@example(argv=["gfactor", "--channel=n", "--alpha=0", "--enn=0", "--delta=0.5",
+               "--rho0=5e-324"])
+@example(argv=["windowed", "--nu=0", "--mu=0", "--p=3e-154", "--pprime=3e-154",
+               "--window=2.5e155", "--tol-quad=1.7e308", "--panel-budget=1000"])
 def test_every_argv_keeps_the_contract(capsys, argv):
     capsys.readouterr()
     code = cli.run(argv)
@@ -760,3 +776,4 @@ def test_every_argv_keeps_the_contract(capsys, argv):
     doc = json.loads(lines[0])
     if code != 0:
         assert out == "" and set(doc) == {"error", "message"}, argv
+        assert doc["error"] in _LIBRARY_ERRORS, argv
