@@ -41,8 +41,8 @@ the integral by up to ulp(hi) 2/(pi sqrt(p p')), and when that exceeds tol,
 or (p + p') hi overflows, it raises ConvergenceError before the first panel.
 
 Accepted contributions are summed by math.fsum, correctly rounded, so the
-result does not depend on their order; a sum past the range of doubles
-raises NumericalFailureError.
+result does not depend on their order; fsum's OverflowError on a sum past
+the range of doubles is left to the public caller's `errors.checked`.
 
 `product_quad`'s extra_breaks force cell boundaries.  No code in the package
 passes them; they stay only because a benchmark test does.
@@ -58,7 +58,6 @@ import sys
 from ._backend import bessel_kernel, hankel_panel_kernel, product_panel_kernel
 from ._kernels_py import _GK21, _K21_CENTER
 from .errors import ConvergenceError, NumericalFailureError
-from .specfun import power
 
 __all__ = ["PanelBudget", "cell", "hankel_quad", "product_quad"]
 
@@ -151,11 +150,10 @@ def _origin_cell(nu, mu, p, pp, c):
     total = math.fsum(
         aj * bk / (s + 2 * (j + k)) for j, aj in enumerate(a) for k, bk in enumerate(b)
     )
-    # c x^nu = c^(nu+1) (p/2)^nu shrinks with c, since nu > -1; the bare
-    # x^nu y^mu would overflow on a short cell with nu + mu near -2
-    value = (power(x, nu, "origin cell (p c/2)^nu") * c) * (
-        power(y, mu, "origin cell (p' c/2)^mu") * c
-    ) * total
+    # c x^nu = c^(nu+1) (p/2)^nu shrinks with c, since nu > -1: the bare
+    # x^nu y^mu would overflow on a short cell with nu + mu near -2, while
+    # x^nu alone is finite, x being normal (under nu != 0) and below pi/2
+    value = (x**nu * c) * (y**mu * c) * total
     if not math.isfinite(value):
         raise NumericalFailureError(
             f"origin cell of J_{nu}(p r) J_{mu}(p' r) r over [0, {c}] is not finite "
@@ -276,7 +274,6 @@ def _adaptive_sum(panel, cells, tol, total, budget):
     panel(a, b) returns a (fine, coarse) pair of estimates, fine finite; a
     piece [a, b] is accepted, at its fine value, when |fine - coarse| <=
     tol (b - a)/total.  One panel is spent per cell and two per bisection.
-    NumericalFailureError when the finite pieces sum past the doubles.
     """
     pieces = []
     for a, b in cells:
@@ -291,9 +288,4 @@ def _adaptive_sum(panel, cells, tol, total, budget):
                 budget.spend(2)
                 stack.append((mid, b, panel(mid, b)))
                 stack.append((a, mid, panel(a, mid)))
-    try:
-        return math.fsum(pieces)
-    except OverflowError:  # fsum's "intermediate overflow"
-        raise NumericalFailureError(
-            f"the {len(pieces)} accepted cells sum past the range of doubles"
-        ) from None
+    return math.fsum(pieces)

@@ -43,7 +43,7 @@ from dataclasses import replace
 
 from . import __version__
 from ._backend import BACKEND
-from .errors import AbmodesError, InvalidInputError, NumericalFailureError
+from .errors import AbmodesError, InvalidInputError, NumericalFailureError, checked
 from .flux import decompose
 from .fluxshell import (
     FluxShellProblem,
@@ -122,6 +122,7 @@ def _panel_budget(text: str) -> int:
     return budget
 
 
+@checked  # an --enn past the doubles overflows in the sum
 def _flux_from(delta: float, enn: int):
     return decompose(enn + delta)
 
@@ -560,15 +561,10 @@ def run(argv) -> int:
         inputs, outputs, diags = _compute(args)
         _emit(_json_doc(args.command, inputs, outputs, diags), args.out)
         return _EXIT_OK
-    except (NumericalFailureError, ArithmeticError) as exc:
-        # ArithmeticError: a float overflow or division by zero in a
-        # computation, a numerical failure like the library's own
+    except NumericalFailureError as exc:
         _error_line(exc)
         return _EXIT_NUMERICAL
-    except AbmodesError as exc:
-        _error_line(exc)
-        return _EXIT_INVALID
-    except OSError as exc:
+    except (AbmodesError, OSError) as exc:
         _error_line(exc)
         return _EXIT_INVALID
 

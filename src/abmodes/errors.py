@@ -1,8 +1,16 @@
-"""Exception taxonomy.
+"""Exception taxonomy, and the check that keeps the library's contract.
 
 Two families, mirrored by the CLI exit codes: invalid input (exit 2) and
 numerical failure (exit 3).  Everything derives from :class:`AbmodesError`.
-"""
+The contract: a public function returns finite doubles or raises an
+AbmodesError.  :func:`checked` enforces it once, at each function of
+`abmodes.__all__`, the evaluator of `piecewise_solution` and
+`specfun.bessel_j_and_prime`; checks inside refuse input, or finite but
+wrong values, or stop work early."""
+
+import dataclasses
+import functools
+import math
 
 
 class AbmodesError(Exception):
@@ -79,3 +87,36 @@ class ZeroAlphaError(InvalidInputError):
 
 class NoBracketError(NumericalFailureError):
     """No g in the bracket [g_lo, g_hi] reaches the target matching ratio."""
+
+
+def _finite(value):
+    # every float of a result: a scalar, a tuple element or a dataclass field
+    if not isinstance(value, tuple):
+        if not dataclasses.is_dataclass(value):
+            return not isinstance(value, float) or math.isfinite(value)
+        value = tuple(vars(value).values())
+    try:  # numbers only, the common case: one call
+        return all(map(math.isfinite, value))
+    except (TypeError, OverflowError):  # an enum, None, a dataclass, a huge int
+        return all(map(_finite, value))
+
+
+def checked(fn):
+    """fn, raising NumericalFailureError where its result has no finite value:
+    a float OverflowError or ZeroDivisionError inside fn, or a float of the
+    result that is not finite.  The message names only fn and its arguments,
+    the same text whether the kernels raised or returned inf or NaN."""
+
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        try:
+            result = fn(*args, **kwargs)
+        except (OverflowError, ZeroDivisionError):
+            result = math.nan  # raised below, outside this block: no chained error
+        # a float result, the common case, is checked without a call
+        if math.isfinite(result) if isinstance(result, float) else _finite(result):
+            return result
+        call = ", ".join([*map(repr, args), *(f"{k}={v!r}" for k, v in kwargs.items())])
+        raise NumericalFailureError(f"{fn.__name__}({call}) overflows a double")
+
+    return wrapper

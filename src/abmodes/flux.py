@@ -9,7 +9,7 @@ import enum
 import math
 from dataclasses import dataclass, field
 
-from .errors import IntegerFluxError
+from .errors import IntegerFluxError, checked
 
 __all__ = ["EquationKind", "FluxParameter", "decompose", "critical_channels", "radial_order"]
 
@@ -50,6 +50,7 @@ class FluxParameter:
         object.__setattr__(self, "delta", self.phi - n)
 
 
+@checked
 def decompose(phi: float) -> FluxParameter:
     """Split phi into integer and fractional parts with 0 < delta < 1.
 
@@ -59,6 +60,7 @@ def decompose(phi: float) -> FluxParameter:
     return FluxParameter(float(phi))
 
 
+@checked
 def critical_channels(flux: FluxParameter, kind: EquationKind) -> frozenset:
     """Angular channels where the irregular radial component survives.
 
@@ -69,6 +71,7 @@ def critical_channels(flux: FluxParameter, kind: EquationKind) -> frozenset:
     return frozenset({flux.n, flux.n + 1})
 
 
+@checked
 def radial_order(l: int, flux: FluxParameter) -> float:
     """Bessel order magnitude |l - phi| of the angular channel l."""
     return abs(l - flux.phi)

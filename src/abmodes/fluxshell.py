@@ -39,6 +39,7 @@ from .errors import (
     NumericalPoleError,
     ResonantError,
     ZeroAlphaError,
+    checked,
 )
 from .flux import FluxParameter, radial_order
 from .sae import Channel, ExtensionParameter
@@ -87,6 +88,7 @@ class FluxShellProblem:
         return radial_order(self.l, self.flux)
 
 
+@checked
 def piecewise_solution(prob: FluxShellProblem, a: float, b: float):
     """Evaluator rho -> R(rho) with the interior amplitude fixed by continuity.
 
@@ -107,6 +109,7 @@ def piecewise_solution(prob: FluxShellProblem, a: float, b: float):
         )
     c = exterior_at_shell / j_interior
 
+    @checked
     def evaluator(rho: float) -> float:
         if rho <= 0.0:
             raise DomainError(f"rho must be > 0, got {rho}")
@@ -141,6 +144,7 @@ def _matching_terms(prob: FluxShellProblem):
     return n0, n1, d0, d1, scale
 
 
+@checked
 def matching_ratio(prob: FluxShellProblem) -> float:
     """Exterior coefficient ratio b/a fixed by the shell matching conditions."""
     n0, n1, d0, d1, scale = _matching_terms(prob)
@@ -152,11 +156,15 @@ def matching_ratio(prob: FluxShellProblem) -> float:
     return -(n0 + prob.g * n1) / den
 
 
+@checked
 def resonance_defect(l: int, flux: FluxParameter, g: float) -> float:
-    """|l - phi| + |l| - g phi; zero on the resonance locus."""
+    """|l - phi| + |l| - g phi; zero on the resonance locus.  DomainError unless g is finite."""
+    if not math.isfinite(g):
+        raise DomainError(f"g must be finite, got {g}")
     return radial_order(l, flux) + abs(l) - g * flux.phi
 
 
+@checked
 def limit_ratio(prob: FluxShellProblem) -> float:
     """Vanishing-radius limit of the matching ratio (leading series order).
 
@@ -209,6 +217,7 @@ def _dictionary_parts(ep: ExtensionParameter, flux: FluxParameter, rho0: float, 
     return shell, ext, lead_in, lead_out, n + delta
 
 
+@checked
 def g_from_alpha(
     ep: ExtensionParameter, flux: FluxParameter, rho0: float, M: float = 1.0
 ) -> float:
@@ -236,6 +245,7 @@ def g_from_alpha(
     return (shell * lead_in - ext * lead_out) / (nd * den)
 
 
+@checked
 def g_asymptotic(
     ep: ExtensionParameter, flux: FluxParameter, rho0: float, M: float = 1.0
 ) -> float:
@@ -273,6 +283,7 @@ def g_asymptotic(
     )
 
 
+@checked
 def solve_g(
     prob_template: FluxShellProblem,
     target_ratio: float,

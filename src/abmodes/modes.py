@@ -17,7 +17,7 @@ import enum
 import math
 from dataclasses import dataclass, field
 
-from .errors import DegenerateError, DomainError, IrregularForbiddenError
+from .errors import DegenerateError, DomainError, IrregularForbiddenError, checked
 from .flux import EquationKind, FluxParameter, critical_channels, radial_order
 from .specfun import bessel_j, gamma, power
 
@@ -109,6 +109,7 @@ class DiracKinematics:
         return cls(M=M, p3=p3, p_perp=p_perp, s=s)
 
 
+@checked
 def make_schrodinger_mode(
     l: int, flux: FluxParameter, p: float, a: float, b: float
 ) -> RadialMode:
@@ -133,6 +134,7 @@ def make_schrodinger_mode(
     )
 
 
+@checked
 def make_dirac_mode(
     l: int, flux: FluxParameter, kin: DiracKinematics, a: float, b: float
 ) -> tuple:
@@ -174,6 +176,7 @@ def make_dirac_mode(
     return comp1, comp2
 
 
+@checked
 def evaluate(mode: RadialMode, rho: float) -> float:
     """Radial function of the mode at rho > 0.
 
@@ -200,6 +203,7 @@ class SmallRhoSignature:
     boundary_ratio: float
 
 
+@checked
 def small_rho_signature(mode: RadialMode, M: float) -> SmallRhoSignature:
     """Boundary signature (nu, ratio) of a critical-channel mode.
 
@@ -213,8 +217,8 @@ def small_rho_signature(mode: RadialMode, M: float) -> SmallRhoSignature:
     DegenerateError when the +nu amplitude vanishes (pure irregular mode:
     the ratio is infinite and belongs to the Infinite extension parameter).
     """
-    if M <= 0.0:
-        raise DomainError(f"mass scale must be positive, got {M}")
+    if not 0.0 < M < math.inf:
+        raise DomainError(f"mass scale must be positive and finite, got {M}")
     nu = mode.order
     if not 0.0 < nu < 1.0:
         raise DomainError(

@@ -57,8 +57,8 @@ from .errors import (
     DomainError,
     EqualMomentaError,
     InsufficientSamplesError,
-    NumericalFailureError,
     SingularFitError,
+    checked,
 )
 from .modes import RadialMode
 from .specfun import MAX_ORDER, bessel_j_and_prime
@@ -135,12 +135,7 @@ def _unit_scale(p, p_prime):
 
 def _scale_back(x, e):
     # x 2^-2e, the finite part at the momenta _unit_scale took e from
-    try:
-        return math.ldexp(x, -2 * e)
-    except OverflowError:
-        raise NumericalFailureError(
-            f"finite part {x!r} * 2^{-2 * e} overflows a double"
-        ) from None
+    return math.ldexp(x, -2 * e)
 
 
 def _check_orders(*orders):
@@ -163,6 +158,7 @@ def _check_lommel_orders(nu, mu):
         raise DomainError(f"Lommel's bracket needs |nu| <= {MAX_ORDER}, got {nu}")
 
 
+@checked
 def closed_form_same(nu: float, p: float, p_prime: float) -> OverlapResult:
     """Same-order overlap: pure delta, unit coefficient, no finite part."""
     _check_momenta(p, p_prime)
@@ -170,6 +166,7 @@ def closed_form_same(nu: float, p: float, p_prime: float) -> OverlapResult:
     return OverlapResult(delta_coeff=1.0, finite_part=0.0)
 
 
+@checked
 def closed_form_cross(delta_order: float, p: float, p_prime: float) -> OverlapResult:
     """Cross-order overlap of J_{+d}(p r) and J_{-d}(p' r), 0 < d < 1.
 
@@ -178,7 +175,8 @@ def closed_form_cross(delta_order: float, p: float, p_prime: float) -> OverlapRe
     The formula is evaluated at the momenta scaled by a power of two
     (`_unit_scale`) and scaled back, so (p - p')(p + p') cannot leave the
     range of doubles; a finite part that overflows a double raises
-    NumericalFailureError, and one below the normal range returns subnormal.
+    NumericalFailureError (`checked`), and one below the normal range
+    returns subnormal.
     """
     _check_momenta(p, p_prime)
     if not 0.0 < delta_order < 1.0:
@@ -187,24 +185,14 @@ def closed_form_cross(delta_order: float, p: float, p_prime: float) -> OverlapRe
         )
     _check_distinct(p, p_prime)
     e, q, q_prime = _unit_scale(p, p_prime)
-    # a scaled p' below the normal range puts q/q' past the doubles, or at
-    # q' = 0 divides by zero
-    ratio = q / q_prime if q_prime else math.inf
-    finite = (
-        2.0
-        * math.sin(math.pi * delta_order)
-        / (math.pi * (q - q_prime) * (q + q_prime))
-        * ratio**delta_order
-    )
-    if not math.isfinite(finite):
-        raise NumericalFailureError(
-            f"cross-order finite part overflows a double at p = {p!r}, p' = {p_prime!r}"
-        )
+    finite = 2.0 * math.sin(math.pi * delta_order) / (math.pi * (q - q_prime) * (q + q_prime))
     return OverlapResult(
-        delta_coeff=math.cos(math.pi * delta_order), finite_part=_scale_back(finite, e)
+        delta_coeff=math.cos(math.pi * delta_order),
+        finite_part=_scale_back(finite * (q / q_prime) ** delta_order, e),
     )
 
 
+@checked
 def windowed_overlap(
     nu: float,
     mu: float,
@@ -256,6 +244,7 @@ def _lommel_bracket(nu, mu, p, p_prime, r):
     return r * (p_prime * j_nu * d_mu - p * d_nu * j_mu)
 
 
+@checked
 def finite_part_estimate(nu: float, mu: float, p: float, p_prime: float) -> tuple:
     """Estimate the non-delta part of the infinite overlap; returns (value, est_error).
 
@@ -290,7 +279,7 @@ def finite_part_estimate(nu: float, mu: float, p: float, p_prime: float) -> tupl
     the orders (d, -d), d in {0.3, 0.7, 0.95}, and (-0.7, 0.7) at p'/p from
     1e-48 to 1e-10.
     EqualMomentaError when p and p' agree to 1e-12; NumericalFailureError
-    when a panel is not finite or the finite part overflows a double;
+    when a panel is not finite or the finite part overflows (`checked`);
     ConvergenceError when the spread, or the summed |K21 - G10| of the two
     panels scaled back by 2^-2e, exceeds 1e-3 * max(1, |value|), with the
     message naming which.
@@ -354,6 +343,7 @@ def _solve_normal_equations(rows, ys):
     return beta
 
 
+@checked
 def fit_delta_coefficient(nu: float, mu: float, p: float, p_prime: float) -> float:
     """Recover the delta coefficient from the window oscillation.
 
@@ -371,22 +361,22 @@ def fit_delta_coefficient(nu: float, mu: float, p: float, p_prime: float) -> flo
     1e-6 in [1.4, 2.2] and 3e-6 in [2.2, 3], and the same at the reciprocal
     ratios (tests/test_overlap.py).  A depends on p'/p only, so the fit runs
     at (1, p'/p): momenta from 1e-300 to 1e150 give the same A.  Same order
-    domain as finite_part_estimate; EqualMomentaError below
-    MIN_RELATIVE_SEPARATION, DomainError when p'/p is not a finite
-    positive double.
+    domain as finite_part_estimate; EqualMomentaError when |1 - p'/p| is
+    below MIN_RELATIVE_SEPARATION max(1, p'/p), at every scale, DomainError
+    when p'/p is not a finite positive double.
     """
     _check_lommel_orders(nu, mu)
     _check_momenta(p, p_prime)
-    if abs(p - p_prime) < MIN_RELATIVE_SEPARATION * max(p, p_prime):
-        raise EqualMomentaError(
-            f"relative momentum separation below {MIN_RELATIVE_SEPARATION}: "
-            f"p = {p}, p' = {p_prime}"
-        )
-    # A depends on p'/p only: fit at (1, p'/p), where no regressor scale
-    # overflows, whatever the magnitude of the momenta
+    # A depends on p'/p only: fit and test the separation at (1, p'/p), where
+    # no regressor scale overflows and p - p' cannot underflow to 0
     p, p_prime = 1.0, p_prime / p
     if not 0.0 < p_prime < math.inf:
         raise DomainError(f"momentum ratio p'/p = {p_prime} is not a positive finite double")
+    if abs(p - p_prime) < MIN_RELATIVE_SEPARATION * max(p, p_prime):
+        raise EqualMomentaError(
+            f"relative momentum separation below {MIN_RELATIVE_SEPARATION}: "
+            f"p'/p = {p_prime}"
+        )
     dp = p - p_prime
     sp = p + p_prime
     t_slow = 2.0 * math.pi / abs(dp)
@@ -444,6 +434,7 @@ def _cross_terms(mode_a: RadialMode, mode_b: RadialMode):
     return nu, (a_pos * b_neg, mode_a.p, mode_b.p), (b_pos * a_neg, mode_b.p, mode_a.p)
 
 
+@checked
 def mode_overlap_finite_part(mode_a: RadialMode, mode_b: RadialMode) -> float:
     """Finite (non-delta) part of int R_a(p r) R_b(p' r) r dr, closed-form assembly.
 
@@ -460,6 +451,7 @@ def mode_overlap_finite_part(mode_a: RadialMode, mode_b: RadialMode) -> float:
     return total
 
 
+@checked
 def mode_overlap_finite_part_numeric(mode_a: RadialMode, mode_b: RadialMode) -> tuple:
     """Independent quadrature estimate of the mode overlap finite part.
 
@@ -480,6 +472,7 @@ def mode_overlap_finite_part_numeric(mode_a: RadialMode, mode_b: RadialMode) -> 
     return value, err
 
 
+@checked
 def fit_cancelling_exponent(flux, channel: int, momenta) -> float:
     """Exponent of the momentum-power law that orthogonalizes a critical channel.
 

@@ -25,12 +25,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import (
-    ChannelMismatchError,
-    DomainError,
-    InfiniteParameterError,
-    NumericalFailureError,
-)
+from .errors import ChannelMismatchError, DomainError, InfiniteParameterError, checked
 from .flux import EquationKind, FluxParameter
 from .modes import DiracKinematics, RadialMode, make_schrodinger_mode
 from .specfun import gamma, power
@@ -92,14 +87,7 @@ def _require_finite(ep: ExtensionParameter) -> float:
     return ep.alpha
 
 
-def _finite_ratio(ratio: float, what: str) -> float:
-    # alpha times a finite power can still overflow, and an overflowed factor
-    # times an underflowed power is NaN
-    if not math.isfinite(ratio):
-        raise NumericalFailureError(f"{what} overflows: {ratio!r}")
-    return ratio
-
-
+@checked
 def schrodinger_ratio(
     ep: ExtensionParameter, flux: FluxParameter, p: float, M: float
 ) -> float:
@@ -108,48 +96,38 @@ def schrodinger_ratio(
         raise DomainError(f"p and M must be positive and finite, got p={p}, M={M}")
     alpha = _require_finite(ep)
     if ep.channel is Channel.SCHRODINGER_N:
-        ratio = alpha * power(p / M, 2.0 * flux.delta, "schrodinger_ratio (p/M)^(2 delta)")
-    elif ep.channel is Channel.SCHRODINGER_N_PLUS_1:
-        ratio = alpha * power(
+        return alpha * power(p / M, 2.0 * flux.delta, "schrodinger_ratio (p/M)^(2 delta)")
+    if ep.channel is Channel.SCHRODINGER_N_PLUS_1:
+        return alpha * power(
             p / M, 2.0 * (1.0 - flux.delta), "schrodinger_ratio (p/M)^(2 (1-delta))"
         )
-    else:
-        raise ChannelMismatchError(
-            f"schrodinger_ratio needs a Schrodinger channel, got {ep.channel}"
-        )
-    return _finite_ratio(ratio, "schrodinger_ratio")
+    raise ChannelMismatchError(f"schrodinger_ratio needs a Schrodinger channel, got {ep.channel}")
 
 
+@checked
 def dirac_ratio(
     ep: ExtensionParameter, flux: FluxParameter, kin: DiracKinematics
 ) -> float:
     """Coefficient ratio b/a in the Dirac critical channel l = N."""
     if ep.channel is not Channel.DIRAC_N:
-        raise ChannelMismatchError(
-            f"dirac_ratio needs the Dirac channel, got {ep.channel}"
-        )
+        raise ChannelMismatchError(f"dirac_ratio needs the Dirac channel, got {ep.channel}")
     alpha = _require_finite(ep)
     if kin.s == 1:
-        ratio = (
-            alpha
-            * kin.M
-            / (kin.E + kin.M)
-            * power(kin.p_perp / kin.M, 2.0 * flux.delta, "dirac_ratio (p_perp/M)^(2 delta)")
-        )
-    else:
-        # M/(E - M) by E - M = p^2/(E + M), p = hypot(p_perp, p3), since the
-        # difference cancels at small momenta (to 0 at p_perp = 1e-10); and
-        # (M/p)^2 (p_perp/M)^(2 delta) as the square of (M/p) (p_perp/M)^delta,
-        # since (M/p)^2 alone overflows below p = 1e-154 M where the ratio
-        # need not.  The equal (M/p)^(2 - 2 delta) (p_perp/p)^(2 delta) would
-        # round 2 - 2 delta, which costs 5e-14 at p = 1e-215 M
-        half = kin.M / math.hypot(kin.p_perp, kin.p3) * power(
-            kin.p_perp / kin.M, flux.delta, "dirac_ratio (p_perp/M)^delta"
-        )
-        ratio = alpha * ((kin.E + kin.M) / kin.M * half * half)
-    return _finite_ratio(ratio, "dirac_ratio")
+        u = power(kin.p_perp / kin.M, 2.0 * flux.delta, "dirac_ratio (p_perp/M)^(2 delta)")
+        return alpha * kin.M / (kin.E + kin.M) * u
+    # M/(E - M) by E - M = p^2/(E + M), p = hypot(p_perp, p3), since the
+    # difference cancels at small momenta (to 0 at p_perp = 1e-10); and
+    # (M/p)^2 (p_perp/M)^(2 delta) as the square of (M/p) (p_perp/M)^delta,
+    # since (M/p)^2 alone overflows below p = 1e-154 M where the ratio
+    # need not.  The equal (M/p)^(2 - 2 delta) (p_perp/p)^(2 delta) would
+    # round 2 - 2 delta, which costs 5e-14 at p = 1e-215 M
+    half = kin.M / math.hypot(kin.p_perp, kin.p3) * power(
+        kin.p_perp / kin.M, flux.delta, "dirac_ratio (p_perp/M)^delta"
+    )
+    return alpha * ((kin.E + kin.M) / kin.M * half * half)
 
 
+@checked
 def boundary_ratio_from_alpha(alpha: float, nu: float) -> float:
     """Map alpha to the small-rho boundary ratio: 2^{2nu} Gamma(nu)/Gamma(-nu) alpha."""
     if not 0.0 < nu < 1.0:
@@ -157,6 +135,7 @@ def boundary_ratio_from_alpha(alpha: float, nu: float) -> float:
     return 2.0 ** (2.0 * nu) * gamma(nu) / gamma(-nu) * float(alpha)
 
 
+@checked
 def make_extended_mode(
     ep: ExtensionParameter,
     flux: FluxParameter,
@@ -188,6 +167,7 @@ def make_extended_mode(
     )
 
 
+@checked
 def reference_extension_parameters(kind: EquationKind, s: int, flux: FluxParameter):
     """Reference values for minimally coupled particles.
 

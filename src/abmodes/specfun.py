@@ -23,7 +23,7 @@ import math
 import sys
 
 from ._backend import BACKEND, bessel_kernel, gamma_kernel
-from .errors import DomainError, NumericalFailureError, PoleError
+from .errors import DomainError, NumericalFailureError, PoleError, checked
 
 __all__ = ["BACKEND", "MAX_ORDER", "gamma", "bessel_j", "bessel_j_and_prime",
            "bessel_j_prime", "power"]
@@ -43,12 +43,6 @@ MAX_ORDER = 5.0
 # quadrature.  At nu = 0 the power is 1 and stays exact.
 _SUBNORMAL_HALF = 2.0 * sys.float_info.min
 
-# Below this x, (x/2)^nu can overflow under a negative order: the Python
-# kernels' power raises OverflowError there, and the C kernels' gives inf,
-# which the series turns into NaN.  At |nu| <= MAX_ORDER + 1 and x = 1e-40,
-# J_nu and J'_nu stay below 3e241, so above it no value is checked.
-_POWER_OVERFLOW_X = 1e-40
-
 
 def power(base: float, exponent: float, what: str) -> float:
     """base ** exponent; NumericalFailureError naming `what` if it overflows.
@@ -65,11 +59,14 @@ def power(base: float, exponent: float, what: str) -> float:
         ) from None
 
 
+@checked
 def gamma(x: float) -> float:
     """Gamma(x) for real x.
 
     Raises PoleError at the poles (x = 0, -1, -2, ...) and DomainError for
-    non-finite input or x large enough to overflow (x > 171.62).
+    non-finite input or x large enough to overflow (x > 171.62).  Gamma
+    overflows too for |x| below about 5.6e-309, where it is about 1/x:
+    `checked` raises NumericalFailureError there.
     """
     x = float(x)
     if math.isnan(x) or math.isinf(x):
@@ -96,6 +93,7 @@ def gamma(x: float) -> float:
     return gamma_kernel(x)
 
 
+@checked
 def bessel_j(nu: float, x: float) -> float:
     """Bessel function of the first kind J_nu(x), real order nu.
 
@@ -103,8 +101,8 @@ def bessel_j(nu: float, x: float) -> float:
     (J_0(0) = 1, J_nu(0) = 0 for nu > 0).  Orders beyond |nu| = MAX_ORDER + 1
     are rejected.  For nu != 0 and 0 < x/2 below the normal range of doubles
     NumericalFailureError is raised, since (x/2)^nu would carry the rounding
-    of the halving.  It is raised too where (x/2)^nu overflows a double
-    under a negative order (nu = -5.5 at x = 1e-300), on either kernel set.
+    of the halving, and by `checked` where (x/2)^nu overflows a double
+    under a negative order (nu = -5.5 at x = 1e-300).
     """
     nu = float(nu)
     x = float(x)
@@ -120,13 +118,7 @@ def bessel_j(nu: float, x: float) -> float:
         raise DomainError("bessel_j: x = 0 is singular for negative order")
     if 0.0 < x < _SUBNORMAL_HALF and nu != 0.0:
         raise _subnormal_half("bessel_j", nu, x)
-    try:
-        j = bessel_kernel(nu, x)
-    except OverflowError:
-        raise _power_overflow("bessel_j", nu, x) from None
-    if x < _POWER_OVERFLOW_X and not math.isfinite(j):
-        raise _power_overflow("bessel_j", nu, x)
-    return j
+    return bessel_kernel(nu, x)
 
 
 def _subnormal_half(what, nu, x):
@@ -136,12 +128,7 @@ def _subnormal_half(what, nu, x):
     )
 
 
-def _power_overflow(what, nu, x):
-    return NumericalFailureError(
-        f"{what}: (x/2)^nu overflows a double at x = {x!r} (nu = {nu!r})"
-    )
-
-
+@checked
 def bessel_j_and_prime(nu: float, x: float) -> tuple:
     """(J_nu(x), J'_nu(x)) for |nu| <= MAX_ORDER and finite x > 0.
 
@@ -149,10 +136,8 @@ def bessel_j_and_prime(nu: float, x: float) -> tuple:
     envelope max(|J'_nu|, sqrt(2/(pi x))) J'_nu is within 1e-11 of mpmath
     for x in [1e-3, 100] and within the ulp of x (the phase of the Hankel
     branch) beyond.  NumericalFailureError where x/2 is below the normal
-    range of doubles, at every order: nu and nu - 1 are never both 0, and
-    bessel_j refuses a nonzero order there; NumericalFailureError too where
-    a value overflows a double, as (x/2)^(nu - 1) does at nu = -0.9 and
-    x = 1e-300.
+    range of doubles, at every order (nu and nu - 1 are never both 0), and
+    by `checked` where (x/2)^(nu - 1) overflows (nu = -0.9, x = 1e-300).
     """
     nu = float(nu)
     x = float(x)
@@ -163,17 +148,11 @@ def bessel_j_and_prime(nu: float, x: float) -> tuple:
     if x < _SUBNORMAL_HALF:
         # name the order whose power loses the digits: J_{-1} at nu = 0
         raise _subnormal_half("bessel_j_and_prime", nu or -1.0, x)
-    try:
-        j = bessel_kernel(nu, x)
-        prime = bessel_kernel(nu - 1.0, x) - nu / x * j
-    except OverflowError:
-        raise _power_overflow("bessel_j_and_prime", nu - 1.0, x) from None
-    if x < _POWER_OVERFLOW_X and not (math.isfinite(j) and math.isfinite(prime)):
-        # J' grows like (x/2)^(nu - 1), the larger power
-        raise _power_overflow("bessel_j_and_prime", nu - 1.0, x)
-    return j, prime
+    j = bessel_kernel(nu, x)
+    return j, bessel_kernel(nu - 1.0, x) - nu / x * j
 
 
+@checked
 def bessel_j_prime(nu: float, x: float) -> float:
     """dJ_nu/dx, the second element of bessel_j_and_prime(nu, x)."""
     return bessel_j_and_prime(nu, x)[1]

@@ -1,9 +1,14 @@
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
+
+import abmodes
+import abmodes.cli  # defines the CLI's own parse error, a library error
 
 REPO = Path(__file__).resolve().parent.parent
 SRC = REPO / "src"
@@ -67,6 +72,30 @@ SUBNORMAL_ARGV = [
     # p c/2 underflows to 0 under the order 0.3
     (["overlap", "--delta", "0.3", "--p", "5e-324", "--pprime", "1", "--verify"], 3),
 ]
+
+
+# the float strategy of the CLI and library contract properties
+EXTREME = [
+    math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 1e-310,
+    1e300, -1e300, 1.7976931348623157e308, -1.7976931348623157e308,
+]
+# one draw in five extreme, one anywhere in [-10, 10], the rest in the
+# positive range where most commands succeed
+FLOATS = st.one_of(
+    st.sampled_from(EXTREME),
+    st.floats(-10.0, 10.0),
+    st.floats(0.05, 5.0),
+    st.floats(0.05, 5.0),
+    st.sampled_from([0.3, 0.5, 0.7, 1.0, 2.0]),
+)
+
+
+def _subclass_names(cls):
+    return {cls.__name__}.union(*map(_subclass_names, cls.__subclasses__()))
+
+
+# the class names an error line of the CLI may carry
+LIBRARY_ERRORS = _subclass_names(abmodes.AbmodesError)
 
 
 def run_cli(args):

@@ -13,7 +13,14 @@ from hypothesis import strategies as st
 import abmodes
 from abmodes import cli
 from abmodes.cli import _parse_grid
-from conftest import FIXTURES, SUBNORMAL_ARGV, mp_lommel_cross, run_cli
+from conftest import (
+    FIXTURES,
+    FLOATS,
+    LIBRARY_ERRORS,
+    SUBNORMAL_ARGV,
+    mp_lommel_cross,
+    run_cli,
+)
 
 GOLDEN = {
     "decompose.json": ["decompose", "--phi", "2.3"],
@@ -645,24 +652,11 @@ def test_nonfinite_outputs_never_serialized():
 # minimum so that no example runs long
 _NOT_DRAWN = {"--out", "--panel-budget", "-h"}
 _TUNING = {"--tol-quad", "--panel-budget"}
-_EXTREME = [
-    math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 1e-310,
-    1e300, -1e300, 1.7976931348623157e308, -1.7976931348623157e308,
-]
-# one draw in five extreme, one anywhere in [-10, 10], the rest in the
-# positive range where most commands succeed
-_FLOATS = st.one_of(
-    st.sampled_from(_EXTREME),
-    st.floats(-10.0, 10.0),
-    st.floats(0.05, 5.0),
-    st.floats(0.05, 5.0),
-    st.sampled_from([0.3, 0.5, 0.7, 1.0, 2.0]),
-)
 _TEXT = {
     int: st.one_of(st.integers(-3, 3), st.sampled_from([10**6, -(10**6)])),
-    float: _FLOATS.map(repr),
-    cli._tol_quad: _FLOATS.map(repr),
-    cli._momenta_list: st.lists(_FLOATS, min_size=1, max_size=4).map(
+    float: FLOATS.map(repr),
+    cli._tol_quad: FLOATS.map(repr),
+    cli._momenta_list: st.lists(FLOATS, min_size=1, max_size=4).map(
         lambda xs: ",".join(map(repr, xs))
     ),
 }
@@ -695,13 +689,6 @@ def _min_budget(sub):
     return ["--panel-budget=1000"] if declared else []
 
 
-def _subclass_names(cls):
-    return {cls.__name__}.union(*map(_subclass_names, cls.__subclasses__()))
-
-
-_LIBRARY_ERRORS = _subclass_names(abmodes.AbmodesError)
-
-
 @st.composite
 def _argv(draw):
     sub = draw(st.sampled_from(sorted(cli._SUBCOMMANDS)))
@@ -715,7 +702,7 @@ def _argv(draw):
     grids = []
     for name in draw(st.lists(st.sampled_from(numeric), min_size=1, max_size=2, unique=True)):
         log = draw(st.sampled_from(["", "log:"]))
-        lo, hi = draw(_FLOATS), draw(_FLOATS)
+        lo, hi = draw(FLOATS), draw(FLOATS)
         n = draw(st.sampled_from([0, 1, 2, 3]))
         grids.append(f"--grid={name}={log}{lo!r}:{hi!r}:{n}")
     # scan's own --format is not drawn: a CSV scan prints a header and rows
@@ -776,4 +763,4 @@ def test_every_argv_keeps_the_contract(capsys, argv):
     doc = json.loads(lines[0])
     if code != 0:
         assert out == "" and set(doc) == {"error", "message"}, argv
-        assert doc["error"] in _LIBRARY_ERRORS, argv
+        assert doc["error"] in LIBRARY_ERRORS, argv

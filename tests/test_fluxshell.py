@@ -181,6 +181,12 @@ class TestResonanceDefect:
         assert resonance_defect(1, f5, 3.0) == pytest.approx(0.0, abs=1e-15)
         assert resonance_defect(1, f5, 1.0) == pytest.approx(1.0, abs=1e-15)
 
+    @pytest.mark.parametrize("g", [math.nan, math.inf, -math.inf])
+    def test_non_finite_g_rejected(self, g):
+        # as FluxShellProblem refuses it; NaN once returned nan
+        with pytest.raises(DomainError):
+            resonance_defect(0, decompose(0.3), g)
+
 
 class TestGDictionary:
     def test_special_value_channel_n(self):

@@ -209,6 +209,13 @@ class TestSmallRhoSignature:
         with pytest.raises(DomainError):
             small_rho_signature(mode, 1.0)
 
+    @pytest.mark.parametrize("M", [math.nan, math.inf, 0.0, -1.0])
+    def test_mass_scale_must_be_positive_and_finite(self, M):
+        # NaN once passed M <= 0 and gave boundary_ratio = nan
+        mode = make_schrodinger_mode(0, decompose(0.3), 1.0, 1.0, 1.0)
+        with pytest.raises(DomainError):
+            small_rho_signature(mode, M)
+
 
 def second_derivative(fn, x, h):
     # 5-point central stencil, 4th order

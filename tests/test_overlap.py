@@ -251,6 +251,13 @@ class TestFinitePartEstimate:
         with pytest.raises(EqualMomentaError):
             finite_part_estimate(0.3, -0.3, 1.0, 1.0)
 
+    @pytest.mark.parametrize("p", [5e-324, 1e-321, 1e-300, 1.0, 1e300])
+    def test_delta_fit_separation_floor_at_every_scale(self, p):
+        # tested on p'/p: at subnormal momenta 1e-3 max(p, p') underflows to
+        # 0, and equal momenta once passed and divided by p - p' = 0
+        with pytest.raises(EqualMomentaError):
+            fit_delta_coefficient(0.3, -0.3, p, p)
+
     @pytest.mark.parametrize("ratio", [1.3, 1.05, 1.02, 1.001, 1.0001])
     def test_cost_flat_near_the_diagonal(self, monkeypatch, budgets, ratio):
         # one cell per window, 3 in all (the first from the series, the
