@@ -4,9 +4,9 @@ Two families, mirrored by the CLI exit codes: invalid input (exit 2) and
 numerical failure (exit 3).  Everything derives from :class:`AbmodesError`.
 The contract: a public function returns finite doubles or raises an
 AbmodesError.  :func:`checked` enforces it once, at each function of
-`abmodes.__all__`, the evaluator of `piecewise_solution` and
-`specfun.bessel_j_and_prime`; checks inside refuse input, or finite but
-wrong values, or stop work early."""
+`abmodes.__all__`, the evaluator of `piecewise_solution`,
+`specfun.bessel_j_and_prime` and `specfun.bessel_j_and_prime_many`; checks
+inside refuse input, or finite but wrong values, or stop work early."""
 
 import dataclasses
 import functools

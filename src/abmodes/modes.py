@@ -17,7 +17,13 @@ import enum
 import math
 from dataclasses import dataclass, field
 
-from .errors import DegenerateError, DomainError, IrregularForbiddenError, checked
+from .errors import (
+    DegenerateError,
+    DomainError,
+    IrregularForbiddenError,
+    NumericalFailureError,
+    checked,
+)
 from .flux import EquationKind, FluxParameter, critical_channels, radial_order
 from .specfun import bessel_j, gamma, power
 
@@ -101,7 +107,13 @@ class DiracKinematics:
         if self.s not in (1, -1):
             raise DomainError(f"spin label must be +1 or -1, got {self.s}")
         e2 = power(self.p_perp, 2.0, "p_perp^2") + power(self.p3, 2.0, "p3^2")
-        object.__setattr__(self, "E", math.sqrt(e2 + power(self.M, 2.0, "M^2")))
+        e2 += power(self.M, 2.0, "M^2")
+        if e2 == math.inf:
+            raise NumericalFailureError(
+                f"E^2 = p_perp^2 + p3^2 + M^2 overflows a double: p_perp = {self.p_perp!r}, "
+                f"p3 = {self.p3!r}, M = {self.M!r}"
+            )
+        object.__setattr__(self, "E", math.sqrt(e2))
 
     @classmethod
     def from_momenta(cls, M: float, p_perp: float, p3: float = 0.0, s: int = 1):

@@ -37,8 +37,10 @@ overlap less that constant, on the oscillation and its 1/L corrections to
 recover the delta coefficient itself, with no quadrature: 17 to 49 samples,
 spaced so that the fast (p + p') oscillation cannot alias onto the slow
 one, within 3e-6 of cos(pi d) for p'/p in [1/3, 3].  B takes J_nu and J'_nu
-from `specfun.bessel_j_and_prime` (the recurrence J'_nu = J_{nu-1} -
-(nu/x) J_nu), four kernel calls in all.
+from `specfun.bessel_j_and_prime_many` (the recurrence J'_nu = J_{nu-1} -
+(nu/x) J_nu): each estimator evaluates B at all its lengths in four kernel
+calls, one for each order nu, nu - 1, mu and mu - 1, each of which builds
+its order's expansion once for every argument.
 
 Mode-level operations assemble the finite (non-delta) part of a channel
 overlap from the closed forms: the same-order terms contribute none, and the
@@ -61,7 +63,7 @@ from .errors import (
     checked,
 )
 from .modes import RadialMode
-from .specfun import MAX_ORDER, bessel_j_and_prime
+from .specfun import MAX_ORDER, bessel_j_and_prime_many
 
 __all__ = [
     "OverlapResult",
@@ -153,7 +155,7 @@ def _check_lommel_orders(nu, mu):
         raise DomainError(
             f"Lommel's identity needs nu^2 = mu^2, got orders {nu}, {mu}"
         )
-    # the orders the library guarantees, the domain of bessel_j_and_prime too
+    # the orders the library guarantees, the domain of bessel_j_and_prime_many too
     if abs(nu) > MAX_ORDER:
         raise DomainError(f"Lommel's bracket needs |nu| <= {MAX_ORDER}, got {nu}")
 
@@ -236,12 +238,15 @@ def windowed_overlap(
     )
 
 
-def _lommel_bracket(nu, mu, p, p_prime, r):
-    # B(r) = r [p' J_nu(p r) J'_mu(p' r) - p J'_nu(p r) J_mu(p' r)], four
-    # kernel calls
-    j_nu, d_nu = bessel_j_and_prime(nu, p * r)
-    j_mu, d_mu = bessel_j_and_prime(mu, p_prime * r)
-    return r * (p_prime * j_nu * d_mu - p * d_nu * j_mu)
+def _lommel_brackets(nu, mu, p, p_prime, rs):
+    # B(r) = r [p' J_nu(p r) J'_mu(p' r) - p J'_nu(p r) J_mu(p' r)] at each
+    # r of rs, in four kernel calls: one for each order nu, nu - 1, mu, mu - 1
+    j_nu, d_nu = bessel_j_and_prime_many(nu, [p * r for r in rs])
+    j_mu, d_mu = bessel_j_and_prime_many(mu, [p_prime * r for r in rs])
+    return [
+        r * (p_prime * a * b - p * c * d)
+        for r, a, b, c, d in zip(rs, j_nu, d_mu, d_nu, j_mu)
+    ]
 
 
 @checked
@@ -261,10 +266,12 @@ def finite_part_estimate(nu: float, mu: float, p: float, p_prime: float) -> tupl
     series, the others one G10/K21 panel each, at its K21 value.  It takes
     no tolerance and no panel budget and never bisects, so its cost does
     not depend on p'/p, and it returns the value at 3/2; est_error is the
-    half-spread of the three.  J'_nu comes from
-    `specfun.bessel_j_and_prime`.  Every node and bracket
-    argument stays at max(p, p') r <= 3 pi/2, where the kernels sum the
-    ascending series, clear of their switch to Hankel's expansion at 12.
+    half-spread of the three.  The three cells run first, then the three
+    brackets in four kernel calls (J_nu and J'_nu from
+    `specfun.bessel_j_and_prime_many`), so that a cell that fails is
+    reported before a bracket.  Every node and bracket argument stays at
+    max(p, p') r <= 3 pi/2, where the kernels sum the ascending series,
+    clear of their switch to Hankel's expansion at 12.
     The windows run at the momenta divided by 2^e, e the binary exponent of
     max(p, p'), which is exact, and the value and est_error are multiplied
     by 2^-2e: the scaled problem is the same at every magnitude of the
@@ -292,12 +299,14 @@ def finite_part_estimate(nu: float, mu: float, p: float, p_prime: float) -> tupl
     scale = (p - p_prime) * (p + p_prime)
     ends = [periods * step for periods in _LOMMEL_PERIODS]
     running = disagreement = 0.0
-    values = []
+    integrals = []
     for lo, L in zip([0.0] + ends, ends):
         fine, coarse = cell(nu, mu, p, p_prime, lo, L)
         running += fine
         disagreement += abs(fine - coarse)
-        values.append(running - _lommel_bracket(nu, mu, p, p_prime, L) / scale)
+        integrals.append(running)
+    brackets = _lommel_brackets(nu, mu, p, p_prime, ends)
+    values = [q - b / scale for q, b in zip(integrals, brackets)]
     value = _scale_back(values[-1], e)
     est_error = _scale_back(0.5 * (max(values) - min(values)), e)
     gate = 1e-3 * max(1.0, abs(value))
@@ -309,23 +318,30 @@ def finite_part_estimate(nu: float, mu: float, p: float, p_prime: float) -> tupl
     return value, est_error
 
 
-def _solve_normal_equations(rows, ys):
-    """Least squares via normal equations, Gaussian elimination with pivoting."""
-    m = len(rows[0])
+def _dot(a, b):
+    # a . b summed left to right in plain double additions: sum() of floats
+    # is compensated from Python 3.12 on and fsum correctly rounded, so
+    # either would make the fit depend on the Python version or move its
+    # doubles.  A loop is quicker here than functools.reduce over map.
+    s = 0.0
+    for x, y in zip(a, b):
+        s += x * y
+    return s
+
+
+def _solve_normal_equations(cols, ys):
+    """Least squares via normal equations, Gaussian elimination with pivoting.
+
+    cols are the columns of the design matrix A.
+    """
+    m = len(cols)
+    # the upper triangle of A^T A, mirrored below: products commute exactly,
+    # so the doubles are those of the full square
     ata = [[0.0] * m for _ in range(m)]
-    atb = [0.0] * m
-    # the upper triangle only, mirrored below: products commute exactly and
-    # each sum keeps its order, so the doubles are those of the full square
-    for row, y in zip(rows, ys):
-        for i in range(m):
-            a = row[i]
-            atb[i] += a * y
-            ata_i = ata[i]
-            for j in range(i, m):
-                ata_i[j] += a * row[j]
-    for i in range(1, m):
-        for j in range(i):
-            ata[i][j] = ata[j][i]
+    for i in range(m):
+        for j in range(i, m):
+            ata[i][j] = ata[j][i] = _dot(cols[i], cols[j])
+    atb = [_dot(col, ys) for col in cols]
     aug = [ata[i] + [atb[i]] for i in range(m)]
     for c in range(m):
         piv = max(range(c, m), key=lambda r: abs(aug[r][c]))
@@ -338,7 +354,7 @@ def _solve_normal_equations(rows, ys):
                 aug[r][k] -= f * aug[c][k]
     beta = [0.0] * m
     for r in range(m - 1, -1, -1):
-        s = aug[r][m] - sum(aug[r][k] * beta[k] for k in range(r + 1, m))
+        s = aug[r][m] - _dot(aug[r][r + 1 : m], beta[r + 1 :])
         beta[r] = s / aug[r][r]
     return beta
 
@@ -355,7 +371,7 @@ def fit_delta_coefficient(nu: float, mu: float, p: float, p_prime: float) -> flo
     what a fit of the windowed integral gives, with no quadrature.  The
     sample step advances the fast phase by an odd multiple of pi/2, so the
     fast oscillation cannot alias onto the slow one: 17 to 49 samples of
-    the bracket, four kernel calls each.  Returns A, which approaches
+    the bracket, all from four kernel calls.  Returns A, which approaches
     cos(pi d) for (+d, -d) and 1 for equal orders; for orders d in
     [0.05, 0.95] it is within 3e-8 of cos(pi d) for p'/p in [1.002, 1.4],
     1e-6 in [1.4, 2.2] and 3e-6 in [2.2, 3], and the same at the reciprocal
@@ -391,19 +407,16 @@ def fit_delta_coefficient(nu: float, mu: float, p: float, p_prime: float) -> flo
     step = (k + 0.5) * math.pi / sp if k >= 0 else span / _FIT_SAMPLES
     Ls = [L0 + i * step for i in range(math.floor(span / step) + 1)]
     scale = dp * sp
-    ys = [_lommel_bracket(nu, mu, p, p_prime, L) / scale for L in Ls]
+    ys = [b / scale for b in _lommel_brackets(nu, mu, p, p_prime, Ls)]
     c_slow = 1.0 / (math.pi * dp * math.sqrt(p * p_prime))
     c_fast = 1.0 / (math.pi * sp * math.sqrt(p * p_prime))
-    rows = []
-    for L in Ls:
-        waves = [
-            math.sin(dp * L) * c_slow,
-            math.cos(dp * L) * c_slow,
-            math.sin(sp * L) * c_fast,
-            math.cos(sp * L) * c_fast,
-        ]
-        rows.append(waves + [1.0] + [w / L for w in waves])
-    return _solve_normal_equations(rows, ys)[0]
+    waves = [
+        [wave(w * L) * c for L in Ls]
+        for w, c in ((dp, c_slow), (sp, c_fast))
+        for wave in (math.sin, math.cos)
+    ]
+    cols = waves + [[1.0] * len(Ls)] + [[v / L for v, L in zip(col, Ls)] for col in waves]
+    return _solve_normal_equations(cols, ys)[0]
 
 
 def _same_channel(mode_a: RadialMode, mode_b: RadialMode):
@@ -479,7 +492,8 @@ def fit_cancelling_exponent(flux, channel: int, momenta) -> float:
     For every momentum pair, solves mode_overlap_finite_part = 0 for the
     coefficient ratio beta(p)/beta(p'), then least-squares fits
     log beta against log p.  The slope is 2 delta for channel N and
-    2 (1 - delta) for channel N + 1.
+    2 (1 - delta) for channel N + 1.  DomainError names the first momentum,
+    in the order given, that is not positive and finite.
     """
     from .flux import EquationKind, critical_channels
     from .modes import make_schrodinger_mode
@@ -488,7 +502,13 @@ def fit_cancelling_exponent(flux, channel: int, momenta) -> float:
         raise ChannelMismatchError(
             f"channel {channel} is not critical for flux {flux.phi}"
         )
-    ps = sorted(set(float(p) for p in momenta))
+    momenta = [float(p) for p in momenta]
+    # in input order: sorted() has no defined order with a NaN among the
+    # momenta, nor has a set of them (a NaN hashes by its identity)
+    for p in momenta:
+        if not 0.0 < p < math.inf:
+            raise DomainError(f"momenta must be positive and finite, got {p}")
+    ps = sorted(set(momenta))
     if len(ps) < 3:
         raise InsufficientSamplesError(
             f"exponent fit needs >= 3 distinct momenta, got {len(ps)}"

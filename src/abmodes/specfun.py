@@ -22,11 +22,11 @@ All functions are pure and reentrant.
 import math
 import sys
 
-from ._backend import BACKEND, bessel_kernel, gamma_kernel
+from ._backend import BACKEND, bessel_kernel, bessel_many_kernel, gamma_kernel
 from .errors import DomainError, NumericalFailureError, PoleError, checked
 
 __all__ = ["BACKEND", "MAX_ORDER", "gamma", "bessel_j", "bessel_j_and_prime",
-           "bessel_j_prime", "power"]
+           "bessel_j_and_prime_many", "bessel_j_prime", "power"]
 
 # The kernels overflow in their power t**(x - 0.5), t = x + 6.5, from
 # x = 142.3 on, and through the reflection from x = -141.3 down; gamma brings
@@ -128,6 +128,17 @@ def _subnormal_half(what, nu, x):
     )
 
 
+def _check_j_and_prime(what, nu, lo, hi):
+    # the domain of J'_nu = J_{nu-1} - (nu/x) J_nu at arguments in [lo, hi]
+    if math.isnan(nu) or abs(nu) > MAX_ORDER:
+        raise DomainError(f"{what}: |nu| must be <= {MAX_ORDER}, got {nu}")
+    if not (0.0 < lo and hi < math.inf):
+        raise DomainError(f"{what}: x must be finite and > 0, got {hi if 0.0 < lo else lo}")
+    if lo < _SUBNORMAL_HALF:
+        # name the order whose power loses the digits: J_{-1} at nu = 0
+        raise _subnormal_half(what, nu or -1.0, lo)
+
+
 @checked
 def bessel_j_and_prime(nu: float, x: float) -> tuple:
     """(J_nu(x), J'_nu(x)) for |nu| <= MAX_ORDER and finite x > 0.
@@ -141,15 +152,29 @@ def bessel_j_and_prime(nu: float, x: float) -> tuple:
     """
     nu = float(nu)
     x = float(x)
-    if math.isnan(nu) or abs(nu) > MAX_ORDER:
-        raise DomainError(f"bessel_j_and_prime: |nu| must be <= {MAX_ORDER}, got {nu}")
-    if not math.isfinite(x) or x <= 0.0:
-        raise DomainError(f"bessel_j_and_prime: x must be finite and > 0, got {x}")
-    if x < _SUBNORMAL_HALF:
-        # name the order whose power loses the digits: J_{-1} at nu = 0
-        raise _subnormal_half("bessel_j_and_prime", nu or -1.0, x)
+    _check_j_and_prime("bessel_j_and_prime", nu, x, x)
     j = bessel_kernel(nu, x)
     return j, bessel_kernel(nu - 1.0, x) - nu / x * j
+
+
+@checked
+def bessel_j_and_prime_many(nu: float, xs) -> tuple:
+    """((J_nu(x) for x in xs), (J'_nu(x) for x in xs)), two tuples.
+
+    The same doubles as `bessel_j_and_prime` at each x, and the same
+    domain, checked on the smallest and the largest x (DomainError for an
+    empty xs too); from two kernel calls in all, each of which builds its
+    order's expansion once for every x (`bessel_j_many`).
+    """
+    nu = float(nu)
+    xs = tuple(map(float, xs))
+    # min and max pass over a NaN that does not come first: it stands for
+    # the lower end, which refuses it
+    lo = math.nan if any(map(math.isnan, xs)) else min(xs, default=math.nan)
+    _check_j_and_prime("bessel_j_and_prime_many", nu, lo, max(xs, default=math.nan))
+    js = bessel_many_kernel(nu, xs)
+    below = bessel_many_kernel(nu - 1.0, xs)
+    return js, tuple([jm - nu / x * j for jm, x, j in zip(below, xs, js)])
 
 
 @checked

@@ -9,6 +9,7 @@ more build, with no compiler at all, must warn and build nothing.
 """
 
 import importlib.util
+import inspect
 import json
 import math
 import os
@@ -26,7 +27,7 @@ import pytest
 from conftest import REPO, SUBNORMAL_ARGV
 
 import abmodes
-from abmodes import _kernels_py, _quad, cli, specfun
+from abmodes import _backend, _kernels_py, _quad, cli, specfun
 from abmodes.errors import AbmodesError, DegenerateDenominatorError, NumericalFailureError
 from abmodes.sae import Channel, ExtensionParameter
 
@@ -77,6 +78,7 @@ def use_kernels(monkeypatch, kernels):
     """Point every caller of the selected kernels at `kernels`."""
     monkeypatch.setattr(specfun, "gamma_kernel", kernels.gamma)
     monkeypatch.setattr(specfun, "bessel_kernel", kernels.bessel_j)
+    monkeypatch.setattr(specfun, "bessel_many_kernel", kernels.bessel_j_many)
     monkeypatch.setattr(_quad, "bessel_kernel", kernels.bessel_j)
     monkeypatch.setattr(_quad, "product_panel_kernel", kernels.kronrod21_product_panel)
     monkeypatch.setattr(_quad, "hankel_panel_kernel", kernels.hankel_product_panel)
@@ -105,6 +107,43 @@ def test_bessel_agreement(kernels_c):
             if x == 0.0 and nu < 0.0:
                 continue
             assert kernels_c.bessel_j(nu, x) == _kernels_py.bessel_j(nu, x), (nu, x)
+
+
+def test_twins_export_the_same_kernels(kernels_c):
+    # every kernel of the compiled twin has its Python twin, and back, but
+    # for two helpers the C keeps to itself; _backend binds only these
+    compiled = {name for name in dir(kernels_c) if not name.startswith("_")}
+    python = {
+        name for name, f in vars(_kernels_py).items()
+        if inspect.isfunction(f) and not name.startswith("_")
+    }
+    assert compiled == python - {"sinpi", "spherical_j"}
+    bound = {f.__name__ for name, f in vars(_backend).items() if name.endswith("_kernel")}
+    assert bound <= compiled
+
+
+def test_bessel_many_agreement(kernels_c):
+    # one expansion for all the arguments gives each twin's single-call
+    # doubles: 3,000 random (nu, xs) over ranges below, across and above
+    # the switch at x = 12, at random and at negative integer orders
+    rng = random.Random(7)
+    for i in range(3000):
+        nu = rng.uniform(-6.0, 6.0) if i % 3 else float(rng.randint(-6, 6))
+        if i % 4 == 0:
+            xs = [rng.uniform(9.0, 15.0) for _ in range(rng.randint(2, 30))]
+        else:
+            lo = 10 ** rng.uniform(-3.0, 2.0)
+            xs = [lo * 10 ** rng.uniform(0.0, 2.0) for _ in range(rng.randint(1, 30))]
+        single = tuple(_kernels_py.bessel_j(nu, x) for x in xs)
+        assert _kernels_py.bessel_j_many(nu, xs) == single, (nu, xs)
+        assert kernels_c.bessel_j_many(nu, xs) == single, (nu, xs)
+        assert tuple(kernels_c.bessel_j(nu, x) for x in xs) == single, (nu, xs)
+    # arguments that straddle 12 at the orders where the expansion branches
+    for nu in SPECIAL_ORDERS:
+        xs = [11.5 + 0.05 * k for k in range(21)]
+        assert kernels_c.bessel_j_many(nu, xs) == _kernels_py.bessel_j_many(nu, xs) == tuple(
+            _kernels_py.bessel_j(nu, x) for x in xs
+        ), nu
 
 
 def test_underflowed_half_argument_alike(kernels_c):

@@ -359,6 +359,9 @@ class TestExitCodes:
               "--rho0", "1e250"], "NumericalPoleError"),
             (["sae-ratio", "--eq", "dirac", "--alpha", "1", "--delta", "0.5",
               "--pperp", "1e300"], "NumericalFailureError"),
+            # each square finite, E^2 past the doubles: once "ratio":0.0
+            (["sae-ratio", "--eq", "dirac", "--alpha", "1", "--delta", "0.3",
+              "--pperp", "1.3e154", "--p3", "1.3e154"], "NumericalFailureError"),
             (["sae-ratio", "--alpha", "1", "--delta", "0.7", "--p", "1e300"],
              "NumericalFailureError"),
             (["gfactor", "--channel", "n", "--alpha", "1", "--enn", "0",

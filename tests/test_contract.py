@@ -72,6 +72,9 @@ def _dictionary(form):
 _CASES = {
     "bessel_j": (abmodes.bessel_j, FLOATS, FLOATS),
     "bessel_j_and_prime": (specfun.bessel_j_and_prime, FLOATS, FLOATS),
+    "bessel_j_and_prime_many": (
+        specfun.bessel_j_and_prime_many, FLOATS, st.lists(FLOATS, max_size=4)
+    ),
     "bessel_j_prime": (abmodes.bessel_j_prime, FLOATS, FLOATS),
     "boundary_ratio_from_alpha": (abmodes.boundary_ratio_from_alpha, FLOATS, FLOATS),
     "closed_form_cross": (abmodes.closed_form_cross, FLOATS, FLOATS, FLOATS),
@@ -158,7 +161,7 @@ def _all_finite(value):
 
 def test_every_public_function_has_a_case():
     public = {name for name in abmodes.__all__ if inspect.isfunction(getattr(abmodes, name))}
-    assert set(_CASES) == public | {"bessel_j_and_prime"}
+    assert set(_CASES) == public | {"bessel_j_and_prime", "bessel_j_and_prime_many"}
 
 
 _calls = st.sampled_from(sorted(_CASES)).flatmap(

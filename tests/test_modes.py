@@ -5,7 +5,12 @@ import random
 
 import pytest
 
-from abmodes.errors import DegenerateError, DomainError, IrregularForbiddenError
+from abmodes.errors import (
+    DegenerateError,
+    DomainError,
+    IrregularForbiddenError,
+    NumericalFailureError,
+)
 from abmodes.flux import decompose
 from abmodes.modes import (
     DiracKinematics,
@@ -139,6 +144,12 @@ class TestDiracKinematics:
                               (1.0, math.inf, 0.0), (1.0, 1.0, math.nan)):
             with pytest.raises(DomainError):
                 DiracKinematics.from_momenta(M, p_perp, p3)
+
+    def test_overflowing_energy_is_a_numerical_failure(self):
+        # each square is finite and their sum is not: E would be inf
+        with pytest.raises(NumericalFailureError, match="E\\^2"):
+            DiracKinematics.from_momenta(1.0, 1.3e154, 1.3e154)
+        assert DiracKinematics.from_momenta(1.0, 1.3e154, 0.0).E == 1.3e154
 
 
 class TestSmallRhoSignature:

@@ -11,7 +11,13 @@ from hypothesis import strategies as st
 
 from abmodes import _kernels_py
 from abmodes.errors import DomainError, NumericalFailureError, PoleError
-from abmodes.specfun import bessel_j, bessel_j_and_prime, bessel_j_prime, gamma
+from abmodes.specfun import (
+    bessel_j,
+    bessel_j_and_prime,
+    bessel_j_and_prime_many,
+    bessel_j_prime,
+    gamma,
+)
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -292,6 +298,41 @@ class TestBesselJPrime:
                 f(nu, x)
             errors.append(type(info.value))
         assert errors[0] is errors[1]
+
+    def test_batch_is_the_pair_at_each_argument(self):
+        # one expansion per order for all the arguments gives the doubles of
+        # one call per argument; ranges below, across and above x = 12
+        rng = random.Random(6)
+        for i in range(500):
+            nu = rng.choice([rng.uniform(-5.0, 5.0), float(rng.randint(-5, 5))])
+            lo = (1e-3, 8.0, 12.5)[i % 3] * 10 ** rng.uniform(0.0, 1.0)
+            xs = [lo * 10 ** rng.uniform(0.0, 1.5) for _ in range(rng.randint(1, 12))]
+            pairs = [bessel_j_and_prime(nu, x) for x in xs]
+            assert bessel_j_and_prime_many(nu, xs) == tuple(zip(*pairs)), (nu, xs)
+
+    @pytest.mark.parametrize(
+        "nu, x",
+        [(0.3, 0.0), (0.3, -2.0), (5.5, 1.0), (-5.5, 1.0), (float("nan"), 1.0),
+         (0.3, float("inf")), (0.3, float("nan")), (0.0, 5e-324), (0.0, 1.5e-323),
+         (-0.5, 3e-315), (1.0, 4.4e-308), (-0.9, 1e-300)],
+    )
+    def test_batch_refuses_what_the_pair_refuses(self, nu, x):
+        # the same error and message as the pair at the one argument it
+        # refuses, wherever that argument stands among good ones
+        with pytest.raises((DomainError, NumericalFailureError)) as info:
+            bessel_j_and_prime(nu, x)
+        expected = type(info.value), str(info.value).replace(
+            "bessel_j_and_prime", "bessel_j_and_prime_many", 1)
+        for xs in ([x], [x, 1.0, 2.0], [1.0, x, 2.0], [1.0, 2.0, x]):
+            with pytest.raises((DomainError, NumericalFailureError)) as info:
+                bessel_j_and_prime_many(nu, xs)
+            assert type(info.value) is expected[0], xs
+            if expected[0] is DomainError or "overflows" not in expected[1]:
+                assert str(info.value) == expected[1], xs
+
+    def test_batch_refuses_no_arguments(self):
+        with pytest.raises(DomainError):
+            bessel_j_and_prime_many(0.3, [])
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
