@@ -17,6 +17,5 @@ except ImportError:
 
 gamma_kernel = _impl.gamma
 bessel_kernel = _impl.bessel_j
-bessel_many_kernel = _impl.bessel_j_many
 product_panel_kernel = _impl.kronrod21_product_panel
 hankel_panel_kernel = _impl.hankel_product_panel

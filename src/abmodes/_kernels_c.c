@@ -331,19 +331,10 @@ static PyObject *py_gamma(PyObject *Py_UNUSED(module), PyObject *arg)
     return PyFloat_FromDouble(gamma_(x));
 }
 
-static PyObject *py_bessel_j(PyObject *Py_UNUSED(module), PyObject *const *args,
-                             Py_ssize_t nargs)
-{
-    double a[2];
-    if (doubles("bessel_j", args, nargs, 2, a) < 0)
-        return NULL;
-    return PyFloat_FromDouble(bessel_j_(a[0], a[1]));
-}
-
 /* (J_nu(x) for x in xs) from one expansion over [min, max] of the n > 0 xs,
  * the ends as Python's min and max take them: an x replaces the running
  * end only where it compares beyond it. */
-static PyObject *bessel_j_many_(double nu, const double *xs, Py_ssize_t n)
+static PyObject *bessel_j_tuple_(double nu, const double *xs, Py_ssize_t n)
 {
     double lo = xs[0], hi = xs[0];
     for (Py_ssize_t i = 1; i < n; i++) {
@@ -368,41 +359,41 @@ static PyObject *bessel_j_many_(double nu, const double *xs, Py_ssize_t n)
     return out;
 }
 
-static PyObject *py_bessel_j_many(PyObject *Py_UNUSED(module), PyObject *const *args,
-                                  Py_ssize_t nargs)
+static PyObject *py_bessel_j_tuple(PyObject *order, PyObject *xs_tuple)
 {
-    if (nargs != 2) {
-        PyErr_Format(PyExc_TypeError, "bessel_j_many() takes exactly 2 arguments (%zd given)",
-                     nargs);
-        return NULL;
-    }
-    double nu = PyFloat_AsDouble(args[0]);
+    double nu = PyFloat_AsDouble(order);
     if (nu == -1.0 && PyErr_Occurred())
         return NULL;
-    PyObject *seq = PySequence_Fast(args[1], "bessel_j_many() argument 2 must be a sequence");
-    if (seq == NULL)
+    Py_ssize_t n = PyTuple_GET_SIZE(xs_tuple);
+    if (n == 0) {
+        PyErr_SetString(PyExc_ValueError, "bessel_j() arg is an empty tuple");
         return NULL;
-    Py_ssize_t n = PySequence_Fast_GET_SIZE(seq);
-    PyObject **items = PySequence_Fast_ITEMS(seq);
-    PyObject *out = NULL;
-    double *xs = PyMem_New(double, n);
-    if (n == 0)
-        PyErr_SetString(PyExc_ValueError, "bessel_j_many() arg is an empty sequence");
-    else if (xs == NULL)
-        PyErr_NoMemory();
-    else {
-        Py_ssize_t i = 0;
-        for (; i < n; i++) {
-            xs[i] = PyFloat_AsDouble(items[i]);
-            if (xs[i] == -1.0 && PyErr_Occurred())
-                break;
-        }
-        if (i == n)
-            out = bessel_j_many_(nu, xs, n);
     }
+    double *xs = PyMem_New(double, n);
+    if (xs == NULL)
+        return PyErr_NoMemory();
+    PyObject *out = NULL;
+    Py_ssize_t i = 0;
+    for (; i < n; i++) {
+        xs[i] = PyFloat_AsDouble(PyTuple_GET_ITEM(xs_tuple, i));
+        if (xs[i] == -1.0 && PyErr_Occurred())
+            break;
+    }
+    if (i == n)
+        out = bessel_j_tuple_(nu, xs, n);
     PyMem_Free(xs);
-    Py_DECREF(seq);
     return out;
+}
+
+static PyObject *py_bessel_j(PyObject *Py_UNUSED(module), PyObject *const *args,
+                             Py_ssize_t nargs)
+{
+    if (nargs == 2 && PyTuple_Check(args[1]))
+        return py_bessel_j_tuple(args[0], args[1]);
+    double a[2];
+    if (doubles("bessel_j", args, nargs, 2, a) < 0)
+        return NULL;
+    return PyFloat_FromDouble(bessel_j_(a[0], a[1]));
 }
 
 static PyObject *py_gauss15_product_panel(PyObject *Py_UNUSED(module),
@@ -545,10 +536,9 @@ static PyMethodDef methods[] = {
     {"gamma", (PyCFunction)py_gamma, METH_O,
      "gamma(x, /)\n--\n\nGamma(x) for real non-pole x (caller excludes 0, -1, -2, ...)."},
     {"bessel_j", (PyCFunction)(void (*)(void))py_bessel_j, METH_FASTCALL,
-     "bessel_j(nu, x, /)\n--\n\nJ_nu(x) for real order and x >= 0 (x = 0 only with nu >= 0)."},
-    {"bessel_j_many", (PyCFunction)(void (*)(void))py_bessel_j_many, METH_FASTCALL,
-     "bessel_j_many(nu, xs, /)\n--\n\n"
-     "(J_nu(x) for x in xs), a non-empty sequence, from one expansion for all of them."},
+     "bessel_j(nu, x, /)\n--\n\nJ_nu(x) for real order and x >= 0 (x = 0 only with nu >= 0).\n\n"
+     "For a non-empty tuple x, the tuple of J_nu at each of its elements,\n"
+     "from one expansion for all of them."},
     {"gauss15_product_panel", (PyCFunction)(void (*)(void))py_gauss15_product_panel,
      METH_FASTCALL,
      "gauss15_product_panel(nu, mu, p, pp, lo, hi, /)\n--\n\n"

@@ -16,18 +16,18 @@ goes into the C as well, and `tests/test_backends.py` compares the two with
 * J_nu: ascending power series for x <= 12, Hankel large-argument expansion
   with optimal truncation (up to 59 correction terms) for x > 12.  A panel
   builds each order's expansion once, `_expansion`, for all its arguments,
-  `bessel_j_many` one for a sequence of arguments (`overlap`'s Lommel
-  brackets at all of an estimator's window lengths), and `bessel_j` one
-  for its one argument: Gamma(nu + 1) of the series, which keeps its term
-  recurrence, order of operations and stop rule at every argument; and
-  Hankel's coefficients c_k, from which P and Q are Horner sums in 1/x^2.
-  Each argument has its own cut of Hankel's sum, found by bisecting running
-  bounds of the coefficients: before the first k > 2 whose term does not
-  shrink, or after the first term <= 1e-18.  The cut does not depend on
-  the range the coefficients were built for, so all three give the same
-  J_nu(x) at each x.  It is the cut of a term-by-term loop up to rounding
-  where a term sits at the boundary, so P and Q may differ from such a
-  loop's by about one smallest term (within 6.7e-16 on 3,000 random
+  and `bessel_j` one for its one argument or for its tuple of arguments
+  (`overlap`'s Lommel brackets at all of an estimator's window lengths):
+  Gamma(nu + 1) of the series, which keeps its term recurrence, order of
+  operations and stop rule at every argument; and Hankel's coefficients
+  c_k, from which P and Q are Horner sums in 1/x^2.  Each argument has its
+  own cut of Hankel's sum, found by bisecting running bounds of the
+  coefficients: before the first k > 2 whose term does not shrink, or
+  after the first term <= 1e-18.  The cut does not depend on the range the
+  coefficients were built for, so a panel, one argument and a tuple give
+  the same J_nu(x) at each x.  It is the cut of a term-by-term loop up to
+  rounding where a term sits at the boundary, so P and Q may differ from
+  such a loop's by about one smallest term (within 6.7e-16 on 3,000 random
   (nu, x), nu in (-1, 6], x > 12).  (A cut fixed per panel would be
   faster, but the truncation errors of P and Q then share a sign and add
   up in the slow (p - p') phase of a Hankel panel.)  Negative integer
@@ -304,14 +304,15 @@ def _asymptotic(nu, x, hankel):
 
 
 def bessel_j(nu, x):
-    """J_nu(x) for real order and x >= 0 (x = 0 only with nu >= 0)."""
+    """J_nu(x) for real order and x >= 0 (x = 0 only with nu >= 0).
+
+    For a non-empty tuple x, the tuple of J_nu at each of its elements,
+    from one expansion for all of them.
+    """
+    if isinstance(x, tuple):
+        expansion = _expansion(nu, min(x), max(x))
+        return tuple([_j(expansion, t) for t in x])
     return _j(_expansion(nu, x, x), x)
-
-
-def bessel_j_many(nu, xs):
-    """(J_nu(x) for x in xs), a non-empty sequence, from one expansion for all of them."""
-    expansion = _expansion(nu, min(xs), max(xs))
-    return tuple([_j(expansion, x) for x in xs])
 
 
 def gauss15_product_panel(nu, mu, p, pp, lo, hi):

@@ -43,9 +43,7 @@ from .errors import (
 )
 from .flux import FluxParameter, radial_order
 from .sae import Channel, ExtensionParameter
-# bessel_j_prime is not called here: perfbench/tracer.py hooks it by this
-# name, and a hook that is missing leaves its metrics unmeasured
-from .specfun import bessel_j, bessel_j_and_prime, bessel_j_prime, gamma, power
+from .specfun import bessel_j, bessel_j_prime, gamma, power
 
 __all__ = [
     "FluxShellProblem",
@@ -130,12 +128,14 @@ def _matching_terms(prob: FluxShellProblem):
     """
     x = prob.x
     nu = prob.nu
-    jl, jl_prime = bessel_j_and_prime(float(abs(prob.l)), x)
+    order_l = float(abs(prob.l))
+    jl = bessel_j(order_l, x)
+    jl_prime = bessel_j_prime(order_l, x)
     moment = (prob.flux.phi / x) * jl
 
     def terms(order):
         # J'_order Jl - J_order (Jl' - g moment), split into its g^0 and g^1 parts
-        j, j_prime = bessel_j_and_prime(order, x)
+        j_prime, j = bessel_j_prime(order, x), bessel_j(order, x)
         size = abs(j_prime * jl) + abs(j * (jl_prime - prob.g * moment))
         return j_prime * jl - j * jl_prime, moment * j, size
 

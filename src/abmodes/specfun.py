@@ -22,7 +22,7 @@ All functions are pure and reentrant.
 import math
 import sys
 
-from ._backend import BACKEND, bessel_kernel, bessel_many_kernel, gamma_kernel
+from ._backend import BACKEND, bessel_kernel, gamma_kernel
 from .errors import DomainError, NumericalFailureError, PoleError, checked
 
 __all__ = ["BACKEND", "MAX_ORDER", "gamma", "bessel_j", "bessel_j_and_prime",
@@ -164,7 +164,7 @@ def bessel_j_and_prime_many(nu: float, xs) -> tuple:
     The same doubles as `bessel_j_and_prime` at each x, and the same
     domain, checked on the smallest and the largest x (DomainError for an
     empty xs too); from two kernel calls in all, each of which builds its
-    order's expansion once for every x (`bessel_j_many`).
+    order's expansion once for every x (the kernel's tuple argument).
     """
     nu = float(nu)
     xs = tuple(map(float, xs))
@@ -172,8 +172,8 @@ def bessel_j_and_prime_many(nu: float, xs) -> tuple:
     # the lower end, which refuses it
     lo = math.nan if any(map(math.isnan, xs)) else min(xs, default=math.nan)
     _check_j_and_prime("bessel_j_and_prime_many", nu, lo, max(xs, default=math.nan))
-    js = bessel_many_kernel(nu, xs)
-    below = bessel_many_kernel(nu - 1.0, xs)
+    js = bessel_kernel(nu, xs)
+    below = bessel_kernel(nu - 1.0, xs)
     return js, tuple([jm - nu / x * j for jm, x, j in zip(below, xs, js)])
 
 

@@ -78,7 +78,6 @@ def use_kernels(monkeypatch, kernels):
     """Point every caller of the selected kernels at `kernels`."""
     monkeypatch.setattr(specfun, "gamma_kernel", kernels.gamma)
     monkeypatch.setattr(specfun, "bessel_kernel", kernels.bessel_j)
-    monkeypatch.setattr(specfun, "bessel_many_kernel", kernels.bessel_j_many)
     monkeypatch.setattr(_quad, "bessel_kernel", kernels.bessel_j)
     monkeypatch.setattr(_quad, "product_panel_kernel", kernels.kronrod21_product_panel)
     monkeypatch.setattr(_quad, "hankel_panel_kernel", kernels.hankel_product_panel)
@@ -122,7 +121,7 @@ def test_twins_export_the_same_kernels(kernels_c):
     assert bound <= compiled
 
 
-def test_bessel_many_agreement(kernels_c):
+def test_bessel_tuple_agreement(kernels_c):
     # one expansion for all the arguments gives each twin's single-call
     # doubles: 3,000 random (nu, xs) over ranges below, across and above
     # the switch at x = 12, at random and at negative integer orders
@@ -134,14 +133,15 @@ def test_bessel_many_agreement(kernels_c):
         else:
             lo = 10 ** rng.uniform(-3.0, 2.0)
             xs = [lo * 10 ** rng.uniform(0.0, 2.0) for _ in range(rng.randint(1, 30))]
+        xs = tuple(xs)
         single = tuple(_kernels_py.bessel_j(nu, x) for x in xs)
-        assert _kernels_py.bessel_j_many(nu, xs) == single, (nu, xs)
-        assert kernels_c.bessel_j_many(nu, xs) == single, (nu, xs)
+        assert _kernels_py.bessel_j(nu, xs) == single, (nu, xs)
+        assert kernels_c.bessel_j(nu, xs) == single, (nu, xs)
         assert tuple(kernels_c.bessel_j(nu, x) for x in xs) == single, (nu, xs)
     # arguments that straddle 12 at the orders where the expansion branches
     for nu in SPECIAL_ORDERS:
-        xs = [11.5 + 0.05 * k for k in range(21)]
-        assert kernels_c.bessel_j_many(nu, xs) == _kernels_py.bessel_j_many(nu, xs) == tuple(
+        xs = tuple(11.5 + 0.05 * k for k in range(21))
+        assert kernels_c.bessel_j(nu, xs) == _kernels_py.bessel_j(nu, xs) == tuple(
             _kernels_py.bessel_j(nu, x) for x in xs
         ), nu
 

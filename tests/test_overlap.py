@@ -324,14 +324,14 @@ class TestFinitePartEstimate:
 
         def kernel(order, xs):
             args.extend(xs)
-            return many_kernel(order, xs)
+            return bessel_kernel(order, xs)
 
         origin_cell = _quad._origin_cell
         panel_kernel = _quad.product_panel_kernel
-        many_kernel = abmodes.specfun.bessel_many_kernel
+        bessel_kernel = abmodes.specfun.bessel_kernel
         monkeypatch.setattr(_quad, "_origin_cell", series)
         monkeypatch.setattr(_quad, "product_panel_kernel", panel)
-        monkeypatch.setattr(abmodes.specfun, "bessel_many_kernel", kernel)
+        monkeypatch.setattr(abmodes.specfun, "bessel_kernel", kernel)
         finite_part_estimate(nu, mu, 1.1, 1.1 * ratio)
         assert len(ends) == 3 and len(args) == 12
         limit = 1.5 * math.pi * (1.0 + 1e-15)
@@ -516,8 +516,8 @@ class TestDeltaCoefficientFit:
             calls.append((nu, len(xs)))
             return kernel(nu, xs)
 
-        kernel = abmodes.specfun.bessel_many_kernel
-        monkeypatch.setattr(abmodes.specfun, "bessel_many_kernel", counting)
+        kernel = abmodes.specfun.bessel_kernel
+        monkeypatch.setattr(abmodes.specfun, "bessel_kernel", counting)
         counts = set()
         for ratio in np.concatenate([np.geomspace(1.002, 10.0, 300), [1.4 + 1e-12, 3.0]]):
             for side in (float(ratio), float(1.0 / ratio)):
