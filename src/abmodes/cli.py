@@ -201,10 +201,8 @@ def _cmd_cancel(args):
 def _cmd_exponent_fit(args):
     flux = _flux_from(args.delta, args.enn)
     channel = Channel(args.channel)
-    l = channel.l(flux)
-    slope = fit_cancelling_exponent(flux, l, args.momenta)
-    expected = 2.0 * flux.delta if channel is Channel.SCHRODINGER_N else 2.0 * (1.0 - flux.delta)
-    return {"slope": slope, "expected": expected}, {}
+    slope = fit_cancelling_exponent(flux, channel.l(flux), args.momenta)
+    return {"slope": slope, "expected": 2.0 * channel.order(flux)}, {}
 
 
 def _cmd_sae_ratio(args):
@@ -236,8 +234,7 @@ def _cmd_gfactor(args):
     channel = Channel(args.channel)
     ep = ExtensionParameter.finite(channel, args.alpha)
     g = g_from_alpha(ep, flux, args.rho0, 1.0)
-    l = channel.l(flux)
-    outputs = {"g": g, "resonance_defect": resonance_defect(l, flux, g)}
+    outputs = {"g": g, "resonance_defect": resonance_defect(channel.l(flux), flux, g)}
     if args.alpha != 0.0:
         outputs["g_asymptotic"] = g_asymptotic(ep, flux, args.rho0, 1.0)
     return outputs, {}

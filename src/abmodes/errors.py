@@ -116,7 +116,10 @@ def checked(fn):
         # a float result, the common case, is checked without a call
         if math.isfinite(result) if isinstance(result, float) else _finite(result):
             return result
-        call = ", ".join([*map(repr, args), *(f"{k}={v!r}" for k, v in kwargs.items())])
+        shown = [*map(repr, args), *(f"{k}={v!r}" for k, v in kwargs.items())]
+        # an argument's repr past 200 characters keeps its head and tail: a
+        # 321-digit int is cut, the library's records print whole
+        call = ", ".join(a if len(a) <= 200 else f"{a[:98]}...{a[-98:]}" for a in shown)
         raise NumericalFailureError(f"{fn.__name__}({call}) overflows a double")
 
     return wrapper

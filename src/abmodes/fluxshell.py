@@ -31,6 +31,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .errors import (
+    ChannelMismatchError,
     DegenerateDenominatorError,
     DegenerateError,
     DomainError,
@@ -94,7 +95,8 @@ def piecewise_solution(prob: FluxShellProblem, a: float, b: float):
 
     Interior (rho < rho0): c J_{|l|}(p rho); exterior: a J_{+nu} + b J_{-nu}.
     The derivative jump holds when (a, b) satisfy the matching ratio.
-    DegenerateError when J_{|l|}(p rho0) = 0 (continuity cannot fix c).
+    DegenerateError when J_{|l|}(p rho0) = 0 (continuity cannot fix c), to
+    1e-13 of J's size at the shell: |J| <= 1e-13 (|J| + x |J'|), x = p rho0.
     """
     if a == 0.0 and b == 0.0:
         raise DegenerateError("a = b = 0 gives the zero solution")
@@ -103,7 +105,9 @@ def piecewise_solution(prob: FluxShellProblem, a: float, b: float):
     order_l = float(abs(prob.l))
     j_interior = bessel_j(order_l, x0)
     exterior_at_shell = a * bessel_j(nu, x0) + b * bessel_j(-nu, x0)
-    if abs(j_interior) < 1e-13:
+    # x J'_l = x J_{l-1} - l J_l: bessel_j_prime stops at order 5, the interior at 6
+    slope = x0 * bessel_j(order_l - 1.0, x0) - order_l * j_interior
+    if abs(j_interior) <= 1e-13 * (abs(j_interior) + abs(slope)):
         raise DegenerateError(
             f"interior Bessel node at the shell: J_{abs(prob.l)}({x0:.6g}) ~ 0"
         )
@@ -198,22 +202,21 @@ def _dictionary_parts(ep: ExtensionParameter, flux: FluxParameter, rho0: float, 
             "the g-factor dictionary needs a finite extension parameter"
         )
     _check_shell_scale(rho0, M)
-    delta = flux.delta
-    n = flux.n
-    if ep.channel is Channel.SCHRODINGER_N:
-        u = power(0.5 * M * rho0, 2.0 * delta, "(M rho0/2)^(2 delta)")
-        shell = gamma(-delta) * u
-        ext = ep.alpha * gamma(delta)
-        lead_in, lead_out = abs(n) - delta, abs(n) + delta
-    elif ep.channel is Channel.SCHRODINGER_N_PLUS_1:
-        u = power(0.5 * M * rho0, 2.0 * (1.0 - delta), "(M rho0/2)^(2 (1-delta))")
-        shell = gamma(delta - 1.0) * u
-        ext = ep.alpha * gamma(1.0 - delta)
-        lead_in, lead_out = abs(n + 1) - 1.0 + delta, abs(n + 1) + 1.0 - delta
-    else:
-        raise InfiniteParameterError(
+    if ep.channel is Channel.DIRAC_N:
+        raise ChannelMismatchError(
             "the shell model is nonrelativistic; only the Schrodinger channels map"
         )
+    delta = flux.delta
+    n = flux.n
+    nu = ep.channel.order(flux)
+    u = power(0.5 * M * rho0, 2.0 * nu, "(M rho0/2)^(2 nu)")
+    shell = gamma(-nu) * u
+    ext = ep.alpha * gamma(nu)
+    # |l| -+ nu, written per channel: abs(n + 1) - nu can miss abs(n + 1) - 1.0 + delta by an ulp
+    if ep.channel is Channel.SCHRODINGER_N:
+        lead_in, lead_out = abs(n) - delta, abs(n) + delta
+    else:
+        lead_in, lead_out = abs(n + 1) - 1.0 + delta, abs(n + 1) + 1.0 - delta
     return shell, ext, lead_in, lead_out, n + delta
 
 
@@ -223,8 +226,8 @@ def g_from_alpha(
 ) -> float:
     """Shell g-factor whose vanishing-radius limit realizes the extension parameter.
 
-    Closed form (channel N; the N+1 channel swaps delta -> 1-delta and the
-    leading weights):
+    Closed form (channel N; the N+1 channel swaps delta -> 1-delta, its
+    `Channel.order`, and the leading weights):
 
         g = [Gamma(-d) u (|N|-d) - a Gamma(d) (|N|+d)]
             / [(N+d) (Gamma(-d) u - a Gamma(d))],      u = (M rho0/2)^{2d}.
@@ -232,7 +235,8 @@ def g_from_alpha(
     Exact special values: alpha = 0, N = 0 gives g = -1; channel N+1 with
     alpha = 0 and N >= 0 gives g = +1.  DegenerateDenominatorError at the
     isolated negative-alpha combinations where the denominator vanishes, and
-    where it underflows to 0 (alpha = 0 at rho0 = 5e-324).
+    where it underflows to 0 (alpha = 0 at rho0 = 5e-324).  ChannelMismatchError
+    for the Dirac channel, InfiniteParameterError for an infinite alpha.
     """
     shell, ext, lead_in, lead_out, nd = _dictionary_parts(ep, flux, rho0, M)
     den = shell - ext
@@ -278,7 +282,7 @@ def g_asymptotic(
         return -1.0 - (1.0 / ep.alpha) * ((n + 2.0 - delta) / (n + delta)) * (
             gamma(delta - 1.0) / gamma(1.0 - delta)
         ) * u
-    raise InfiniteParameterError(
+    raise ChannelMismatchError(
         "the shell model is nonrelativistic; only the Schrodinger channels map"
     )
 

@@ -43,10 +43,10 @@ calls, one for each order nu, nu - 1, mu and mu - 1, each of which builds
 its order's expansion once for every argument.
 
 Mode-level operations assemble the finite (non-delta) part of a channel
-overlap from the closed forms: the same-order terms contribute none, and the
-two cross terms cancel exactly when the coefficients follow the
-momentum-power law b/a ~ p^{2 nu} -- the orthogonality mechanism that pins
-down the extension-parameter conditions.
+overlap in one code path, from closed_form_cross or finite_part_estimate: the
+same-order terms contribute none, and the two cross terms cancel exactly when
+the coefficients follow the momentum-power law b/a ~ p^{2 nu} -- the
+orthogonality mechanism that pins down the extension-parameter conditions.
 """
 
 import math
@@ -419,7 +419,11 @@ def fit_delta_coefficient(nu: float, mu: float, p: float, p_prime: float) -> flo
     return _solve_normal_equations(cols, ys)[0]
 
 
-def _same_channel(mode_a: RadialMode, mode_b: RadialMode):
+def _assemble_cross_terms(mode_a: RadialMode, mode_b: RadialMode, finite_part) -> tuple:
+    """(value, error) of the overlap's finite part, summed over its two cross
+    terms: finite_part(nu, p_first, p_second) gives the (value, error) of the
+    term whose +nu order carries p_first, a zero coefficient skips its term,
+    and the errors add linearly."""
     if (
         mode_a.kind is not mode_b.kind
         or mode_a.l != mode_b.l
@@ -431,10 +435,6 @@ def _same_channel(mode_a: RadialMode, mode_b: RadialMode):
             f"order {mode_b.order_a:.6g})"
         )
     _check_distinct(mode_a.p, mode_b.p)
-
-
-def _cross_terms(mode_a: RadialMode, mode_b: RadialMode):
-    """Coefficients and orientations of the two cross terms of the overlap."""
     nu = mode_a.order
     if not 0.0 < nu < 1.0:
         raise ChannelMismatchError(
@@ -443,8 +443,15 @@ def _cross_terms(mode_a: RadialMode, mode_b: RadialMode):
         )
     a_pos, a_neg = mode_a.amplitudes
     b_pos, b_neg = mode_b.amplitudes
+    value = err = 0.0
     # term 1: +nu carries p_a; term 2: +nu carries p_b
-    return nu, (a_pos * b_neg, mode_a.p, mode_b.p), (b_pos * a_neg, mode_b.p, mode_a.p)
+    terms = ((a_pos * b_neg, mode_a.p, mode_b.p), (b_pos * a_neg, mode_b.p, mode_a.p))
+    for coeff, p_first, p_second in terms:
+        if coeff != 0.0:
+            v, e = finite_part(nu, p_first, p_second)
+            value += coeff * v
+            err += abs(coeff) * e
+    return value, err
 
 
 @checked
@@ -454,35 +461,24 @@ def mode_overlap_finite_part(mode_a: RadialMode, mode_b: RadialMode) -> float:
     Only the two cross-order terms contribute; each is a closed_form_cross
     finite part weighted by the mode coefficients.
     """
-    _same_channel(mode_a, mode_b)
-    nu, (ca, pa, pb), (cb, qa, qb) = _cross_terms(mode_a, mode_b)
-    total = 0.0
-    if ca != 0.0:
-        total += ca * closed_form_cross(nu, pa, pb).finite_part
-    if cb != 0.0:
-        total += cb * closed_form_cross(nu, qa, qb).finite_part
-    return total
+    # the lambdas here and below look their function up in the module at each
+    # call, so that a wrapper replacing the module attribute sees every term
+    return _assemble_cross_terms(
+        mode_a, mode_b, lambda nu, p, q: (closed_form_cross(nu, p, q).finite_part, 0.0)
+    )[0]
 
 
 @checked
 def mode_overlap_finite_part_numeric(mode_a: RadialMode, mode_b: RadialMode) -> tuple:
     """Independent quadrature estimate of the mode overlap finite part.
 
-    Runs finite_part_estimate on each cross term; returns (value, est_error)
-    with errors combined linearly.  This is the oracle path; it never touches
-    the closed forms.
+    The same assembly as mode_overlap_finite_part, with finite_part_estimate
+    on each cross term; returns (value, est_error) with errors combined
+    linearly.  This is the oracle path; it never touches the closed forms.
     """
-    _same_channel(mode_a, mode_b)
-    nu, (ca, pa, pb), (cb, qa, qb) = _cross_terms(mode_a, mode_b)
-    value = 0.0
-    err = 0.0
-    for coeff, p_first, p_second in ((ca, pa, pb), (cb, qa, qb)):
-        if coeff == 0.0:
-            continue
-        v, e = finite_part_estimate(nu, -nu, p_first, p_second)
-        value += coeff * v
-        err += abs(coeff) * e
-    return value, err
+    return _assemble_cross_terms(
+        mode_a, mode_b, lambda nu, p, q: finite_part_estimate(nu, -nu, p, q)
+    )
 
 
 @checked

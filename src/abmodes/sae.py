@@ -7,9 +7,11 @@ coefficient ratios
     b_{N+1}/a_{N+1} = alpha_1 (p/M)^{2 (1-delta)}      (Schrodinger, l = N+1)
     b_N/a_N         = alpha M/(E + s M) (p_perp/M)^{2 delta}   (Dirac, l = N)
 
-with one free real parameter per channel -- the extension parameter.  The
-same freedom expressed at the origin is the boundary ratio of the
-(M rho)^{-nu} to (M rho)^{+nu} amplitudes:
+with one free real parameter per channel -- the extension parameter.  A
+channel's l and critical order nu (delta in channel N, 1 - delta in N + 1)
+are `Channel.l(flux)` and `Channel.order(flux)`.  The same freedom expressed
+at the origin is the boundary ratio of the (M rho)^{-nu} to (M rho)^{+nu}
+amplitudes:
 
     ratio = 2^{2 nu} Gamma(nu)/Gamma(-nu) * alpha .
 
@@ -49,6 +51,11 @@ class Channel(enum.Enum):
     def l(self, flux: FluxParameter) -> int:
         """Angular channel at this flux: N + 1 for SCHRODINGER_N_PLUS_1, else N."""
         return flux.n + 1 if self is Channel.SCHRODINGER_N_PLUS_1 else flux.n
+
+    def order(self, flux: FluxParameter) -> float:
+        """Bessel order of the channel at this flux: 1 - delta for
+        SCHRODINGER_N_PLUS_1, else delta (|l - phi| at l = self.l(flux))."""
+        return 1.0 - flux.delta if self is Channel.SCHRODINGER_N_PLUS_1 else flux.delta
 
 
 @dataclass(frozen=True)
@@ -95,13 +102,11 @@ def schrodinger_ratio(
     if not (0.0 < p < math.inf and 0.0 < M < math.inf):
         raise DomainError(f"p and M must be positive and finite, got p={p}, M={M}")
     alpha = _require_finite(ep)
-    if ep.channel is Channel.SCHRODINGER_N:
-        return alpha * power(p / M, 2.0 * flux.delta, "schrodinger_ratio (p/M)^(2 delta)")
-    if ep.channel is Channel.SCHRODINGER_N_PLUS_1:
-        return alpha * power(
-            p / M, 2.0 * (1.0 - flux.delta), "schrodinger_ratio (p/M)^(2 (1-delta))"
+    if ep.channel is Channel.DIRAC_N:
+        raise ChannelMismatchError(
+            f"schrodinger_ratio needs a Schrodinger channel, got {ep.channel}"
         )
-    raise ChannelMismatchError(f"schrodinger_ratio needs a Schrodinger channel, got {ep.channel}")
+    return alpha * power(p / M, 2.0 * ep.channel.order(flux), "schrodinger_ratio (p/M)^(2 nu)")
 
 
 @checked
@@ -137,34 +142,24 @@ def boundary_ratio_from_alpha(alpha: float, nu: float) -> float:
 
 @checked
 def make_extended_mode(
-    ep: ExtensionParameter,
-    flux: FluxParameter,
-    channel_l: int,
-    p: float,
-    M: float,
+    ep: ExtensionParameter, flux: FluxParameter, p: float, M: float
 ) -> RadialMode:
     """Critical-channel mode with coefficients fixed by the extension parameter.
 
-    Finite alpha gives (a, b) = (1, schrodinger_ratio); the infinite variant
-    gives the pure irregular mode (0, 1).  Schrodinger channels only -- the
-    Dirac ratio needs kinematics (use make_dirac_mode with dirac_ratio).
+    The channel is l = ep.channel.l(flux).  Finite alpha gives (a, b) =
+    (1, schrodinger_ratio); the infinite variant gives the pure irregular
+    mode (0, 1).  Schrodinger channels only -- the Dirac ratio needs
+    kinematics (use make_dirac_mode with dirac_ratio).
     """
     if ep.channel is Channel.DIRAC_N:
         raise ChannelMismatchError(
             "make_extended_mode supports the Schrodinger channels only; "
             "Dirac extensions need kinematics (make_dirac_mode + dirac_ratio)"
         )
-    expected = ep.channel.l(flux)
-    if channel_l != expected:
-        raise ChannelMismatchError(
-            f"channel_l = {channel_l} does not match {ep.channel} "
-            f"(expected l = {expected} for flux {flux.phi})"
-        )
+    l = ep.channel.l(flux)
     if ep.is_infinite:
-        return make_schrodinger_mode(channel_l, flux, p, 0.0, 1.0)
-    return make_schrodinger_mode(
-        channel_l, flux, p, 1.0, schrodinger_ratio(ep, flux, p, M)
-    )
+        return make_schrodinger_mode(l, flux, p, 0.0, 1.0)
+    return make_schrodinger_mode(l, flux, p, 1.0, schrodinger_ratio(ep, flux, p, M))
 
 
 @checked

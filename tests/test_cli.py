@@ -384,6 +384,18 @@ class TestExitCodes:
             assert out == b""
             assert json.loads(err)["error"] == error
 
+    def test_long_argument_keeps_the_line_short(self):
+        # a 321-digit --enn overflows in enn + delta; the message keeps the
+        # head and tail of its repr, where the whole made a 404-character line
+        code, out, err = run_cli(
+            ["gfactor", "--alpha", "1", "--enn", "9" * 321, "--delta", "0.3", "--rho0", "0.1"]
+        )
+        assert code == 3 and out == b""
+        assert len(err) <= 300
+        message = json.loads(err)["message"]
+        assert message.startswith("_flux_from(0.3, " + "9" * 98 + "...")
+        assert message.endswith("9" * 98 + ") overflows a double")
+
     def test_no_bracket_is_numerical_failure(self):
         code, _, err = run_cli(
             ["solve-g", "--l", "1", "--phi", "0.3", "--p", "1", "--rho0", "0.01",

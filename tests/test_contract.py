@@ -5,12 +5,13 @@ import dataclasses
 import inspect
 import math
 
+import pytest
 from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
 import abmodes
 from abmodes import specfun
-from abmodes.errors import AbmodesError
+from abmodes.errors import AbmodesError, NumericalFailureError, checked
 from abmodes.flux import EquationKind
 from abmodes.sae import Channel, ExtensionParameter
 from conftest import FLOATS
@@ -105,10 +106,10 @@ _CASES = {
         _L, FLOATS, FLOATS, FLOATS, *_KIN,
     ),
     "make_extended_mode": (
-        lambda channel, alpha, phi, l, p, M: abmodes.make_extended_mode(
-            _ep(channel, alpha), _flux(phi), l, p, M
+        lambda channel, alpha, phi, p, M: abmodes.make_extended_mode(
+            _ep(channel, alpha), _flux(phi), p, M
         ),
-        _CHANNEL, _ALPHA, FLOATS, _L, FLOATS, FLOATS,
+        _CHANNEL, _ALPHA, FLOATS, FLOATS, FLOATS,
     ),
     "make_schrodinger_mode": (_mode, *_MODE),
     "matching_ratio": (lambda *shell: abmodes.matching_ratio(_shell(*shell)), *_SHELL),
@@ -203,3 +204,25 @@ def test_every_call_keeps_the_contract(call):
         return
     event(f"{name}: returns")
     assert _all_finite(result), (name, args, result)
+
+
+def test_messages_cut_only_long_arguments():
+    # each argument's repr up to 200 characters prints whole, a longer one
+    # keeps its first and last 98
+    @checked
+    def overflows(*args, **kwargs):
+        raise OverflowError
+
+    x = -1.2345678901234567e-300
+    flux = abmodes.decompose(-4503599627370495.5)
+    shell = abmodes.FluxShellProblem(rho0=-x, g=x, l=-(10**6), flux=flux, p=-x)  # 190
+    ordinary = (x, [5e-324] * 3, flux, Channel.SCHRODINGER_N_PLUS_1, shell)
+    with pytest.raises(NumericalFailureError) as info:
+        overflows(*ordinary, tol=1e-9)
+    assert str(info.value) == (
+        f"overflows({', '.join(map(repr, ordinary))}, tol=1e-09) overflows a double"
+    )
+    digits = "1234567890" * 30
+    with pytest.raises(NumericalFailureError) as info:
+        overflows(0.3, int(digits))
+    assert str(info.value) == f"overflows(0.3, {digits[:98]}...{digits[-98:]}) overflows a double"

@@ -7,6 +7,7 @@ import mpmath
 import pytest
 
 from abmodes.errors import (
+    ChannelMismatchError,
     DegenerateDenominatorError,
     DegenerateError,
     DomainError,
@@ -86,6 +87,31 @@ class TestPiecewiseSolution:
         # J_0 zero at the shell: continuity cannot fix the interior amplitude
         j0_first_zero = 2.404825557695773
         prob = problem(0, 0.3, 0.0, 1.0, j0_first_zero)
+        with pytest.raises(DegenerateError):
+            piecewise_solution(prob, 1.0, 0.1)
+
+    @pytest.mark.parametrize(
+        "l, phi, g, p, rho0",
+        [(2, 0.3, 0.5, 1.0, 1e-7), (1, 0.3, 0.5, 1.0, 1e-13),
+         (2, 1.4, -1.2, 2.0, 5e-8), (1, -0.6, 1.1, 0.5, 2e-13)],
+    )
+    def test_small_shell_is_no_node(self, l, phi, g, p, rho0):
+        # J_2(1e-7) = 1.25e-15 and J_1(1e-13) = 5e-14 are small but no node
+        # (J_l has no positive zero below 2.40): continuity and the
+        # derivative jump hold, on a stencil scaled to the shell
+        prob = problem(l, phi, g, p, rho0)
+        ev = piecewise_solution(prob, 1.0, matching_ratio(prob))
+        eps = 1e-9 * rho0
+        assert ev(rho0 - eps) == pytest.approx(ev(rho0 + eps), rel=1e-7)
+        h = 1e-3 * rho0
+        jump = one_sided_derivative(ev, rho0, h) + one_sided_derivative(
+            lambda r: ev(2.0 * rho0 - r), rho0, h
+        )
+        assert jump == pytest.approx(-g * prob.flux.phi * ev(rho0) / rho0, rel=1e-8)
+
+    def test_underflowed_interior_is_a_node(self):
+        # J_5(1e-70) underflows to 0
+        prob = problem(5, 4.7, 0.5, 1.0, 1e-70)
         with pytest.raises(DegenerateError):
             piecewise_solution(prob, 1.0, 0.1)
 
@@ -253,6 +279,16 @@ class TestGDictionary:
             g_from_alpha(ep, decompose(0.3), 0.1)
         with pytest.raises(InfiniteParameterError):
             g_asymptotic(ep, decompose(0.3), 0.1)
+
+    @pytest.mark.parametrize("form", [g_from_alpha, g_asymptotic])
+    def test_dirac_channel_is_a_channel_mismatch(self, form):
+        # a finite parameter in the wrong channel, refused as schrodinger_ratio
+        # and make_extended_mode refuse it; the infinite one stays an
+        # InfiniteParameterError
+        with pytest.raises(ChannelMismatchError):
+            form(ExtensionParameter.finite(Channel.DIRAC_N, 1.0), decompose(0.3), 0.1)
+        with pytest.raises(InfiniteParameterError):
+            form(ExtensionParameter.infinite(Channel.DIRAC_N), decompose(0.3), 0.1)
 
 
 class TestGAsymptotic:

@@ -22,7 +22,7 @@ from abmodes.errors import (
     NumericalFailureError,
 )
 from abmodes.flux import decompose
-from abmodes.modes import make_schrodinger_mode
+from abmodes.modes import DiracKinematics, make_dirac_mode, make_schrodinger_mode
 from abmodes.overlap import (
     closed_form_cross,
     closed_form_same,
@@ -617,6 +617,53 @@ class TestModeOverlap:
         analytic = mode_overlap_finite_part(a, b)
         numeric, est = mode_overlap_finite_part_numeric(a, b)
         assert abs(numeric - analytic) <= 1e-3 * max(1.0, abs(analytic))
+
+
+# (kind, l, phi, (p, a, b) of mode A, (p, a, b) of mode B) -> (repr of
+# mode_overlap_finite_part, repr of mode_overlap_finite_part_numeric),
+# recorded on Python 3.11: the two share one cross-term assembly, which must
+# keep each double.  Both terms in either momentum order, a zero coefficient
+# on each side (b = 0 in A or in B), channel N + 1, a negative flux, a pair
+# near the diagonal, and the Dirac components, whose amplitudes are swapped
+# (order -delta) or carry the irregular sign
+MODE_OVERLAP_REPRS = {
+    ("schrodinger", 0, 0.3, (1.3, 1.0, 1.0), (0.7, 1.0, 1.0)):
+        ("0.160331720187106", "(0.16033172018710723, 8.604228440844963e-16)"),
+    ("schrodinger", 0, 0.3, (0.7, 1.0, 2.0), (1.3, 0.25, 1.0)):
+        ("-0.09806090814120683", "(-0.09806090814120555, 8.049116928532385e-16)"),
+    ("schrodinger", 0, 0.3, (1.3, 1.0, 0.0), (0.7, 1.0, 0.5)):
+        ("0.25839262832831283", "(0.2583926283283128, 5.551115123125783e-17)"),
+    ("schrodinger", 0, 0.3, (1.3, 2.0, -0.5), (0.7, 1.0, 0.0)):
+        ("0.17822676823475983", "(0.17822676823475916, 3.7470027081099033e-16)"),
+    ("schrodinger", 1, 0.3, (2.0, 1.0, -0.4), (0.5, 0.3, 2.5)):
+        ("0.912371004403362", "(0.9123710044033613, 8.019973574135974e-16)"),
+    ("schrodinger", -2, -1.6, (0.001, 1.0, 0.25), (5.0, -1.0, 3.0)):
+        ("-0.1850811735719068", "(-0.1850811735719068, 1.7889335846010823e-16)"),
+    ("schrodinger", 3, 3.85, (1.0, 1.0, 1.0), (1.02, 1.0, 0.9)):
+        ("0.944298543155969", "(0.9442985431559894, 9.14823772291129e-15)"),
+    ("dirac1", 0, 0.3, (1.3, 1.0, 0.6), (0.7, 0.5, 1.0)):
+        ("-0.20141795947253197", "(-0.20141795947253066, 7.827072323607353e-16)"),
+    ("dirac2", 0, 0.3, (1.3, 1.0, 0.6), (0.7, 0.5, 1.0)):
+        ("-0.5785044438516092", "(-0.578504443851608, 1.1574075031717258e-15)"),
+}
+
+
+def _overlap_mode(kind, l, phi, p, a, b):
+    f = decompose(phi)
+    if kind == "schrodinger":
+        return make_schrodinger_mode(l, f, p, a, b)
+    pair = make_dirac_mode(l, f, DiracKinematics.from_momenta(1.0, p), a, b)
+    return pair[0] if kind == "dirac1" else pair[1]
+
+
+@pytest.mark.parametrize("case", sorted(MODE_OVERLAP_REPRS))
+def test_mode_overlap_doubles(case):
+    kind, l, phi, mode_a, mode_b = case
+    a, b = _overlap_mode(kind, l, phi, *mode_a), _overlap_mode(kind, l, phi, *mode_b)
+    assert (
+        repr(mode_overlap_finite_part(a, b)),
+        repr(mode_overlap_finite_part_numeric(a, b)),
+    ) == MODE_OVERLAP_REPRS[case]
 
 
 class TestExponentFit:

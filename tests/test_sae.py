@@ -2,6 +2,7 @@
 
 import json
 import math
+import random
 import sys
 
 import mpmath
@@ -17,7 +18,7 @@ from abmodes.errors import (
     InfiniteParameterError,
     NumericalFailureError,
 )
-from abmodes.flux import EquationKind, decompose
+from abmodes.flux import EquationKind, decompose, radial_order
 from abmodes.fluxshell import FluxShellProblem, g_asymptotic, g_from_alpha, limit_ratio
 from abmodes.modes import DiracKinematics, make_schrodinger_mode
 from abmodes.overlap import (
@@ -34,6 +35,18 @@ from abmodes.sae import (
     schrodinger_ratio,
 )
 from abmodes.modes import small_rho_signature
+
+
+class TestChannel:
+    def test_order_is_the_channels_radial_order(self):
+        # delta in channel N, 1 - delta in N + 1: |l - phi| at l = channel.l(flux),
+        # the same double
+        rng = random.Random(24)
+        for _ in range(20_000):
+            f = decompose(rng.uniform(-5.0, 5.0))
+            for channel in (Channel.SCHRODINGER_N, Channel.SCHRODINGER_N_PLUS_1):
+                assert channel.order(f) == radial_order(channel.l(f), f), (f.phi, channel)
+        assert Channel.DIRAC_N.order(f) == f.delta
 
 
 class TestSchrodingerRatio:
@@ -206,30 +219,25 @@ class TestExtendedModes:
     def test_zero_alpha_is_regular(self):
         f = decompose(0.3)
         ep = ExtensionParameter.finite(Channel.SCHRODINGER_N, 0.0)
-        mode = make_extended_mode(ep, f, 0, 1.0, 1.0)
+        mode = make_extended_mode(ep, f, 1.0, 1.0)
         assert (mode.a, mode.b) == (1.0, 0.0)
 
     def test_infinite_is_pure_irregular(self):
         f = decompose(0.3)
         ep = ExtensionParameter.infinite(Channel.SCHRODINGER_N)
-        mode = make_extended_mode(ep, f, 0, 1.0, 1.0)
+        mode = make_extended_mode(ep, f, 1.0, 1.0)
         assert (mode.a, mode.b) == (0.0, 1.0)
 
     def test_coefficients_from_ratio(self):
         f = decompose(0.3)
         ep = ExtensionParameter.finite(Channel.SCHRODINGER_N, 1.0)
-        mode = make_extended_mode(ep, f, 0, 2.0, 1.0)
+        mode = make_extended_mode(ep, f, 2.0, 1.0)
         assert mode.b == pytest.approx(2.0**0.6, rel=1e-14)
 
     def test_channel_mismatch(self):
         f = decompose(0.3)
-        ep = ExtensionParameter.finite(Channel.SCHRODINGER_N, 1.0)
         with pytest.raises(ChannelMismatchError):
-            make_extended_mode(ep, f, 1, 1.0, 1.0)
-        with pytest.raises(ChannelMismatchError):
-            make_extended_mode(
-                ExtensionParameter.finite(Channel.DIRAC_N, 1.0), f, 0, 1.0, 1.0
-            )
+            make_extended_mode(ExtensionParameter.finite(Channel.DIRAC_N, 1.0), f, 1.0, 1.0)
 
     def test_orthogonality_closure_analytic(self):
         # extended modes at distinct momenta have no finite overlap part
@@ -241,15 +249,16 @@ class TestExtendedModes:
             ):
                 for alpha in (0.0, 0.7, -1.3, 10.0):
                     ep = ExtensionParameter.finite(channel, alpha)
-                    m1 = make_extended_mode(ep, f, l, 0.8, 1.0)
-                    m2 = make_extended_mode(ep, f, l, 1.9, 1.0)
+                    m1 = make_extended_mode(ep, f, 0.8, 1.0)
+                    m2 = make_extended_mode(ep, f, 1.9, 1.0)
+                    assert m1.l == m2.l == l
                     assert abs(mode_overlap_finite_part(m1, m2)) <= 1e-12
 
     def test_orthogonality_closure_numeric(self):
         f = decompose(0.4)
         ep = ExtensionParameter.finite(Channel.SCHRODINGER_N, 0.9)
-        m1 = make_extended_mode(ep, f, 0, 0.8, 1.0)
-        m2 = make_extended_mode(ep, f, 0, 1.9, 1.0)
+        m1 = make_extended_mode(ep, f, 0.8, 1.0)
+        m2 = make_extended_mode(ep, f, 1.9, 1.0)
         value, est = mode_overlap_finite_part_numeric(m1, m2)
         assert abs(value) <= 1e-3
 
@@ -260,7 +269,7 @@ class TestExtendedModes:
             for alpha in (0.4, 1.0, -2.0):
                 ep = ExtensionParameter.finite(Channel.SCHRODINGER_N, alpha)
                 for p in (0.5, 1.0, 2.0):
-                    mode = make_extended_mode(ep, f, 0, p, 1.0)
+                    mode = make_extended_mode(ep, f, p, 1.0)
                     sig = small_rho_signature(mode, 1.0)
                     assert sig.boundary_ratio == pytest.approx(
                         boundary_ratio_from_alpha(alpha, f.delta), rel=1e-6
@@ -269,7 +278,7 @@ class TestExtendedModes:
     def test_pure_irregular_signature_degenerates(self):
         f = decompose(0.3)
         ep = ExtensionParameter.infinite(Channel.SCHRODINGER_N)
-        mode = make_extended_mode(ep, f, 0, 1.0, 1.0)
+        mode = make_extended_mode(ep, f, 1.0, 1.0)
         with pytest.raises(DegenerateError):
             small_rho_signature(mode, 1.0)
 
