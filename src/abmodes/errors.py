@@ -6,7 +6,10 @@ The contract: a public function returns finite doubles or raises an
 AbmodesError.  :func:`checked` enforces it once, at each function of
 `abmodes.__all__`, the evaluator of `piecewise_solution`,
 `specfun.bessel_j_and_prime` and `specfun.bessel_j_and_prime_many`; checks
-inside refuse input, or finite but wrong values, or stop work early."""
+inside refuse input, or finite but wrong values, or stop work early.  No
+other code maps a float overflow to an error, save `modes.DiracKinematics`,
+a class that `checked` does not wrap: its E^2 refusal covers a square past
+the largest double."""
 
 import dataclasses
 import functools

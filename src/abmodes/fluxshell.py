@@ -44,7 +44,7 @@ from .errors import (
 )
 from .flux import FluxParameter, radial_order
 from .sae import Channel, ExtensionParameter
-from .specfun import bessel_j, bessel_j_prime, gamma, power
+from .specfun import MAX_ORDER, bessel_j, bessel_j_prime, gamma
 
 __all__ = [
     "FluxShellProblem",
@@ -128,11 +128,18 @@ def piecewise_solution(prob: FluxShellProblem, a: float, b: float):
 def _matching_terms(prob: FluxShellProblem):
     """Coefficients of b/a = -(n0 + g n1)/(d0 + g d1), and the pole-test scale.
 
-    The scale is the size of the denominator's terms at prob.g.
+    The scale is the size of the denominator's terms at prob.g.  DomainError
+    when |l| or |l - phi| passes MAX_ORDER, the cap of J'.
     """
     x = prob.x
     nu = prob.nu
     order_l = float(abs(prob.l))
+    order = max(order_l, nu)
+    if order > MAX_ORDER:
+        raise DomainError(
+            f"shell matching takes J' of orders |l| and |l - phi| up to {MAX_ORDER}: "
+            f"l = {prob.l}, phi = {prob.flux.phi} needs order {order}"
+        )
     jl = bessel_j(order_l, x)
     jl_prime = bessel_j_prime(order_l, x)
     moment = (prob.flux.phi / x) * jl
@@ -150,7 +157,12 @@ def _matching_terms(prob: FluxShellProblem):
 
 @checked
 def matching_ratio(prob: FluxShellProblem) -> float:
-    """Exterior coefficient ratio b/a fixed by the shell matching conditions."""
+    """Exterior coefficient ratio b/a fixed by the shell matching conditions.
+
+    DomainError when |l| or |l - phi| passes MAX_ORDER = 5, the cap of J'
+    (and so in solve_g); limit_ratio, and piecewise_solution up to order
+    MAX_ORDER + 1, still accept those channels.
+    """
     n0, n1, d0, d1, scale = _matching_terms(prob)
     den = d0 + prob.g * d1
     if abs(den) <= _POLE_REL_TOL * scale:
@@ -187,7 +199,7 @@ def limit_ratio(prob: FluxShellProblem) -> float:
     return (
         (numer / defect)
         * (gamma(1.0 - nu) / gamma(1.0 + nu))
-        * power(0.5 * prob.x, 2.0 * nu, "limit_ratio (p rho0/2)^(2 nu)")
+        * (0.5 * prob.x) ** (2.0 * nu)
     )
 
 
@@ -209,7 +221,7 @@ def _dictionary_parts(ep: ExtensionParameter, flux: FluxParameter, rho0: float, 
     delta = flux.delta
     n = flux.n
     nu = ep.channel.order(flux)
-    u = power(0.5 * M * rho0, 2.0 * nu, "(M rho0/2)^(2 nu)")
+    u = (0.5 * M * rho0) ** (2.0 * nu)
     shell = gamma(-nu) * u
     ext = ep.alpha * gamma(nu)
     # |l| -+ nu, written per channel: abs(n + 1) - nu can miss abs(n + 1) - 1.0 + delta by an ulp
@@ -273,12 +285,12 @@ def g_asymptotic(
     delta = flux.delta
     n = flux.n
     if ep.channel is Channel.SCHRODINGER_N:
-        u = power(0.5 * M * rho0, 2.0 * delta, "(M rho0/2)^(2 delta)")
+        u = (0.5 * M * rho0) ** (2.0 * delta)
         return 1.0 + (1.0 / ep.alpha) * ((n - delta) / (n + delta)) * (
             gamma(-delta) / gamma(delta)
         ) * u
     if ep.channel is Channel.SCHRODINGER_N_PLUS_1:
-        u = power(0.5 * M * rho0, 2.0 * (1.0 - delta), "(M rho0/2)^(2 (1-delta))")
+        u = (0.5 * M * rho0) ** (2.0 * (1.0 - delta))
         return -1.0 - (1.0 / ep.alpha) * ((n + 2.0 - delta) / (n + delta)) * (
             gamma(delta - 1.0) / gamma(1.0 - delta)
         ) * u

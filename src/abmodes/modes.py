@@ -25,7 +25,7 @@ from .errors import (
     checked,
 )
 from .flux import EquationKind, FluxParameter, critical_channels, radial_order
-from .specfun import bessel_j, gamma, power
+from .specfun import bessel_j, gamma
 
 __all__ = [
     "ModeKind",
@@ -49,9 +49,10 @@ class ModeKind(enum.Enum):
 class RadialMode:
     """Two-term radial Bessel mode at momentum p in channel l.
 
-    order_a / order_b are the Bessel orders attached to the coefficients a
-    and b; order_b = -order_a.  For the second Dirac component b enters the
-    radial function with a minus sign (irregular_sign).
+    order_a is the Bessel order attached to the coefficient a; b carries
+    -order_a.  `amplitudes` is the one rule that turns (a, b) into the
+    amplitudes of J_{+order} and J_{-order}, with b negated in the second
+    Dirac component.
     """
 
     kind: ModeKind
@@ -70,22 +71,15 @@ class RadialMode:
             raise DegenerateError("mode with a = b = 0 is identically zero")
 
     @property
-    def order_b(self) -> float:
-        return -self.order_a
-
-    @property
     def order(self) -> float:
         """Magnitude of the Bessel order pair."""
         return abs(self.order_a)
 
     @property
-    def irregular_sign(self) -> float:
-        return -1.0 if self.kind is ModeKind.DIRAC_COMPONENT_2 else 1.0
-
-    @property
     def amplitudes(self) -> tuple:
-        """Amplitudes of J_{+order} and J_{-order}, irregular_sign folded into b."""
-        b = self.irregular_sign * self.b
+        """Amplitudes of J_{+order} and J_{-order}: a and b, in the order of
+        (order_a, -order_a), with b negated in DIRAC_COMPONENT_2."""
+        b = -self.b if self.kind is ModeKind.DIRAC_COMPONENT_2 else self.b
         return (self.a, b) if self.order_a > 0.0 else (b, self.a)
 
 
@@ -106,8 +100,10 @@ class DiracKinematics:
             raise DomainError(f"axial momentum must be finite, got {self.p3}")
         if self.s not in (1, -1):
             raise DomainError(f"spin label must be +1 or -1, got {self.s}")
-        e2 = power(self.p_perp, 2.0, "p_perp^2") + power(self.p3, 2.0, "p3^2")
-        e2 += power(self.M, 2.0, "M^2")
+        try:
+            e2 = self.p_perp**2.0 + self.p3**2.0 + self.M**2.0
+        except OverflowError:  # a square past the largest double
+            e2 = math.inf
         if e2 == math.inf:
             raise NumericalFailureError(
                 f"E^2 = p_perp^2 + p3^2 + M^2 overflows a double: p_perp = {self.p_perp!r}, "
@@ -190,20 +186,22 @@ def make_dirac_mode(
 
 @checked
 def evaluate(mode: RadialMode, rho: float) -> float:
-    """Radial function of the mode at rho > 0.
+    """Radial function of the mode at rho > 0: the sum of
+    c J_{+-order}(p rho) over the mode's `amplitudes`.
 
-    Zero-coefficient terms are skipped, so a pure-regular mode never touches
+    Zero-amplitude terms are skipped, so a pure-regular mode never touches
     the (possibly far-negative) order of its absent partner.
     """
     rho = float(rho)
     if math.isnan(rho) or rho <= 0.0:
         raise DomainError(f"evaluate: rho must be > 0, got {rho}")
     x = mode.p * rho
+    c_pos, c_neg = mode.amplitudes
     val = 0.0
-    if mode.a != 0.0:
-        val += mode.a * bessel_j(mode.order_a, x)
-    if mode.b != 0.0:
-        val += mode.irregular_sign * mode.b * bessel_j(mode.order_b, x)
+    if c_pos != 0.0:
+        val += c_pos * bessel_j(mode.order, x)
+    if c_neg != 0.0:
+        val += c_neg * bessel_j(-mode.order, x)
     return val
 
 
@@ -241,7 +239,7 @@ def small_rho_signature(mode: RadialMode, M: float) -> SmallRhoSignature:
         raise DegenerateError(
             "pure irregular mode: boundary ratio is infinite"
         )
-    scale = power(mode.p / (2.0 * M), -2.0 * nu, "small_rho_signature (p/2M)^(-2 nu)")
+    scale = (mode.p / (2.0 * M)) ** (-2.0 * nu)
     return SmallRhoSignature(
         nu=nu,
         boundary_ratio=-(c_neg / c_pos) * scale * gamma(1.0 + nu) / gamma(1.0 - nu),

@@ -62,7 +62,8 @@ from .errors import (
     SingularFitError,
     checked,
 )
-from .modes import RadialMode
+from .flux import EquationKind, critical_channels
+from .modes import RadialMode, make_schrodinger_mode
 from .specfun import MAX_ORDER, bessel_j_and_prime_many
 
 __all__ = [
@@ -491,9 +492,6 @@ def fit_cancelling_exponent(flux, channel: int, momenta) -> float:
     2 (1 - delta) for channel N + 1.  DomainError names the first momentum,
     in the order given, that is not positive and finite.
     """
-    from .flux import EquationKind, critical_channels
-    from .modes import make_schrodinger_mode
-
     if channel not in critical_channels(flux, EquationKind.SCHRODINGER):
         raise ChannelMismatchError(
             f"channel {channel} is not critical for flux {flux.phi}"
@@ -513,8 +511,8 @@ def fit_cancelling_exponent(flux, channel: int, momenta) -> float:
     # finite part in the irregular coefficient
     p_ref = ps[0]
     log_beta = {p_ref: 0.0}
+    ref_mode = make_schrodinger_mode(channel, flux, p_ref, 1.0, 1.0)
     for p in ps[1:]:
-        ref_mode = make_schrodinger_mode(channel, flux, p_ref, 1.0, 1.0)
         f0 = mode_overlap_finite_part(
             make_schrodinger_mode(channel, flux, p, 1.0, 0.0), ref_mode
         )

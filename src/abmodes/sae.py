@@ -30,7 +30,7 @@ from typing import Optional
 from .errors import ChannelMismatchError, DomainError, InfiniteParameterError, checked
 from .flux import EquationKind, FluxParameter
 from .modes import DiracKinematics, RadialMode, make_schrodinger_mode
-from .specfun import gamma, power
+from .specfun import gamma
 
 __all__ = [
     "Channel",
@@ -106,7 +106,7 @@ def schrodinger_ratio(
         raise ChannelMismatchError(
             f"schrodinger_ratio needs a Schrodinger channel, got {ep.channel}"
         )
-    return alpha * power(p / M, 2.0 * ep.channel.order(flux), "schrodinger_ratio (p/M)^(2 nu)")
+    return alpha * (p / M) ** (2.0 * ep.channel.order(flux))
 
 
 @checked
@@ -118,7 +118,7 @@ def dirac_ratio(
         raise ChannelMismatchError(f"dirac_ratio needs the Dirac channel, got {ep.channel}")
     alpha = _require_finite(ep)
     if kin.s == 1:
-        u = power(kin.p_perp / kin.M, 2.0 * flux.delta, "dirac_ratio (p_perp/M)^(2 delta)")
+        u = (kin.p_perp / kin.M) ** (2.0 * flux.delta)
         return alpha * kin.M / (kin.E + kin.M) * u
     # M/(E - M) by E - M = p^2/(E + M), p = hypot(p_perp, p3), since the
     # difference cancels at small momenta (to 0 at p_perp = 1e-10); and
@@ -126,9 +126,7 @@ def dirac_ratio(
     # since (M/p)^2 alone overflows below p = 1e-154 M where the ratio
     # need not.  The equal (M/p)^(2 - 2 delta) (p_perp/p)^(2 delta) would
     # round 2 - 2 delta, which costs 5e-14 at p = 1e-215 M
-    half = kin.M / math.hypot(kin.p_perp, kin.p3) * power(
-        kin.p_perp / kin.M, flux.delta, "dirac_ratio (p_perp/M)^delta"
-    )
+    half = kin.M / math.hypot(kin.p_perp, kin.p3) * (kin.p_perp / kin.M) ** flux.delta
     return alpha * ((kin.E + kin.M) / kin.M * half * half)
 
 

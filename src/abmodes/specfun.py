@@ -16,7 +16,8 @@ Gamma's relative error is at most 1e-14 on [-5, 10], next to the poles too
 the nearest integer), and at most 2e-13 for |x| > 140 wherever the value is
 a normal double.
 
-All functions are pure and reentrant.
+All functions are pure and reentrant.  None of them maps a float overflow
+itself: `errors.checked` does, at each entry point.
 """
 
 import math
@@ -26,7 +27,7 @@ from ._backend import BACKEND, bessel_kernel, gamma_kernel
 from .errors import DomainError, NumericalFailureError, PoleError, checked
 
 __all__ = ["BACKEND", "MAX_ORDER", "gamma", "bessel_j", "bessel_j_and_prime",
-           "bessel_j_and_prime_many", "bessel_j_prime", "power"]
+           "bessel_j_and_prime_many", "bessel_j_prime"]
 
 # The kernels overflow in their power t**(x - 0.5), t = x + 6.5, from
 # x = 142.3 on, and through the reflection from x = -141.3 down; gamma brings
@@ -42,21 +43,6 @@ MAX_ORDER = 5.0
 # unreported (24% at nu = -0.95, x = 1.5e-323), as in the origin cell of the
 # quadrature.  At nu = 0 the power is 1 and stays exact.
 _SUBNORMAL_HALF = 2.0 * sys.float_info.min
-
-
-def power(base: float, exponent: float, what: str) -> float:
-    """base ** exponent; NumericalFailureError naming `what` if it overflows.
-
-    Python's float power raises OverflowError there, and ZeroDivisionError
-    for a zero base under a negative exponent (an underflowed base), both
-    exceptions outside the library's taxonomy.
-    """
-    try:
-        return base**exponent
-    except (OverflowError, ZeroDivisionError):
-        raise NumericalFailureError(
-            f"{what} overflows: {base!r} ** {exponent!r}"
-        ) from None
 
 
 @checked

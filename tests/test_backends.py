@@ -14,6 +14,7 @@ import json
 import math
 import os
 import random
+import re
 import shlex
 import shutil
 import subprocess
@@ -72,6 +73,23 @@ def test_build_without_a_compiler_warns_and_builds_nothing(tmp_path):
     assert build.returncode == 0, build.stderr
     assert 'building extension "abmodes._kernels_c" failed' in build.stdout + build.stderr
     assert not list(tmp_path.rglob("_kernels_c*"))
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is new in Python 3.11")
+def test_ci_installs_the_dev_extra():
+    # the two tests above run setup.py, which needs setuptools, and a fresh
+    # venv of Python 3.12 or later has none: `pip install -e ".[dev]"` must
+    # bring it, and CI's own install line must name what the extra names
+    import tomllib
+
+    pyproject = tomllib.loads((REPO / "pyproject.toml").read_text())
+    extra = pyproject["project"]["optional-dependencies"]["dev"]
+    names = {re.split(r"[\s<>=!~;\[]", requirement, maxsplit=1)[0].lower()
+             for requirement in extra}
+    workflow = (REPO / ".github" / "workflows" / "tier1.yml").read_text()
+    [line] = [line for line in workflow.splitlines() if "pip install" in line]
+    assert "setuptools" in names
+    assert {name.lower() for name in line.split("pip install", 1)[1].split()} == names
 
 
 def use_kernels(monkeypatch, kernels):

@@ -396,6 +396,46 @@ class TestExitCodes:
         assert message.startswith("_flux_from(0.3, " + "9" * 98 + "...")
         assert message.endswith("9" * 98 + ") overflows a double")
 
+    @pytest.mark.parametrize(
+        "argv, head",
+        [
+            (["sae-ratio", "--alpha", "1", "--delta", "0.7", "--p", "1e300"],
+             "schrodinger_ratio("),
+            (["cancel", "--delta", "0.7", "--alpha", "1", "--p", "1e300", "--pprime", "2"],
+             "schrodinger_ratio("),
+            (["sae-ratio", "--eq", "dirac", "--alpha", "1", "--delta", "0.1",
+              "--pperp", "1e-200", "--s", "-1"], "dirac_ratio("),
+            (["gfactor", "--channel", "n", "--alpha", "1", "--enn", "0", "--delta", "0.7",
+              "--rho0", "1e300"], "g_from_alpha("),
+            (["gfactor", "--channel", "n1", "--alpha", "1", "--enn", "0", "--delta", "0.3",
+              "--rho0", "1e300"], "g_from_alpha("),
+            (["sae-ratio", "--eq", "dirac", "--alpha", "1", "--delta", "0.5",
+              "--pperp", "1e300"], "E^2 = p_perp^2 + p3^2 + M^2 overflows a double: "),
+        ],
+    )
+    def test_an_overflowing_power_names_the_function(self, capsys, argv, head):
+        # the float power's OverflowError, worded once by errors.checked
+        assert cli.run(argv) == 3
+        out, err = capsys.readouterr()
+        doc = json.loads(err)
+        assert out == "" and doc["error"] == "NumericalFailureError"
+        assert doc["message"].startswith(head)
+        assert head.startswith("E^2") or doc["message"].endswith(") overflows a double")
+
+    @pytest.mark.parametrize("sub, extra", [("fluxshell", ["--g", "0.5"]),
+                                            ("solve-g", ["--target", "0"])])
+    @pytest.mark.parametrize("l, order", [("-5", "5.3"), ("6", "6.0")])
+    def test_orders_past_the_cap_name_the_channel(self, capsys, sub, extra, l, order):
+        # once "bessel_j_and_prime: |nu| must be <= 5.0, got 5.3"
+        argv = [sub, "--l", l, "--phi", "0.3", "--p", "1", "--rho0", "0.1", *extra]
+        assert cli.run(argv) == 2
+        doc = json.loads(capsys.readouterr().err)
+        assert doc["error"] == "DomainError"
+        assert doc["message"] == (
+            "shell matching takes J' of orders |l| and |l - phi| up to 5.0: "
+            f"l = {l}, phi = 0.3 needs order {order}"
+        )
+
     def test_no_bracket_is_numerical_failure(self):
         code, _, err = run_cli(
             ["solve-g", "--l", "1", "--phi", "0.3", "--p", "1", "--rho0", "0.01",

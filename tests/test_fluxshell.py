@@ -142,6 +142,26 @@ class TestMatchingRatio:
         for l in (-1, 0, 1, 2):
             assert abs(matching_ratio(problem(l, 0.3, 0.0, 1.0, 1e-6))) < 1e-3
 
+    @pytest.mark.parametrize("l, order", [(-5, 5.3), (6, 6.0), (-6, 6.3)])
+    def test_orders_past_the_cap_of_j_prime(self, l, order):
+        # the matching takes J' of orders |l| and |l - phi|, capped at
+        # MAX_ORDER = 5; the refusal names the channel, not an inner call
+        prob = problem(l, 0.3, 0.5, 1.0, 0.1)
+        for call in (lambda: matching_ratio(prob), lambda: solve_g(prob, 0.0)):
+            with pytest.raises(DomainError) as info:
+                call()
+            message = str(info.value)
+            assert "bessel_j" not in message
+            assert f"l = {l}, phi = 0.3" in message
+            assert f"order {order!r}" in message and "up to 5.0" in message
+        limit_ratio(prob)
+        if max(abs(l), abs(l - 0.3)) <= 6.0:
+            piecewise_solution(prob, 1.0, 0.0)(0.5)
+
+    def test_order_five_still_matches(self):
+        assert math.isfinite(matching_ratio(problem(5, 0.3, 0.5, 1.0, 0.1)))
+        assert math.isfinite(matching_ratio(problem(-4, 0.3, 0.5, 1.0, 0.1)))
+
 
 def mp_matching_ratio(l, phi, g, p, rho0):
     """b/a from the matching conditions, with mpmath's J and J' at 40 digits."""

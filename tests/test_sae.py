@@ -308,40 +308,60 @@ _N = ExtensionParameter.finite(Channel.SCHRODINGER_N, 1.0)
 _N1 = ExtensionParameter.finite(Channel.SCHRODINGER_N_PLUS_1, 1.0)
 
 
+def _checked_text(name):
+    # errors.checked names the function and its arguments
+    return rf"^{name}\(.*\) overflows a double$"
+
+
+_E2_TEXT = r"^E\^2 = p_perp\^2 \+ p3\^2 \+ M\^2 overflows a double: "
+
+
 @pytest.mark.parametrize(
-    "call",
+    "call, message",
     [
-        lambda: schrodinger_ratio(_N, decompose(0.7), 1e300, 1.0),
-        lambda: schrodinger_ratio(_N1, decompose(0.3), 1e300, 1.0),
-        lambda: schrodinger_ratio(
+        pytest.param(lambda: schrodinger_ratio(_N, decompose(0.7), 1e300, 1.0),
+                     _checked_text("schrodinger_ratio"), id="schrodinger_ratio-n"),
+        pytest.param(lambda: schrodinger_ratio(_N1, decompose(0.3), 1e300, 1.0),
+                     _checked_text("schrodinger_ratio"), id="schrodinger_ratio-n1"),
+        pytest.param(lambda: schrodinger_ratio(
             ExtensionParameter.finite(Channel.SCHRODINGER_N, 1e300), decompose(0.3), 1e100, 1.0
-        ),
-        lambda: dirac_ratio(
+        ), _checked_text("schrodinger_ratio"), id="schrodinger_ratio-alpha"),
+        pytest.param(lambda: dirac_ratio(
             ExtensionParameter.finite(Channel.DIRAC_N, 1.0),
             decompose(0.7),
             DiracKinematics.from_momenta(1e-300, 1.0),
-        ),
-        lambda: DiracKinematics.from_momenta(1.0, 1e300),
-        lambda: small_rho_signature(
+        ), _checked_text("dirac_ratio"), id="dirac_ratio"),
+        # s = -1: (p_perp/M)^delta stays finite, (M/p)^2 past it does not
+        pytest.param(lambda: dirac_ratio(
+            ExtensionParameter.finite(Channel.DIRAC_N, 1.0),
+            decompose(0.1),
+            DiracKinematics.from_momenta(1.0, 1e-200, 0.0, -1),
+        ), _checked_text("dirac_ratio"), id="dirac_ratio-s-1"),
+        pytest.param(lambda: DiracKinematics.from_momenta(1.0, 1e300), _E2_TEXT,
+                     id="from_momenta"),
+        pytest.param(lambda: DiracKinematics.from_momenta(1.0, 1.0, 1e300), _E2_TEXT,
+                     id="from_momenta-p3"),
+        pytest.param(lambda: DiracKinematics.from_momenta(1e300, 1.0), _E2_TEXT,
+                     id="from_momenta-M"),
+        pytest.param(lambda: small_rho_signature(
             make_schrodinger_mode(0, decompose(0.7), 1e-300, 1.0, 1.0), 1.0
-        ),
-        lambda: g_from_alpha(_N, decompose(0.7), 1e300),
-        lambda: g_from_alpha(_N1, decompose(0.3), 1e300),
-        lambda: g_asymptotic(_N, decompose(0.7), 1e300),
-        lambda: g_asymptotic(_N1, decompose(0.3), 1e300),
-        lambda: limit_ratio(
+        ), _checked_text("small_rho_signature"), id="small_rho_signature"),
+        pytest.param(lambda: g_from_alpha(_N, decompose(0.7), 1e300),
+                     _checked_text("g_from_alpha"), id="g_from_alpha-n"),
+        pytest.param(lambda: g_from_alpha(_N1, decompose(0.3), 1e300),
+                     _checked_text("g_from_alpha"), id="g_from_alpha-n1"),
+        pytest.param(lambda: g_asymptotic(_N, decompose(0.7), 1e300),
+                     _checked_text("g_asymptotic"), id="g_asymptotic-n"),
+        pytest.param(lambda: g_asymptotic(_N1, decompose(0.3), 1e300),
+                     _checked_text("g_asymptotic"), id="g_asymptotic-n1"),
+        pytest.param(lambda: limit_ratio(
             FluxShellProblem(rho0=1e300, g=0.5, l=1, flux=decompose(0.3), p=1.0)
-        ),
-    ],
-    ids=[
-        "schrodinger_ratio-n", "schrodinger_ratio-n1", "schrodinger_ratio-alpha",
-        "dirac_ratio", "from_momenta",
-        "small_rho_signature", "g_from_alpha-n", "g_from_alpha-n1",
-        "g_asymptotic-n", "g_asymptotic-n1", "limit_ratio",
+        ), _checked_text("limit_ratio"), id="limit_ratio"),
     ],
 )
-def test_overflowing_power_is_a_numerical_failure(call):
+def test_overflowing_power_is_a_numerical_failure(call, message):
     # a float power past the largest double raises OverflowError in Python;
-    # the library reports it as a NumericalFailureError naming the quantity
-    with pytest.raises(NumericalFailureError, match="overflows"):
+    # errors.checked reports it as a NumericalFailureError naming the function
+    # and its arguments, and DiracKinematics, which it does not wrap, as E^2
+    with pytest.raises(NumericalFailureError, match=message):
         call()
