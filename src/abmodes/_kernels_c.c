@@ -9,7 +9,11 @@
  * operation for one, so both return the same doubles; the tests in
  * `tests/test_backends.py` compare them with ==.  Edit the two together.
  * The Python twin's lists of Hankel terms are fixed arrays here, of
- * HANKEL_TERMS entries, with a count of those filled.
+ * HANKEL_TERMS entries, with a count of those filled.  Its expansion for
+ * several arguments also tabulates the series' divisors k (nu + k); series
+ * here computes each inline, the same product of the same doubles, which
+ * costs nothing in C, and `tests/test_backends.py` checks the results
+ * with ==.
  * `setup.py` compiles this file with -ffp-contract=off, because a fused
  * multiply-add would round once where Python rounds twice.
  *

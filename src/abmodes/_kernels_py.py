@@ -19,7 +19,11 @@ goes into the C as well, and `tests/test_backends.py` compares the two with
   and `bessel_j` one for its one argument or for its tuple of arguments
   (`overlap`'s Lommel brackets at all of an estimator's window lengths):
   Gamma(nu + 1) of the series, which keeps its term recurrence, order of
-  operations and stop rule at every argument; and Hankel's coefficients
+  operations and stop rule at every argument, and, for a range of several
+  arguments, the table of the series' divisors k (nu + k), k = 1..32, which
+  the series divides by instead of forming each product per term (the same
+  doubles; a scalar call builds no table, which would cost it more than it
+  saves, and the C twin forms them inline); and Hankel's coefficients
   c_k, from which P and Q are Horner sums in 1/x^2.  Each argument has its
   own cut of Hankel's sum, found by bisecting running bounds of the
   coefficients: before the first k > 2 whose term does not shrink, or
@@ -75,19 +79,6 @@ import math
 from bisect import bisect_left
 
 _SQRT_TWO_PI = 2.5066282746310002
-
-# Lanczos g = 7, n = 9 coefficient set (double-precision grade).
-_LANCZOS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
 
 # Gauss-Legendre nodes/weights on [-1, 1], order 15 (exact to degree 29).
 _G15 = (
@@ -146,6 +137,12 @@ _GL16_EDGE = _GL16[-1][0]
 # ((j_40/y_40)(y_k/j_k))
 _MILLER_START = 40
 
+# The series' divisors k (nu + k) that an expansion for several arguments
+# tabulates, k = 1..32: at x <= 12 the series stops within 31 terms for every
+# order in [-6, 6] (within 28 in (-1, 6], 18 at x <= 4.72), so past the table
+# `_series` computes them inline only as a guard
+_SERIES_KS = range(1, 33)
+
 # Hankel's expansion, term k = 1..59: (k, (2k - 1)^2, +-8k, 1/k).  The sign
 # of 8k, + for odd k and - for even k, makes the products of the term ratios
 # the signed coefficients + + - - of P and Q (exactly, as negation is exact).
@@ -167,9 +164,19 @@ def gamma(x):
         # reflection; sinpi keeps relative accuracy near the poles
         return math.pi / (sinpi(x) * gamma(1.0 - x))
     z = x - 1.0
-    acc = _LANCZOS[0]
-    for i in range(1, 9):
-        acc += _LANCZOS[i] / (z + i)
+    # Lanczos g = 7, n = 9 coefficient set (double-precision grade), written
+    # out: the additions, in their order, of the C twin's loop
+    acc = (
+        0.99999999999980993
+        + 676.5203681218851 / (z + 1.0)
+        - 1259.1392167224028 / (z + 2.0)
+        + 771.32342877765313 / (z + 3.0)
+        - 176.61502916214059 / (z + 4.0)
+        + 12.507343278686905 / (z + 5.0)
+        - 0.13857109526572012 / (z + 6.0)
+        + 9.9843695780195716e-6 / (z + 7.0)
+        + 1.5056327351493116e-7 / (z + 8.0)
+    )
     t = z + 7.5
     return _SQRT_TWO_PI * t ** (z + 0.5) * math.exp(-t) * acc
 
@@ -177,36 +184,43 @@ def gamma(x):
 def _expansion(nu, x_lo, x_hi):
     """J_nu's expansion for arguments in [x_lo, x_hi], built once for all of them.
 
-    (sign, nu, g, hankel): a negative integer order reflected,
-    J_{-m} = (-1)^m J_m; Gamma(nu + 1) for the series (when x_lo <= 12);
-    Hankel's coefficients for the arguments above 12 (when x_hi > 12).
-    `_j` evaluates it at one argument.
+    (sign, nu, g, divisors, hankel): a negative integer order reflected,
+    J_{-m} = (-1)^m J_m; Gamma(nu + 1) for the series (when x_lo <= 12),
+    and the series' divisors k (nu + k) when the range holds more than one
+    argument (for one, the table would cost more than it saves); Hankel's
+    coefficients for the arguments above 12 (when x_hi > 12).  `_j`
+    evaluates it at one argument.
     """
     sign = 1.0
     if nu < 0.0 and nu == math.floor(nu):
         sign = 1.0 if (int(-nu) & 1) == 0 else -1.0
         nu = -nu
     g = hankel = None
+    divisors = ()
     if not x_lo > 12.0:
         g = gamma(nu + 1.0)
+        if x_lo < x_hi:
+            divisors = [k * (nu + k) for k in _SERIES_KS]
     if not x_hi <= 12.0:
         hankel = _hankel_coefficients(nu, x_lo if x_lo > 12.0 else 12.0, x_hi)
-    return sign, nu, g, hankel
+    return sign, nu, g, divisors, hankel
 
 
 def _j(expansion, x):
     """J_nu(x) from `_expansion(nu, x_lo, x_hi)`, x in [x_lo, x_hi]."""
-    sign, nu, g, hankel = expansion
+    sign, nu, g, divisors, hankel = expansion
     if x == 0.0:
         return sign * (1.0 if nu == 0.0 else 0.0)
     if x <= 12.0:
-        return sign * _series(nu, x, g)
+        return sign * _series(nu, x, g, divisors)
     return sign * _asymptotic(nu, x, hankel)
 
 
-def _series(nu, x, g):
+def _series(nu, x, g, divisors=()):
     # ascending series; term recurrence t_k = -t_{k-1} (x/2)^2 / (k (nu+k)),
-    # g = Gamma(nu + 1).  nu must not be a negative integer (gamma pole);
+    # g = Gamma(nu + 1), the divisors k (nu + k) read from `divisors` for
+    # k = 1, 2, ... as far as it goes and computed inline past it (the same
+    # doubles either way).  nu must not be a negative integer (gamma pole);
     # _expansion reduces those.
     h = 0.5 * x
     if h == 0.0 and nu < 0.0:
@@ -217,7 +231,15 @@ def _series(nu, x, g):
     s = t
     q = -h * h
     biggest = abs(t)
-    for k in range(1, 400):
+    for d in divisors:
+        t *= q / d
+        s += t
+        a = abs(t)
+        if a > biggest:
+            biggest = a
+        elif a <= 1e-18 * biggest:
+            return s
+    for k in range(len(divisors) + 1, 400):
         t *= q / (k * (nu + k))
         s += t
         a = abs(t)

@@ -106,6 +106,30 @@ class TestGamma:
                 ref /= x + k
             assert gamma(x) == pytest.approx(ref, rel=1e-11)
 
+    def test_kernel_is_the_lanczos_loop(self):
+        # the C twin sums Lanczos' terms in a loop; the Python kernel writes
+        # the same additions out, in the same order, as one expression
+        lanczos = (
+            0.99999999999980993, 676.5203681218851, -1259.1392167224028,
+            771.32342877765313, -176.61502916214059, 12.507343278686905,
+            -0.13857109526572012, 9.9843695780195716e-6, 1.5056327351493116e-7,
+        )
+
+        def loop(x):
+            if x < 0.5:
+                return math.pi / (_kernels_py.sinpi(x) * loop(1.0 - x))
+            z = x - 1.0
+            acc = lanczos[0]
+            for i in range(1, 9):
+                acc += lanczos[i] / (z + i)
+            t = z + 7.5
+            return _kernels_py._SQRT_TWO_PI * t ** (z + 0.5) * math.exp(-t) * acc
+
+        rng = random.Random(26)
+        xs = [rng.uniform(-4.9, 10.0) for _ in range(2000)] + [0.5, 1.0, 100.5, -0.5, 1e-300]
+        for x in xs:
+            assert _kernels_py.gamma(x) == loop(x), x
+
 
 class TestBesselJ:
     @pytest.mark.parametrize("x", [0.05, 0.5, math.pi / 2, 3.0, math.pi, 11.0, 12.0, 13.0, 25.0, 80.0])
@@ -230,18 +254,46 @@ class TestBesselJ:
                 )
                 assert abs(w) <= 1e-9 * (2.0 / (math.pi * x))
 
-    @pytest.mark.parametrize("x_lo, x_hi", [(12.0, 13.0), (12.0, 400.0), (1e-3, 13.0)])
+    @pytest.mark.parametrize(
+        "x_lo, x_hi",
+        [
+            (12.0, 13.0), (12.0, 400.0), (1e-3, 13.0),  # Hankel's sum, or both
+            (1e-3, 12.0), (4.72, 12.0), (11.0, 12.5), (12.0 - 1e-12, 12.0 + 1e-12),
+            (0.0, 1.0), (0.0, 4.72), (0.0, 12.0), (0.0, 30.0),
+        ],
+    )
     def test_panel_expansion_matches_single_calls(self, x_lo, x_hi):
         # an order's expansion, built once for a panel's arguments, gives each
-        # argument the double of a single call: Hankel's sum stops at every
-        # argument's own cut, not at one fixed for the range
+        # argument the double of a single call, which builds no divisor table:
+        # the series divides by the table's k (nu + k), and Hankel's sum stops
+        # at every argument's own cut, not at one fixed for the range
         rng = random.Random(21)
         orders = [0.0, 0.5, 1.0, 1.5, 2.5, 6.0] + [rng.uniform(-0.999, 6.0) for _ in range(30)]
+        orders += [-1.0 + 1e-12, 1e-9, -1e-9, -1.0, -2.0, -3.0, -4.0, -5.0]
         for nu in orders:
+            if x_lo == 0.0 and nu < 0.0 and nu != math.floor(nu):
+                continue  # J_nu(0) is infinite
             expansion = _kernels_py._expansion(nu, x_lo, x_hi)
+            divisors, hankel = expansion[3], expansion[4]
+            assert bool(divisors) == (x_lo <= 12.0) and (hankel is None) == (x_hi <= 12.0)
             xs = [x_lo, x_hi] + [rng.uniform(x_lo, x_hi) for _ in range(60)]
             for x in xs:
+                assert _kernels_py._expansion(nu, x, x)[3] == ()
                 assert _kernels_py._j(expansion, x) == _kernels_py.bessel_j(nu, x), (nu, x)
+
+    def test_divisor_table_covers_the_series(self):
+        # at x <= 12 the series stops inside an expansion's divisor table for
+        # every order the kernels accept, |nu| <= 6 (negative integers
+        # reflected): a NaN past the table's end is never read, so the
+        # divisors computed inline run only as a guard
+        orders = [i / 100.0 for i in range(-600, 601)]
+        orders += [-6.0 + 1e-12, -5.0 - 1e-9, -2.0 + 1e-12, -1.0 + 1e-12, 1e-9, -1e-9]
+        xs = [i / 20.0 for i in range(1, 241)]
+        for nu in orders:
+            _, order, g, divisors, _ = _kernels_py._expansion(nu, 0.0, 12.0)
+            probe = divisors + [math.nan]
+            for x in xs:
+                assert not math.isnan(_kernels_py._series(order, x, g, probe)), (nu, x)
 
     def test_series_asymptotic_crossover_agreement(self):
         # both evaluation paths agree across the switch at x = 12
