@@ -91,6 +91,10 @@ static const double GL16_WEIGHT[8] = {
     0.062253523938647894, 0.027152459411754096,
 };
 
+/* J_nu(x) is summed from the ascending series for x <= HANKEL_FROM and from
+ * Hankel's expansion above: the Python twin's _HANKEL_FROM. */
+#define HANKEL_FROM 12.0
+
 /* Miller's backward recurrence for j_k starts here, as in the Python twin. */
 #define MILLER_START 40
 
@@ -239,17 +243,17 @@ static void expansion(double nu, double x_lo, double x_hi, expansion_t *e)
     e->g = 0.0;
     e->hankel.n = 0;
     e->hankel.coef[0] = 1.0;
-    if (!(x_lo > 12.0))
+    if (!(x_lo > HANKEL_FROM))
         e->g = gamma_(nu + 1.0);
-    if (!(x_hi <= 12.0))
-        hankel_coefficients(nu, x_lo > 12.0 ? x_lo : 12.0, x_hi, &e->hankel);
+    if (!(x_hi <= HANKEL_FROM))
+        hankel_coefficients(nu, x_lo > HANKEL_FROM ? x_lo : HANKEL_FROM, x_hi, &e->hankel);
 }
 
 static double j_at(const expansion_t *e, double x)
 {
     if (x == 0.0)
         return e->sign * (e->nu == 0.0 ? 1.0 : 0.0);
-    if (x <= 12.0)
+    if (x <= HANKEL_FROM)
         return e->sign * series(e->nu, x, e->g);
     return e->sign * asymptotic(e->nu, x, &e->hankel);
 }

@@ -143,6 +143,10 @@ _MILLER_START = 40
 # `_series` computes them inline only as a guard
 _SERIES_KS = range(1, 33)
 
+# J_nu(x) is summed from the ascending series for x <= 12 and from Hankel's
+# expansion above; the C twin's HANKEL_FROM is the same switch
+_HANKEL_FROM = 12.0
+
 # Hankel's expansion, term k = 1..59: (k, (2k - 1)^2, +-8k, 1/k).  The sign
 # of 8k, + for odd k and - for even k, makes the products of the term ratios
 # the signed coefficients + + - - of P and Q (exactly, as negation is exact).
@@ -197,12 +201,13 @@ def _expansion(nu, x_lo, x_hi):
         nu = -nu
     g = hankel = None
     divisors = ()
-    if not x_lo > 12.0:
+    if not x_lo > _HANKEL_FROM:
         g = gamma(nu + 1.0)
         if x_lo < x_hi:
             divisors = [k * (nu + k) for k in _SERIES_KS]
-    if not x_hi <= 12.0:
-        hankel = _hankel_coefficients(nu, x_lo if x_lo > 12.0 else 12.0, x_hi)
+    if not x_hi <= _HANKEL_FROM:
+        lo = x_lo if x_lo > _HANKEL_FROM else _HANKEL_FROM
+        hankel = _hankel_coefficients(nu, lo, x_hi)
     return sign, nu, g, divisors, hankel
 
 
@@ -211,7 +216,7 @@ def _j(expansion, x):
     sign, nu, g, divisors, hankel = expansion
     if x == 0.0:
         return sign * (1.0 if nu == 0.0 else 0.0)
-    if x <= 12.0:
+    if x <= _HANKEL_FROM:
         return sign * _series(nu, x, g, divisors)
     return sign * _asymptotic(nu, x, hankel)
 

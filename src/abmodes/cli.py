@@ -7,17 +7,13 @@ All physical inputs are dimensionless: momenta in units of M, radii in
 units of 1/M.  Exit codes: 0 success, 2 invalid input, 3 numerical failure;
 failures print a one-line JSON error object to stderr.
 
-Every subcommand takes --out; the quadrature tuning flags --tol-quad and
---panel-budget belong to `windowed`, whose cost and accuracy they set (the
-finite part behind `overlap --verify` and `cancel --verify` runs at a fixed
-scale and takes none), and --format to `scan`.  `inputs` echoes the
-subcommand's own flags in the order they are declared, omitting any left at
-None and the output and tuning flags.  The one exception is `sae-ratio`,
-which echoes only the flags of the chosen --eq.  This rule is what lets each
-`scan` row, which holds the echo, re-run as one invocation with the same
-tuning flags.  A negative number is a value also as a separate token in
-exponent form (`--nu -1e-3`), or as -inf or -nan, so every number the CLI
-prints passes back as it is.
+Every subcommand takes --out, and `scan` also --format.  `inputs` echoes
+the subcommand's own flags in the order they are declared, omitting any flag
+left at None, and --out.  The one exception is `sae-ratio`, which echoes
+only the flags of the chosen --eq.  This rule is what lets each `scan` row,
+which holds the echo, re-run as one invocation.  A negative number is a
+value also as a separate token in exponent form (`--nu -1e-3`), or as -inf
+or -nan, so every number the CLI prints passes back as it is.
 
 `scan` parses the swept subcommand once, with its fixed flags and the first
 grid point, and then converts each grid value once per grid, by its flag's
@@ -56,15 +52,12 @@ from .fluxshell import (
 )
 from .modes import DiracKinematics, make_schrodinger_mode
 from .overlap import (
-    DEFAULT_PANEL_BUDGET,
-    DEFAULT_TOL,
     closed_form_cross,
     closed_form_same,
     finite_part_estimate,
     fit_cancelling_exponent,
     mode_overlap_finite_part,
     mode_overlap_finite_part_numeric,
-    windowed_overlap,
 )
 from .sae import Channel, ExtensionParameter, dirac_ratio, schrodinger_ratio
 from .specfun import bessel_j, bessel_j_prime
@@ -106,20 +99,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise _CliParseError(message)
-
-
-def _tol_quad(text: str) -> float:
-    tol = float(text)
-    if not tol > 0.0:  # NaN included
-        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
-    return tol
-
-
-def _panel_budget(text: str) -> int:
-    budget = int(text)
-    if budget < 1000:
-        raise argparse.ArgumentTypeError(f"must be >= 1000, got {text!r}")
-    return budget
 
 
 @checked  # an --enn past the doubles overflows in the sum
@@ -248,25 +227,11 @@ def _cmd_solve_g(args):
     return {"g": g}, {"residual": matching_ratio(replace(prob, g=g)) - args.target}
 
 
-def _cmd_windowed(args):
-    value = windowed_overlap(
-        args.nu,
-        args.mu,
-        args.p,
-        args.pprime,
-        args.window,
-        tol=args.tol_quad,
-        panel_budget=args.panel_budget,
-    )
-    return {"value": value}, {}
-
-
 _COMMON = _Parser(add_help=False)
 _COMMON.add_argument("--out", default=None, help="output path (default stdout)")
 
-# namespace entries that no subcommand echoes as an input: the output flag
-# and windowed's tuning flags
-_NOT_ECHOED = {"command", "compute", "out", "tol_quad", "panel_budget"}
+# namespace entries that no subcommand echoes as an input
+_NOT_ECHOED = {"command", "compute", "out"}
 # sae-ratio flags that the chosen --eq does not read
 _SAE_NOT_ECHOED = {"schrodinger": {"pperp", "p3", "s"}, "dirac": {"channel", "p"}}
 
@@ -297,15 +262,6 @@ def _build_parser():
     sp.add_argument("--pprime", type=float, required=True)
     sp.add_argument("--kind", choices=("cross", "same"), default="cross")
     sp.add_argument("--verify", action="store_true")
-
-    sp = sub("windowed", _cmd_windowed, help="finite-window overlap integral")
-    sp.add_argument("--nu", type=float, required=True)
-    sp.add_argument("--mu", type=float, required=True)
-    sp.add_argument("--p", type=float, required=True)
-    sp.add_argument("--pprime", type=float, required=True)
-    sp.add_argument("--window", type=float, required=True)
-    sp.add_argument("--tol-quad", type=_tol_quad, default=DEFAULT_TOL)
-    sp.add_argument("--panel-budget", type=_panel_budget, default=DEFAULT_PANEL_BUDGET)
 
     sp = sub("cancel", _cmd_cancel, help="finite part of a critical-channel mode overlap")
     sp.add_argument("--delta", type=float, required=True)

@@ -47,11 +47,17 @@ overlap in one code path, from closed_form_cross or finite_part_estimate: the
 same-order terms contribute none, and the two cross terms cancel exactly when
 the coefficients follow the momentum-power law b/a ~ p^{2 nu} -- the
 orthogonality mechanism that pins down the extension-parameter conditions.
+
+`windowed_overlap` checks none of the paper's claims, and no estimator calls
+it; it and the adaptive engine under it stay only because the benchmark's
+verify_separated workload calls it and its tracer wraps `product_quad`.
+Both go with the next change to the benchmark.
 """
 
 import math
 from dataclasses import dataclass
 
+from ._kernels_py import _HANKEL_FROM
 from ._quad import PanelBudget, cell, hankel_quad, product_quad
 from .errors import (
     ChannelMismatchError,
@@ -76,8 +82,6 @@ __all__ = [
     "mode_overlap_finite_part",
     "mode_overlap_finite_part_numeric",
     "fit_cancelling_exponent",
-    "DEFAULT_TOL",
-    "DEFAULT_PANEL_BUDGET",
 ]
 
 DEFAULT_TOL = 1e-9
@@ -99,10 +103,6 @@ MIN_RELATIVE_SEPARATION = 1e-3
 _LOMMEL_PERIODS = (0.5, 1.0, 1.5)
 
 _EQUAL_TOL = 1e-12
-
-# the kernels (`bessel_j` of both twins) take Hankel's expansion of J_nu(x)
-# for x > 12
-_HANKEL_FROM = 12.0
 
 
 @dataclass(frozen=True)

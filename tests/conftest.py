@@ -64,10 +64,9 @@ def e_plus_sm(kin):
 # arguments below the normal range of doubles: a zero order takes them, since
 # (x/2)^0 = 1 is exact, and a nonzero order is refused (exit 3)
 SUBNORMAL_ARGV = [
-    (["windowed", "--nu", "0", "--mu", "0", "--p", "5e-324", "--pprime", "1",
-      "--window", "1"], 0),
-    (["windowed", "--nu", "0.3", "--mu", "-0.3", "--p", "1e-315", "--pprime", "1",
-      "--window", "1"], 3),
+    (["bessel", "--nu", "0", "--x", "5e-324"], 0),
+    (["bessel", "--nu", "0.3", "--x", "5e-324"], 3),
+    # J' takes J_{-1}
     (["bessel", "--nu", "0", "--x", "1.5e-323", "--prime"], 3),
     # p c/2 underflows to 0 under the order 0.3
     (["overlap", "--delta", "0.3", "--p", "5e-324", "--pprime", "1", "--verify"], 3),

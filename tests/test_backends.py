@@ -10,7 +10,6 @@ more build, with no compiler at all, must warn and build nothing.
 
 import importlib.util
 import inspect
-import json
 import math
 import os
 import random
@@ -29,7 +28,12 @@ from conftest import REPO, SUBNORMAL_ARGV
 
 import abmodes
 from abmodes import _backend, _kernels_py, _quad, cli, specfun
-from abmodes.errors import AbmodesError, DegenerateDenominatorError, NumericalFailureError
+from abmodes.errors import (
+    AbmodesError,
+    ConvergenceError,
+    DegenerateDenominatorError,
+    NumericalFailureError,
+)
 from abmodes.sae import Channel, ExtensionParameter
 
 
@@ -87,7 +91,10 @@ def test_ci_installs_the_dev_extra():
     names = {re.split(r"[\s<>=!~;\[]", requirement, maxsplit=1)[0].lower()
              for requirement in extra}
     workflow = (REPO / ".github" / "workflows" / "tier1.yml").read_text()
-    [line] = [line for line in workflow.splitlines() if "pip install" in line]
+    # the one install line that fetches packages: the package's own install
+    # step takes none (--no-deps)
+    [line] = [line for line in workflow.splitlines()
+              if "pip install" in line and "--no-deps" not in line]
     assert "setuptools" in names
     assert {name.lower() for name in line.split("pip install", 1)[1].split()} == names
 
@@ -118,7 +125,8 @@ def test_gamma_agreement(kernels_c, monkeypatch):
 def test_bessel_agreement(kernels_c):
     rng = random.Random(2)
     orders = [k / 4.0 for k in range(-24, 25)] + [rng.uniform(-6.0, 6.0) for _ in range(40)]
-    xs = [0.0] + [1e-3 * (2e5) ** (i / 199) for i in range(200)]
+    # and at the switch from the series to Hankel's expansion
+    xs = [0.0, 12.0 - 1e-12, 12.0, 12.0 + 1e-12] + [1e-3 * (2e5) ** (i / 199) for i in range(200)]
     for nu in orders:
         for x in xs:
             if x == 0.0 and nu < 0.0:
@@ -158,7 +166,7 @@ def test_bessel_tuple_agreement(kernels_c):
         assert tuple(kernels_c.bessel_j(nu, x) for x in xs) == single, (nu, xs)
     # arguments that straddle 12 at the orders where the expansion branches
     for nu in SPECIAL_ORDERS:
-        xs = tuple(11.5 + 0.05 * k for k in range(21))
+        xs = tuple(11.5 + 0.05 * k for k in range(21)) + (12.0 - 1e-12, 12.0 + 1e-12)
         assert kernels_c.bessel_j(nu, xs) == _kernels_py.bessel_j(nu, xs) == tuple(
             _kernels_py.bessel_j(nu, x) for x in xs
         ), nu
@@ -264,14 +272,12 @@ def test_hankel_panel_agreement(kernels_c):
         ["overlap", "--delta", "0.3", "--p", "1", "--pprime", "1.0005", "--verify"],
         ["cancel", "--delta", "0.3", "--channel", "n", "--b-p", "0.8", "--b-pprime", "0.5",
          "--p", "1", "--pprime", "1.02", "--verify"],
-        # integrands singular at r = 0: the origin cell comes from the series
-        ["windowed", "--nu", "-0.6", "--mu", "-0.6", "--p", "1", "--pprime", "1.7",
-         "--window", "10"],
-        ["windowed", "--nu", "-0.9", "--mu", "-0.9", "--p", "1", "--pprime", "2",
-         "--window", "10"],
-        # past r_h = 12/min(p, p') the window continues on Hankel panels
-        ["windowed", "--nu", "0.3", "--mu", "-0.3", "--p", "1", "--pprime", "1.01",
-         "--window", "30", "--tol-quad", "1e-12"],
+        # J and J' at the switch from the series to Hankel's expansion, and
+        # the shell's matching there and on both sides of it
+        ["bessel", "--nu", "-0.5", "--x", "12", "--prime"],
+        ["solve-g", "--l", "1", "--phi", "0.3", "--p", "1", "--rho0", "12", "--target", "-0.9"],
+        ["scan", "fluxshell", "--grid", "rho0=log:1:20:5", "--l", "1", "--phi", "0.3",
+         "--g", "0.5", "--p", "1"],
     ],
 )
 def test_backends_byte_stable_results(kernels_c, monkeypatch, capsys, argv):
@@ -280,6 +286,37 @@ def test_backends_byte_stable_results(kernels_c, monkeypatch, capsys, argv):
     compiled = cli.run(argv), capsys.readouterr()
     use_kernels(monkeypatch, _kernels_py)
     assert compiled == (cli.run(argv), capsys.readouterr())
+
+
+def outcomes(kernels_c, monkeypatch, call):
+    """call() on the compiled, then the Python kernels: each its value, or
+    the type and message of the library error it raised."""
+    runs = []
+    for kernels in (kernels_c, _kernels_py):
+        use_kernels(monkeypatch, kernels)
+        try:
+            runs.append(call())
+        except AbmodesError as exc:
+            runs.append((type(exc), str(exc)))
+    return runs
+
+
+@pytest.mark.parametrize(
+    "args, tol",
+    [
+        # integrands singular at r = 0: the origin cell comes from the series
+        ((-0.6, -0.6, 1.0, 1.7, 10.0), 1e-9),
+        ((-0.9, -0.9, 1.0, 2.0, 10.0), 1e-9),
+        # past r_h = 12/min(p, p') the window continues on Hankel panels
+        ((0.3, -0.3, 1.0, 1.01, 30.0), 1e-12),
+        # a zero order takes a subnormal momentum, since (p r/2)^0 = 1 is exact
+        ((0.0, 0.0, 5e-324, 1.0, 1.0), 1e-9),
+    ],
+)
+def test_windowed_overlap_alike(kernels_c, monkeypatch, args, tol):
+    runs = outcomes(kernels_c, monkeypatch, partial(abmodes.windowed_overlap, *args, tol=tol))
+    assert runs[0] == runs[1]
+    assert isinstance(runs[0], float)
 
 
 @pytest.mark.parametrize("argv, code", SUBNORMAL_ARGV)
@@ -292,42 +329,31 @@ def test_subnormal_arguments_alike(kernels_c, monkeypatch, capsys, argv, code):
     assert runs[0][0] == code
 
 
-def test_underflowed_panel_fails_alike(kernels_c, monkeypatch, capsys):
+def test_underflowed_panel_fails_alike(kernels_c, monkeypatch):
     # p c/2 underflows to 0 under a negative order, and the origin cell
-    # refuses it before any panel: the same exit-3 document on both kernel
-    # sets, neither a raw ZeroDivisionError nor a bisection until the budget
-    # runs out
-    argv = ["windowed", "--nu", "-0.9", "--mu", "0.9", "--p", "5e-324", "--pprime", "1",
-            "--window", "1"]
-    runs = []
-    for kernels in (kernels_c, _kernels_py):
-        use_kernels(monkeypatch, kernels)
-        runs.append((cli.run(argv), capsys.readouterr()))
+    # refuses it before any panel: the same error on both kernel sets,
+    # neither a raw ZeroDivisionError nor a bisection until the budget runs
+    # out
+    runs = outcomes(
+        kernels_c, monkeypatch, partial(abmodes.windowed_overlap, -0.9, 0.9, 5e-324, 1.0, 1.0)
+    )
     assert runs[0] == runs[1]
-    code, (out, err) = runs[0]
-    assert code == 3 and out == ""
-    assert json.loads(err)["error"] == "NumericalFailureError"
+    assert runs[0][0] is NumericalFailureError
 
 
 @pytest.mark.parametrize(
-    "momenta", [("1", "1.02"), ("1e300", "1.5e300")], ids=["ulp-of-the-end", "phase-overflow"]
+    "momenta", [(1.0, 1.02), (1e300, 1.5e300)], ids=["ulp-of-the-end", "phase-overflow"]
 )
-def test_unresolved_window_end_fails_alike(kernels_c, monkeypatch, capsys, momenta):
+def test_unresolved_window_end_fails_alike(kernels_c, monkeypatch, momenta):
     # at L = 1e10 an ulp of the window end moves the integral by more than
     # tol/2, and at p = 1e300 the phase (p + p') L overflows: hankel_quad
-    # refuses before its first panel, at once, with the same document
-    argv = ["windowed", "--nu", "0.3", "--mu", "-0.3", "--p", momenta[0],
-            "--pprime", momenta[1], "--window", "1e10"]
-    runs = []
-    for kernels in (kernels_c, _kernels_py):
-        use_kernels(monkeypatch, kernels)
-        start = time.perf_counter()
-        runs.append((cli.run(argv), capsys.readouterr()))
-        assert time.perf_counter() - start < 1.0
+    # refuses before its first panel, at once, with the same error
+    call = partial(abmodes.windowed_overlap, 0.3, -0.3, *momenta, 1e10)
+    start = time.perf_counter()
+    runs = outcomes(kernels_c, monkeypatch, call)
+    assert time.perf_counter() - start < 1.0
     assert runs[0] == runs[1]
-    code, (out, err) = runs[0]
-    assert code == 3 and out == ""
-    assert json.loads(err)["error"] == "ConvergenceError"
+    assert runs[0][0] is ConvergenceError
 
 
 @pytest.mark.parametrize(
@@ -347,17 +373,14 @@ def test_unresolved_window_end_fails_alike(kernels_c, monkeypatch, capsys, momen
         # finite cells whose sum overflows
         (partial(abmodes.windowed_overlap, 0.0, 0.0, 3e-154, 3e-154, 2.5e155, tol=1.7e308),
          NumericalFailureError),
+        # a subnormal momentum under a nonzero order
+        (partial(abmodes.windowed_overlap, 0.3, -0.3, 1e-315, 1.0, 1.0), NumericalFailureError),
     ],
     ids=["bessel_j", "bessel_j_and_prime", "finite_part", "cross-zero-pprime",
-         "cross-subnormal-pprime", "g_from_alpha", "windowed-sum"],
+         "cross-subnormal-pprime", "g_from_alpha", "windowed-sum", "windowed-subnormal-p"],
 )
 def test_overflow_refused_alike(kernels_c, monkeypatch, call, error):
     # the same library error, with the same message, on both kernel sets
-    failures = []
-    for kernels in (kernels_c, _kernels_py):
-        use_kernels(monkeypatch, kernels)
-        with pytest.raises(AbmodesError) as info:
-            call()
-        failures.append((type(info.value), str(info.value)))
+    failures = outcomes(kernels_c, monkeypatch, call)
     assert failures[0] == failures[1]
     assert failures[0][0] is error

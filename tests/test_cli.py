@@ -4,8 +4,8 @@ import csv
 import io
 import json
 import math
+import shlex
 
-import mpmath
 import pytest
 from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
@@ -13,14 +13,7 @@ from hypothesis import strategies as st
 import abmodes
 from abmodes import cli
 from abmodes.cli import _parse_grid
-from conftest import (
-    FIXTURES,
-    FLOATS,
-    LIBRARY_ERRORS,
-    SUBNORMAL_ARGV,
-    mp_lommel_cross,
-    run_cli,
-)
+from conftest import FIXTURES, FLOATS, LIBRARY_ERRORS, REPO, SUBNORMAL_ARGV, run_cli
 
 GOLDEN = {
     "decompose.json": ["decompose", "--phi", "2.3"],
@@ -77,16 +70,12 @@ def test_gfactor_reference_value():
 
 
 # flags given out of order: the echo follows the declarations, skips flags
-# left at None and the tuning flags, and for sae-ratio keeps only the
-# flags of the chosen equation
+# left at None, and for sae-ratio keeps only the flags of the chosen equation
 ECHO_ORDER = [
     (["decompose", "--phi", "2.3"], ["phi"]),
     (["bessel", "--x", "1.4", "--prime", "--nu", "0.3"], ["nu", "x", "prime"]),
     (["overlap", "--pprime", "1", "--delta", "0.5", "--p", "2"],
      ["delta", "p", "pprime", "kind", "verify"]),
-    (["windowed", "--window", "3.14159", "--nu", "0.5", "--mu", "0.5", "--p", "1",
-      "--tol-quad", "1e-8", "--pprime", "2"],
-     ["nu", "mu", "p", "pprime", "window"]),
     (["cancel", "--alpha", "1", "--delta", "0.3", "--channel", "n", "--p", "1.3",
       "--pprime", "0.7"],
      ["delta", "enn", "channel", "p", "pprime", "verify", "alpha"]),
@@ -115,6 +104,26 @@ def test_inputs_echo_order(argv, keys):
     code, out, err = run_cli(argv)
     assert code == 0, err
     assert list(json.loads(out)["inputs"]) == keys
+
+
+def test_readme_cli_examples(capsys):
+    # the sh block of README's CLI section, its continuations joined: one
+    # example of every subcommand, each exiting 0 with one document on
+    # stdout, a JSON line or, for --format csv, a header and a line a row
+    section = (REPO / "README.md").read_text().split("\n## CLI\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    examples = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()]
+    assert {argv[0] for argv in examples} == {"abmodes"}
+    assert {argv[1] for argv in examples} == set(cli._SUBCOMMANDS)
+    for _, *argv in examples:
+        assert cli.run(argv) == 0, argv
+        out, err = capsys.readouterr()
+        assert err == "", argv
+        if "csv" in argv:
+            rows = list(csv.reader(io.StringIO(out)))
+            assert len(rows) > 1 and {len(row) for row in rows} == {len(rows[0])}, argv
+        else:
+            assert len(out.splitlines()) == 1 and json.loads(out)["command"] == argv[0], argv
 
 
 def test_determinism_same_backend():
@@ -166,24 +175,18 @@ def test_negative_number_matcher_reads_what_float_reads(capsys):
         assert json.loads(capsys.readouterr().err)["error"] == "DomainError"
 
 
-def test_windowed_past_the_rounding_wall():
-    # one G10/K21 cell per quasi-period ran out of panels here (exit 3 after
-    # 44 s); past r_h = 12 the window continues on Hankel panels
-    argv = ["windowed", "--nu", "0.3", "--mu", "-0.3", "--p", "1", "--pprime", "1.01",
-            "--window", "30", "--tol-quad", "1e-12"]
-    code, out, _ = run_cli(argv)
-    assert code == 0
-    value = json.loads(out)["outputs"]["value"]
-    assert abs(value - mp_lommel_cross(0.3, 1.0, 1.01, 30.0)) <= 1e-12
-
-
-def test_windowed_subcommand():
-    code, out, _ = run_cli(
-        ["windowed", "--nu", "0.5", "--mu", "0.5", "--p", "1", "--pprime", "2",
-         "--window", repr(math.pi)]
-    )
-    assert code == 0
-    assert abs(json.loads(out)["outputs"]["value"]) <= 1e-9
+def test_windowed_subcommand(capsys):
+    # the windowed integral left the CLI: its argv exits 2 as an unknown
+    # subcommand, and the value it printed is the library function's
+    argv = ["windowed", "--nu", "0.5", "--mu", "0.5", "--p", "1", "--pprime", "2",
+            "--window", repr(math.pi)]
+    code = cli.run(argv)
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    doc = json.loads(err)
+    assert doc["error"] == "_CliParseError"
+    assert "argument command: invalid choice: 'windowed'" in doc["message"]
+    assert abs(abmodes.windowed_overlap(0.5, 0.5, 1.0, 2.0, math.pi)) <= 1e-9
 
 
 @pytest.mark.parametrize("argv, code", SUBNORMAL_ARGV)
@@ -191,9 +194,8 @@ def test_subnormal_arguments(argv, code):
     got, out, err = run_cli(argv)
     assert got == code, err
     if code == 0:
-        # int_0^1 J_0(0) J_0(r) r dr = J_1(1)
-        value = json.loads(out)["outputs"]["value"]
-        assert abs(value - float(mpmath.besselj(1, 1))) <= 1e-15
+        # J_0(x) = 1 - x^2/4 + ...
+        assert abs(json.loads(out)["outputs"]["j"] - 1.0) <= 1e-15
     else:
         assert out == b"" and json.loads(err)["error"] == "NumericalFailureError"
 
@@ -270,26 +272,25 @@ def test_cancel_explicit_coefficients():
     assert abs(doc["outputs"]["finite_part"]) > 1e-2 * doc["outputs"]["cross_term_scale"]
 
 
-def test_run_config_validation():
-    windowed = ["windowed", "--nu", "0.5", "--mu", "0.5", "--p", "1", "--pprime", "2",
-                "--window", "3"]
-    overlap = ["overlap", "--delta", "0.3", "--p", "1", "--pprime", "2", "--verify"]
-    cancel = ["cancel", "--delta", "0.3", "--alpha", "1", "--p", "1", "--pprime", "2",
-              "--verify"]
-    for argv in (
-        [*windowed, "--panel-budget", "10"],
-        [*windowed, "--tol-quad", "-1"],
-        [*windowed, "--tol-quad", "nan"],
-        # only windowed takes the tuning flags: the finite part behind
-        # overlap and cancel runs at a fixed scale
-        ["decompose", "--phi", "2.3", "--tol-quad", "1e-9"],
-        [*overlap, "--tol-quad", "1e-9"],
-        [*overlap, "--panel-budget", "1000"],
-        [*cancel, "--tol-quad", "1e-9"],
-        [*cancel, "--panel-budget", "1000"],
-    ):
-        code, out, err = run_cli(argv)
-        assert (code, out) == (2, b""), argv
+def test_run_config_validation(capsys):
+    # no subcommand takes a quadrature tuning flag (the finite part behind
+    # overlap and cancel runs at a fixed scale), and the windowed integral
+    # is a library function only: each argv below exits 0 as it is, and 2
+    # with a tuning flag added
+    valid = {argv[0]: argv for argv, _ in ECHO_ORDER}
+    valid["scan"] = ["scan", "gfactor", "--grid", "alpha=0.5:1.5:3", "--channel", "n",
+                     "--enn", "0", "--delta", "0.5", "--rho0", "0.01"]
+    assert set(valid) == set(cli._SUBCOMMANDS)
+    refused = [["windowed", "--nu", "0.5", "--mu", "0.5", "--p", "1", "--pprime", "2",
+                "--window", "3"]]
+    for argv in valid.values():
+        assert cli.run(argv) == 0, argv
+        capsys.readouterr()
+        refused += [[*argv, "--tol-quad", "1e-9"], [*argv, "--panel-budget", "1000"]]
+    for argv in refused:
+        code = cli.run(argv)
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, ""), argv
         assert json.loads(err)["error"] == "_CliParseError"
 
 
@@ -369,10 +370,6 @@ class TestExitCodes:
             # a finite alpha times a finite power past the largest double
             (["cancel", "--delta", "0.3", "--channel", "n", "--alpha", "1e300", "--p", "1e100",
               "--pprime", "2e100"], "NumericalFailureError"),
-            # an ulp of the window end moves the integral by 7e283, far above
-            # tol: refused before the first Hankel panel
-            (["windowed", "--nu", "0.5", "--mu", "0.5", "--p", "1", "--pprime", "2",
-              "--window", "1e300"], "ConvergenceError"),
             # subnormal momenta, once infinite periods and a NaN cell count:
             # the finite part at the momenta scaled by 2^1063 is finite, and
             # scaling it back by 2^2126 overflows
@@ -474,18 +471,8 @@ class TestExitCodes:
             ["bessel", "--nu", "0.3", "--x", "inf"],
             ["fluxshell", "--l", "1", "--phi", "0.3", "--g", "0.5", "--p", "1e200",
              "--rho0", "1e200"],
-            # the quadrature refuses what specfun refuses: NaN momenta and
-            # windows (once tracebacks or endless bisection), orders
-            # outside (-1, MAX_ORDER + 1]
-            ["windowed", "--nu", "1", "--mu", "1e-13", "--p", "nan", "--pprime", "3",
-             "--window", "2"],
+            # the finite part refuses what specfun refuses: NaN momenta
             ["overlap", "--delta", "0.3", "--p", "nan", "--pprime", "1", "--verify"],
-            ["windowed", "--nu", "inf", "--mu", "3", "--p", "0.25", "--pprime", "3",
-             "--window", "0.01"],
-            ["windowed", "--nu", "0.3", "--mu", "0.3", "--p", "1", "--pprime", "1",
-             "--window", "nan"],
-            ["windowed", "--nu", "7", "--mu", "0.3", "--p", "1", "--pprime", "2",
-             "--window", "30"],
             # non-finite model inputs, once a NaN or inf output (exit 3)
             ["sae-ratio", "--alpha", "inf", "--delta", "0.3"],
             ["cancel", "--delta", "0.3", "--alpha", "nan", "--p", "1", "--pprime", "2"],
@@ -590,8 +577,6 @@ class TestScan:
         (["bessel", "--nu", "0.3", "--x", "1"], ["bogus=0:1:2"], ["--bogus=0"]),
         (["overlap", "--delta", "0.3", "--p", "1", "--pprime", "2"],
          ["tol-quad=1e-9:1e-8:2"], ["--tol-quad=1e-09"]),
-        (["windowed", "--nu", "0.3", "--mu", "0.3", "--p", "1", "--pprime", "2",
-          "--window", "1"], ["tol-quad=1e-9:-1:2"], ["--tol-quad=-1"]),
         (["sae-ratio", "--eq", "dirac", "--alpha", "1", "--delta", "0.3"],
          ["enn=0:1:3", "s=1:-1:3"], ["--enn=0", "--s=0"]),
     ]
@@ -703,14 +688,11 @@ def test_nonfinite_outputs_never_serialized():
 
 # --- the CLI contract as a property: any argv exits 0, 2 or 3 with one JSON line
 
-# flags never drawn: --out writes files, --panel-budget is pinned to its
-# minimum so that no example runs long
-_NOT_DRAWN = {"--out", "--panel-budget", "-h"}
-_TUNING = {"--tol-quad", "--panel-budget"}
+# flags never drawn: --out writes files
+_NOT_DRAWN = {"--out", "-h"}
 _TEXT = {
     int: st.one_of(st.integers(-3, 3), st.sampled_from([10**6, -(10**6)])),
     float: FLOATS.map(repr),
-    cli._tol_quad: FLOATS.map(repr),
     cli._momenta_list: st.lists(FLOATS, min_size=1, max_size=4).map(
         lambda xs: ",".join(map(repr, xs))
     ),
@@ -724,8 +706,8 @@ def _flag_tokens(draw, sub):
         if name is None or name in _NOT_DRAWN:
             continue
         # kept: a required flag 19 times in 20, a subcommand's optional flag
-        # one time in 2, a tuning flag one time in 6
-        kept, out_of = (19, 20) if action.required else (1, 6) if name in _TUNING else (1, 2)
+        # one time in 2
+        kept, out_of = (19, 20) if action.required else (1, 2)
         if draw(st.integers(0, out_of - 1)) >= kept:
             continue
         if action.nargs == 0:
@@ -739,20 +721,15 @@ def _flag_tokens(draw, sub):
     return tokens
 
 
-def _min_budget(sub):
-    declared = any("--panel-budget" in a.option_strings for a in cli._SUBCOMMANDS[sub]._actions)
-    return ["--panel-budget=1000"] if declared else []
-
-
 @st.composite
 def _argv(draw):
     sub = draw(st.sampled_from(sorted(cli._SUBCOMMANDS)))
     if sub != "scan":
-        return [sub, *_flag_tokens(draw, sub), *_min_budget(sub)]
+        return [sub, *_flag_tokens(draw, sub)]
     swept = draw(st.sampled_from(sorted(set(cli._SUBCOMMANDS) - {"scan"})))
     numeric = [
         a.option_strings[0][2:] for a in cli._SUBCOMMANDS[swept]._actions
-        if a.type in (int, float, cli._tol_quad) and a.option_strings[0] not in _NOT_DRAWN
+        if a.type in (int, float) and a.option_strings[0] not in _NOT_DRAWN
     ]
     grids = []
     for name in draw(st.lists(st.sampled_from(numeric), min_size=1, max_size=2, unique=True)):
@@ -762,7 +739,7 @@ def _argv(draw):
         grids.append(f"--grid={name}={log}{lo!r}:{hi!r}:{n}")
     # scan's own --format is not drawn: a CSV scan prints a header and rows
     fixed = _flag_tokens(draw, swept)
-    return ["scan", swept, *grids, *fixed, *_min_budget(swept)]
+    return ["scan", swept, *grids, *fixed]
 
 
 @settings(
@@ -773,18 +750,10 @@ def _argv(draw):
     suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
 )
 @given(argv=_argv())
-# argv that once ended in a traceback, ran without end or escaped the order cap
-@example(argv=["windowed", "--nu=1", "--mu=1e-13", "--p=nan", "--pprime=3", "--window=2",
-               "--panel-budget=1000"])
+# argv that once ended in a traceback or ran without end
 @example(argv=["overlap", "--delta=0.3", "--p=nan", "--pprime=1", "--verify"])
-@example(argv=["windowed", "--nu=inf", "--mu=3", "--p=0.25", "--pprime=3", "--window=0.01",
-               "--panel-budget=1000"])
-@example(argv=["windowed", "--nu=0.3", "--mu=0.3", "--p=1", "--pprime=1", "--window=nan",
-               "--panel-budget=1000"])
 @example(argv=["overlap", "--kind=same", "--delta=1e-320", "--p=4.9e-324",
                "--pprime=1e-320", "--verify"])
-@example(argv=["windowed", "--nu=7", "--mu=0.3", "--p=1", "--pprime=2", "--window=30",
-               "--panel-budget=1000"])
 # float powers that overflowed into a raw OverflowError
 @example(argv=["sae-ratio", "--eq=dirac", "--alpha=1", "--delta=0.5", "--pperp=1e300"])
 @example(argv=["sae-ratio", "--alpha=1", "--delta=0.7", "--p=1e300"])
@@ -793,8 +762,6 @@ def _argv(draw):
 # a raw ZeroDivisionError: E - M cancelled to 0, and x/2 underflowed to 0
 @example(argv=["sae-ratio", "--eq=dirac", "--alpha=1", "--delta=0.3", "--pperp=1e-10",
                "--s=-1"])
-@example(argv=["windowed", "--nu=-0.9", "--mu=0.9", "--p=5e-324", "--pprime=1",
-               "--window=1", "--panel-budget=1000"])
 # spent 200,000 panels, about 40 s, before exit 3
 @example(argv=["overlap", "--delta=0.7", "--p=0.7", "--pprime=1.343990807315964e-48",
                "--verify"])
@@ -805,8 +772,6 @@ def _argv(draw):
 @example(argv=["overlap", "--delta=0.5", "--p=1", "--pprime=1e-310"])
 @example(argv=["gfactor", "--channel=n", "--alpha=0", "--enn=0", "--delta=0.5",
                "--rho0=5e-324"])
-@example(argv=["windowed", "--nu=0", "--mu=0", "--p=3e-154", "--pprime=3e-154",
-               "--window=2.5e155", "--tol-quad=1.7e308", "--panel-budget=1000"])
 def test_every_argv_keeps_the_contract(capsys, argv):
     capsys.readouterr()
     code = cli.run(argv)

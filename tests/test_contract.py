@@ -191,7 +191,15 @@ _calls = st.sampled_from(sorted(_CASES)).flatmap(
 @example(call=("limit_ratio",
                (1.7976931348623157e308, 0.5, 2, 3.316154357451058, 2.0)))
 @example(call=("windowed_overlap", (0.0, 0.0, 2.5e-154, 2.5e-154, 1.44e155, 1.7e308)))
+@example(call=("windowed_overlap", (0.0, 0.0, 3e-154, 3e-154, 2.5e155, 1.7e308)))
 @example(call=("fit_delta_coefficient", (0.3, -0.3, 5e-324, 5e-324)))
+# calls that once ended in a traceback, ran without end or escaped the order
+# cap, and one whose p r/2 underflows under a negative order
+@example(call=("windowed_overlap", (1.0, 1e-13, math.nan, 3.0, 2.0, 1e-9)))
+@example(call=("windowed_overlap", (math.inf, 3.0, 0.25, 3.0, 0.01, 1e-9)))
+@example(call=("windowed_overlap", (0.3, 0.3, 1.0, 1.0, math.nan, 1e-9)))
+@example(call=("windowed_overlap", (7.0, 0.3, 1.0, 2.0, 30.0, 1e-9)))
+@example(call=("windowed_overlap", (-0.9, 0.9, 5e-324, 1.0, 1.0, 1e-9)))
 # NaN inputs that passed as valid
 @example(call=("small_rho_signature", (math.nan, 0, 0.3, 1.0, 1.0, 1.0)))
 @example(call=("resonance_defect", (0, 0.3, math.nan)))

@@ -210,11 +210,39 @@ class TestWindowedOverlap:
         assert budget.used <= panels
         assert abs(value - mp_lommel_cross(nu, p, pp, L)) <= 1e-10
 
+    def test_past_the_rounding_wall(self):
+        # one G10/K21 cell per quasi-period ran out of panels here (after
+        # 44 s); past r_h = 12 the window continues on Hankel panels
+        value = windowed_overlap(0.3, -0.3, 1.0, 1.01, 30.0, tol=1e-12)
+        assert abs(value - mp_lommel_cross(0.3, 1.0, 1.01, 30.0)) <= 1e-12
+
+    def test_subnormal_momentum(self):
+        # a zero order takes it, since (p r/2)^0 = 1 is exact: int_0^1 J_0(0)
+        # J_0(r) r dr = J_1(1); a nonzero order is refused
+        value = windowed_overlap(0.0, 0.0, 5e-324, 1.0, 1.0)
+        assert abs(value - float(mpmath.besselj(1, 1))) <= 1e-15
+        with pytest.raises(NumericalFailureError):
+            windowed_overlap(0.3, -0.3, 1e-315, 1.0, 1.0)
+
+    def test_unresolved_window_end(self):
+        # an ulp of the window end moves the integral by 7e283, far above
+        # tol: refused before the first Hankel panel
+        with pytest.raises(ConvergenceError):
+            windowed_overlap(0.5, 0.5, 1.0, 2.0, 1e300)
+
     def test_domain(self):
-        with pytest.raises(DomainError):
-            windowed_overlap(-1.3, 0.3, 1.0, 2.0, 10.0)
-        with pytest.raises(DomainError):
-            windowed_overlap(0.3, 0.3, 1.0, 2.0, 0.0)
+        for args in (
+            (-1.3, 0.3, 1.0, 2.0, 10.0),
+            (0.3, 0.3, 1.0, 2.0, 0.0),
+            # NaN momenta and windows (once tracebacks or endless bisection),
+            # orders outside (-1, MAX_ORDER + 1]
+            (1.0, 1e-13, math.nan, 3.0, 2.0),
+            (0.3, 0.3, 1.0, 1.0, math.nan),
+            (math.inf, 3.0, 0.25, 3.0, 0.01),
+            (7.0, 0.3, 1.0, 2.0, 30.0),
+        ):
+            with pytest.raises(DomainError):
+                windowed_overlap(*args)
 
 
 class TestFinitePartEstimate:
