@@ -1,8 +1,8 @@
 /* Compiled numerical kernels: the C twin of `abmodes._kernels_py`.
  *
- * Gamma, Bessel J, and the G10/K21 and Filon-Legendre (Hankel) panels of
+ * Bessel J, and the G10/K21 and Filon-Legendre (Hankel) panels of
  * J_nu(p r) J_mu(pp r) r; the Python twin's docstring describes the
- * algorithms.
+ * algorithms; Gamma is Python's math.gamma in both.
  *
  * Each function below mirrors the Python function of the same name (j_at
  * mirrors `_j`, bisect_left Python's `bisect.bisect_left`), one arithmetic
@@ -26,20 +26,9 @@
 #include <math.h>
 
 static const double PI = 3.141592653589793;
-static const double SQRT_TWO_PI = 2.5066282746310002;
 
-/* Lanczos g = 7, n = 9 coefficient set (double-precision grade). */
-static const double LANCZOS[9] = {
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-};
+/* math.gamma, set by exec_module: libm's tgamma returns other doubles. */
+static PyObject *math_gamma;
 
 /* Gauss-Legendre nodes and weights on [-1, 1], order 15. */
 static const double G15_NODE[15] = {
@@ -98,25 +87,6 @@ static const double GL16_WEIGHT[8] = {
 /* Miller's backward recurrence for j_k starts here, as in the Python twin. */
 #define MILLER_START 40
 
-static double sinpi(double x)
-{
-    double n = floor(x + 0.5);
-    double s = sin(PI * (x - n));
-    return ((long)n & 1) ? -s : s;
-}
-
-static double gamma_(double x)
-{
-    if (x < 0.5)
-        return PI / (sinpi(x) * gamma_(1.0 - x));
-    double z = x - 1.0;
-    double acc = LANCZOS[0];
-    for (int i = 1; i < 9; i++)
-        acc += LANCZOS[i] / (z + i);
-    double t = z + 7.5;
-    return SQRT_TWO_PI * pow(t, z + 0.5) * exp(-t) * acc;
-}
-
 /* Hankel's expansion of one order: coef[0..n] are the signed coefficients
  * c_k of P and Q, growth[k-1] and small[k-1] the running bounds of term k
  * that hankel_pq bisects, as in the Python twin's _hankel_coefficients. */
@@ -129,9 +99,10 @@ typedef struct {
 } hankel_t;
 
 /* J_nu's expansion for arguments in [x_lo, x_hi], the Python twin's
- * _expansion: the series' Gamma(nu + 1) and Hankel's coefficients. */
+ * _expansion: the series' Gamma(nu + 1), and Hankel's coefficients with the
+ * cos and sin of the phase (nu/2 + 1/4) pi. */
 typedef struct {
-    double sign, nu, g;
+    double sign, nu, g, cos_phase, sin_phase;
     hankel_t hankel;
 } expansion_t;
 
@@ -224,15 +195,24 @@ static void hankel_pq(const hankel_t *hk, double x, double *p_out, double *q_out
     *q_out = q * xi;
 }
 
-static double asymptotic(double nu, double x, const hankel_t *hk)
+/* cos and sin of x - phase by the angle difference, as in the Python twin */
+static void cos_sin_minus(double x, double cos_phase, double sin_phase, double *c, double *s)
 {
-    double p, q;
-    hankel_pq(hk, x, &p, &q);
-    double chi = x - (0.5 * nu + 0.25) * PI;
-    return sqrt(2.0 / (PI * x)) * (cos(chi) * p - sin(chi) * q);
+    double cos_x = cos(x), sin_x = sin(x);
+    *c = cos_x * cos_phase + sin_x * sin_phase;
+    *s = sin_x * cos_phase - cos_x * sin_phase;
 }
 
-static void expansion(double nu, double x_lo, double x_hi, expansion_t *e)
+static double asymptotic(const expansion_t *e, double x)
+{
+    double p, q, cos_chi, sin_chi;
+    hankel_pq(&e->hankel, x, &p, &q);
+    cos_sin_minus(x, e->cos_phase, e->sin_phase, &cos_chi, &sin_chi);
+    return sqrt(2.0 / (PI * x)) * (cos_chi * p - sin_chi * q);
+}
+
+/* 0, or -1 with the exception that math.gamma raised set. */
+static int expansion(double nu, double x_lo, double x_hi, expansion_t *e)
 {
     e->sign = 1.0;
     if (nu < 0.0 && nu == floor(nu)) {
@@ -241,12 +221,25 @@ static void expansion(double nu, double x_lo, double x_hi, expansion_t *e)
     }
     e->nu = nu;
     e->g = 0.0;
+    e->cos_phase = e->sin_phase = 0.0;
     e->hankel.n = 0;
     e->hankel.coef[0] = 1.0;
-    if (!(x_lo > HANKEL_FROM))
-        e->g = gamma_(nu + 1.0);
-    if (!(x_hi <= HANKEL_FROM))
+    if (!(x_lo > HANKEL_FROM)) {
+        PyObject *arg = PyFloat_FromDouble(nu + 1.0);
+        PyObject *g = arg == NULL ? NULL : PyObject_CallOneArg(math_gamma, arg);
+        Py_XDECREF(arg);
+        if (g == NULL)
+            return -1;
+        e->g = PyFloat_AsDouble(g);
+        Py_DECREF(g);
+    }
+    if (!(x_hi <= HANKEL_FROM)) {
+        double phase = (0.5 * nu + 0.25) * PI;
+        e->cos_phase = cos(phase);
+        e->sin_phase = sin(phase);
         hankel_coefficients(nu, x_lo > HANKEL_FROM ? x_lo : HANKEL_FROM, x_hi, &e->hankel);
+    }
+    return 0;
 }
 
 static double j_at(const expansion_t *e, double x)
@@ -255,14 +248,17 @@ static double j_at(const expansion_t *e, double x)
         return e->sign * (e->nu == 0.0 ? 1.0 : 0.0);
     if (x <= HANKEL_FROM)
         return e->sign * series(e->nu, x, e->g);
-    return e->sign * asymptotic(e->nu, x, &e->hankel);
+    return e->sign * asymptotic(e, x);
 }
 
-static double bessel_j_(double nu, double x)
+/* J_nu(x) into *j: 0, or -1 as expansion. */
+static int bessel_j_(double nu, double x, double *j)
 {
     expansion_t e;
-    expansion(nu, x, x, &e);
-    return j_at(&e, x);
+    if (expansion(nu, x, x, &e) < 0)
+        return -1;
+    *j = j_at(&e, x);
+    return 0;
 }
 
 /* j_0(kappa), ..., j_15(kappa); the branches of the Python twin's spherical_j. */
@@ -331,14 +327,6 @@ static int doubles(const char *name, PyObject *const *args, Py_ssize_t nargs,
     return 0;
 }
 
-static PyObject *py_gamma(PyObject *Py_UNUSED(module), PyObject *arg)
-{
-    double x = PyFloat_AsDouble(arg);
-    if (x == -1.0 && PyErr_Occurred())
-        return NULL;
-    return PyFloat_FromDouble(gamma_(x));
-}
-
 /* (J_nu(x) for x in xs) from one expansion over [min, max] of the n > 0 xs,
  * the ends as Python's min and max take them: an x replaces the running
  * end only where it compares beyond it. */
@@ -352,7 +340,8 @@ static PyObject *bessel_j_tuple_(double nu, const double *xs, Py_ssize_t n)
             hi = xs[i];
     }
     expansion_t e;
-    expansion(nu, lo, hi, &e);
+    if (expansion(nu, lo, hi, &e) < 0)
+        return NULL;
     PyObject *out = PyTuple_New(n);
     if (out == NULL)
         return NULL;
@@ -399,9 +388,10 @@ static PyObject *py_bessel_j(PyObject *Py_UNUSED(module), PyObject *const *args,
     if (nargs == 2 && PyTuple_Check(args[1]))
         return py_bessel_j_tuple(args[0], args[1]);
     double a[2];
-    if (doubles("bessel_j", args, nargs, 2, a) < 0)
+    double j;
+    if (doubles("bessel_j", args, nargs, 2, a) < 0 || bessel_j_(a[0], a[1], &j) < 0)
         return NULL;
-    return PyFloat_FromDouble(bessel_j_(a[0], a[1]));
+    return PyFloat_FromDouble(j);
 }
 
 static PyObject *py_gauss15_product_panel(PyObject *Py_UNUSED(module),
@@ -416,7 +406,10 @@ static PyObject *py_gauss15_product_panel(PyObject *Py_UNUSED(module),
     double s = 0.0;
     for (int i = 0; i < 15; i++) {
         double r = c + h * G15_NODE[i];
-        s += G15_WEIGHT[i] * bessel_j_(nu, p * r) * bessel_j_(mu, pp * r) * r;
+        double j_nu, j_mu;
+        if (bessel_j_(nu, p * r, &j_nu) < 0 || bessel_j_(mu, pp * r, &j_mu) < 0)
+            return NULL;
+        s += G15_WEIGHT[i] * j_nu * j_mu * r;
     }
     return PyFloat_FromDouble(s * h);
 }
@@ -432,8 +425,9 @@ static PyObject *py_kronrod21_product_panel(PyObject *Py_UNUSED(module),
     double h = 0.5 * (hi - lo);
     double edge = fabs(h) * GK21_NODE[9];
     expansion_t j_nu, j_mu;
-    expansion(nu, p * (c - edge), p * (c + edge), &j_nu);
-    expansion(mu, pp * (c - edge), pp * (c + edge), &j_mu);
+    if (expansion(nu, p * (c - edge), p * (c + edge), &j_nu) < 0
+        || expansion(mu, pp * (c - edge), pp * (c + edge), &j_mu) < 0)
+        return NULL;
     double k = K21_CENTER * (j_at(&j_nu, p * c) * j_at(&j_mu, pp * c) * c);
     double g = 0.0;
     for (int i = 0; i < 10; i++) {
@@ -530,10 +524,11 @@ static PyObject *py_hankel_product_panel(PyObject *Py_UNUSED(module),
         td_re += w * (e_d_re * ge_d - o_d_im * go_d);
         td_im += w * (e_d_im * ge_d + o_d_re * go_d);
     }
-    double chi_s = w_sum * c - (off_nu + off_mu);
-    double chi_d = w_dif * c - sign * (off_nu - off_mu);
-    double cos_s = cos(chi_s), sin_s = sin(chi_s);
-    double cos_d = cos(chi_d), sin_d = sin(chi_d);
+    double phase_s = off_nu + off_mu;
+    double phase_d = sign * (off_nu - off_mu);
+    double cos_s, sin_s, cos_d, sin_d;
+    cos_sin_minus(w_sum * c, cos(phase_s), sin(phase_s), &cos_s, &sin_s);
+    cos_sin_minus(w_dif * c, cos(phase_d), sin(phase_d), &cos_d, &sin_d);
     double scale = h / (PI * (sqrt(p) * sqrt(pp)));
     double coarse = scale * ((cos_s * cs_re - sin_s * cs_im) + (cos_d * cd_re - sin_d * cd_im));
     double tail = scale * ((cos_s * ts_re - sin_s * ts_im) + (cos_d * td_re - sin_d * td_im));
@@ -541,8 +536,6 @@ static PyObject *py_hankel_product_panel(PyObject *Py_UNUSED(module),
 }
 
 static PyMethodDef methods[] = {
-    {"gamma", (PyCFunction)py_gamma, METH_O,
-     "gamma(x, /)\n--\n\nGamma(x) for real non-pole x (caller excludes 0, -1, -2, ...)."},
     {"bessel_j", (PyCFunction)(void (*)(void))py_bessel_j, METH_FASTCALL,
      "bessel_j(nu, x, /)\n--\n\nJ_nu(x) for real order and x >= 0 (x = 0 only with nu >= 0).\n\n"
      "For a non-empty tuple x, the tuple of J_nu at each of its elements,\n"
@@ -563,12 +556,26 @@ static PyMethodDef methods[] = {
     {NULL, NULL, 0, NULL},
 };
 
+/* Takes math.gamma, once, and exports it as the module's gamma. */
+static int exec_module(PyObject *module)
+{
+    if (math_gamma == NULL) {
+        PyObject *math = PyImport_ImportModule("math");
+        math_gamma = math == NULL ? NULL : PyObject_GetAttrString(math, "gamma");
+        Py_XDECREF(math);
+    }
+    return PyModule_AddObjectRef(module, "gamma", math_gamma);
+}
+
+static PyModuleDef_Slot slots[] = {{Py_mod_exec, exec_module}, {0, NULL}};
+
 static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "abmodes._kernels_c",
     .m_doc = "Compiled numerical kernels: the C twin of abmodes._kernels_py.",
     .m_size = 0,
     .m_methods = methods,
+    .m_slots = slots,
 };
 
 PyMODINIT_FUNC PyInit__kernels_c(void)

@@ -1,18 +1,17 @@
 """Pure-Python numerical kernels (fallback backend).
 
-Hot scalar routines used throughout the library: Gamma for real arguments,
-Bessel J of arbitrary real order, and two panels of the product integrand
-J_nu(p rho) J_mu(p' rho) rho: the embedded Gauss-Kronrod G10/K21 pair, and a
-Filon-Legendre panel for where both arguments exceed 12.
+Hot scalar routines used throughout the library: Bessel J of arbitrary real
+order, and two panels of the product integrand J_nu(p rho) J_mu(p' rho) rho:
+the embedded Gauss-Kronrod G10/K21 pair, and a Filon-Legendre panel for where
+both arguments exceed 12.
 `abmodes._kernels_c`, compiled from the hand-written `_kernels_c.c`, is the
 twin: it mirrors each function here operation for operation, so an edit here
 goes into the C as well, and `tests/test_backends.py` compares the two with
 ==.  The algorithms:
 
-* Gamma: 9-term Lanczos rational approximation (g = 7) for x >= 0.5 and the
-  reflection formula below, with sin(pi x) computed after reducing x to
-  [-1/2, 1/2] about the nearest integer.  Relative error at most 1e-14 on
-  [-5, 10], next to the poles too.
+* Gamma: Python's `math.gamma`, exact at the integers 1 to 23, in both
+  twins (the C calls the same function; libm's tgamma returns other
+  doubles).  `gamma` is that function.
 * J_nu: ascending power series for x <= 12, Hankel large-argument expansion
   with optimal truncation (up to 59 correction terms) for x > 12.  A panel
   builds each order's expansion once, `_expansion`, for all its arguments,
@@ -35,10 +34,15 @@ goes into the C as well, and `tests/test_backends.py` compares the two with
   (nu, x), nu in (-1, 6], x > 12).  (A cut fixed per panel would be
   faster, but the truncation errors of P and Q then share a sign and add
   up in the slow (p - p') phase of a Hankel panel.)  Negative integer
-  orders reduce to J_{-m} = (-1)^m J_m, once per expansion.  Where x/2 underflows
-  to 0 under a negative order the series returns NaN.  On (0, 100] the error
-  relative to max(|J_nu|, sqrt(2/(pi x))) is at most 1e-11 for |nu| <= 2 and
-  3e-11 for |nu| <= 6, largest just around the switch at x = 12.
+  orders reduce to J_{-m} = (-1)^m J_m, once per expansion.  Hankel's phase
+  chi = x - (nu/2 + 1/4) pi enters by the angle difference, from cos x,
+  sin x and the expansion's cos and sin of (nu/2 + 1/4) pi, since libm
+  reduces x exactly where x - (nu/2 + 1/4) pi in doubles loses the phase
+  to the ulp of x.  Where x/2 underflows to 0 under a negative order the
+  series returns NaN.  At every x > 0 the error relative to
+  max(|J_nu|, sqrt(2/(pi x))) is at most 1e-11 for |nu| <= 2 and 3e-11 for
+  |nu| <= 6, largest just around the switch at x = 12, and 5e-15 beyond
+  x = 100.
 * Product panel: `kronrod21_product_panel` returns the 21-point Kronrod and
   the embedded 10-point Gauss estimates from the same 21 integrand values
   (Piessens et al., QUADPACK, 1983); `_quad` accepts the Kronrod value when
@@ -54,15 +58,17 @@ goes into the C as well, and `tests/test_backends.py` compares the two with
   frequency times the half length: exact for amplitudes of degree 15 at
   any number of periods (Filon-type quadrature; Iserles and Norsett, Proc.
   R. Soc. A 461, 2005, 1383).  The coarse estimate drops the last four
-  Legendre terms.  The spherical Bessel j_k come from `spherical_j`: the
-  forward recurrence for kappa > 16, Miller's backward recurrence below,
-  rescaled below overflow and normalized by j_0 or j_1, and the leading
-  term kappa^k/(2k+1)!! below 1e-8 (exact at 0); within 5e-16 of mpmath,
-  relative to |j_k| for kappa < 1 and to max(|j_k|, 1/kappa) above.  Real
-  arithmetic only, so the C mirrors it operation for operation.
+  Legendre terms.  The two phases at the panel's centre enter by the angle
+  difference, as chi does in J_nu.  The spherical Bessel j_k come from
+  `spherical_j`: the forward recurrence for kappa > 16, Miller's backward
+  recurrence below, rescaled below overflow and normalized by j_0 or j_1,
+  and the leading term kappa^k/(2k+1)!! below 1e-8 (exact at 0); within
+  5e-16 of mpmath, relative to |j_k| for kappa < 1 and to max(|j_k|,
+  1/kappa) above.  Real arithmetic only, so the C mirrors it operation for
+  operation.
 
-`tests/test_specfun.py` asserts the J bounds against mpmath, and
-`tests/test_quad.py` checks the G10/K21 and 16-node tables against
+`tests/test_specfun.py` asserts the J bounds against mpmath out to x = 1e300,
+and `tests/test_quad.py` checks the G10/K21 and 16-node tables against
 Legendre's nodes and the moments of [-1, 1], and `spherical_j` and the
 Hankel panel against mpmath.
 
@@ -77,8 +83,7 @@ wraps these with validation.
 
 import math
 from bisect import bisect_left
-
-_SQRT_TWO_PI = 2.5066282746310002
+from math import gamma
 
 # Gauss-Legendre nodes/weights on [-1, 1], order 15 (exact to degree 29).
 _G15 = (
@@ -155,36 +160,6 @@ _HANKEL_STEPS = tuple(
 )
 
 
-def sinpi(x):
-    """sin(pi*x) with x reduced exactly to [-1/2, 1/2] about the nearest integer."""
-    n = math.floor(x + 0.5)
-    s = math.sin(math.pi * (x - n))
-    return -s if (int(n) & 1) else s
-
-
-def gamma(x):
-    """Gamma(x) for real non-pole x.  Caller must exclude 0, -1, -2, ..."""
-    if x < 0.5:
-        # reflection; sinpi keeps relative accuracy near the poles
-        return math.pi / (sinpi(x) * gamma(1.0 - x))
-    z = x - 1.0
-    # Lanczos g = 7, n = 9 coefficient set (double-precision grade), written
-    # out: the additions, in their order, of the C twin's loop
-    acc = (
-        0.99999999999980993
-        + 676.5203681218851 / (z + 1.0)
-        - 1259.1392167224028 / (z + 2.0)
-        + 771.32342877765313 / (z + 3.0)
-        - 176.61502916214059 / (z + 4.0)
-        + 12.507343278686905 / (z + 5.0)
-        - 0.13857109526572012 / (z + 6.0)
-        + 9.9843695780195716e-6 / (z + 7.0)
-        + 1.5056327351493116e-7 / (z + 8.0)
-    )
-    t = z + 7.5
-    return _SQRT_TWO_PI * t ** (z + 0.5) * math.exp(-t) * acc
-
-
 def _expansion(nu, x_lo, x_hi):
     """J_nu's expansion for arguments in [x_lo, x_hi], built once for all of them.
 
@@ -192,8 +167,8 @@ def _expansion(nu, x_lo, x_hi):
     J_{-m} = (-1)^m J_m; Gamma(nu + 1) for the series (when x_lo <= 12),
     and the series' divisors k (nu + k) when the range holds more than one
     argument (for one, the table would cost more than it saves); Hankel's
-    coefficients for the arguments above 12 (when x_hi > 12).  `_j`
-    evaluates it at one argument.
+    coefficients, with the cos and sin of the phase (nu/2 + 1/4) pi, for the
+    arguments above 12 (when x_hi > 12).  `_j` evaluates it at one argument.
     """
     sign = 1.0
     if nu < 0.0 and nu == math.floor(nu):
@@ -207,7 +182,8 @@ def _expansion(nu, x_lo, x_hi):
             divisors = [k * (nu + k) for k in _SERIES_KS]
     if not x_hi <= _HANKEL_FROM:
         lo = x_lo if x_lo > _HANKEL_FROM else _HANKEL_FROM
-        hankel = _hankel_coefficients(nu, lo, x_hi)
+        phase = (0.5 * nu + 0.25) * math.pi
+        hankel = _hankel_coefficients(nu, lo, x_hi), math.cos(phase), math.sin(phase)
     return sign, nu, g, divisors, hankel
 
 
@@ -218,7 +194,7 @@ def _j(expansion, x):
         return sign * (1.0 if nu == 0.0 else 0.0)
     if x <= _HANKEL_FROM:
         return sign * _series(nu, x, g, divisors)
-    return sign * _asymptotic(nu, x, hankel)
+    return sign * _asymptotic(x, hankel)
 
 
 def _series(nu, x, g, divisors=()):
@@ -323,11 +299,23 @@ def _hankel_pq(hankel, x):
     return p, q * xi
 
 
-def _asymptotic(nu, x, hankel):
-    # Hankel expansion J_nu ~ sqrt(2/(pi x)) (P cos chi - Q sin chi)
-    p, q = _hankel_pq(hankel, x)
-    chi = x - (0.5 * nu + 0.25) * math.pi
-    return math.sqrt(2.0 / (math.pi * x)) * (math.cos(chi) * p - math.sin(chi) * q)
+def _cos_sin_minus(x, cos_phase, sin_phase):
+    # (cos, sin) of x - phase by the angle difference: libm reduces x
+    # exactly, where x - phase in doubles would lose the phase to the ulp of
+    # x (from x = 1e17 on, every order would give the same J_nu(x))
+    cos_x = math.cos(x)
+    sin_x = math.sin(x)
+    return cos_x * cos_phase + sin_x * sin_phase, sin_x * cos_phase - cos_x * sin_phase
+
+
+def _asymptotic(x, hankel):
+    # Hankel expansion J_nu ~ sqrt(2/(pi x)) (P cos chi - Q sin chi),
+    # chi = x - (nu/2 + 1/4) pi, from _expansion's (coefficients, cos and
+    # sin of the phase (nu/2 + 1/4) pi)
+    coefficients, cos_phase, sin_phase = hankel
+    p, q = _hankel_pq(coefficients, x)
+    cos_chi, sin_chi = _cos_sin_minus(x, cos_phase, sin_phase)
+    return math.sqrt(2.0 / (math.pi * x)) * (cos_chi * p - sin_chi * q)
 
 
 def bessel_j(nu, x):
@@ -511,12 +499,11 @@ def hankel_product_panel(nu, mu, p, pp, lo, hi):
         ts_im += w * (e_s_im * ge_s + o_s_re * go_s)
         td_re += w * (e_d_re * ge_d - o_d_im * go_d)
         td_im += w * (e_d_im * ge_d + o_d_re * go_d)
-    chi_s = w_sum * c - (off_nu + off_mu)
-    chi_d = w_dif * c - sign * (off_nu - off_mu)
-    cos_s = math.cos(chi_s)
-    sin_s = math.sin(chi_s)
-    cos_d = math.cos(chi_d)
-    sin_d = math.sin(chi_d)
+    # chi_s = w_sum c - (off_nu + off_mu), chi_d = w_dif c - sign (off_nu - off_mu)
+    phase_s = off_nu + off_mu
+    phase_d = sign * (off_nu - off_mu)
+    cos_s, sin_s = _cos_sin_minus(w_sum * c, math.cos(phase_s), math.sin(phase_s))
+    cos_d, sin_d = _cos_sin_minus(w_dif * c, math.cos(phase_d), math.sin(phase_d))
     scale = h / (math.pi * (math.sqrt(p) * math.sqrt(pp)))
     coarse = scale * ((cos_s * cs_re - sin_s * cs_im) + (cos_d * cd_re - sin_d * cd_im))
     tail = scale * ((cos_s * ts_re - sin_s * ts_im) + (cos_d * td_re - sin_d * td_im))

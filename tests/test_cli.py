@@ -194,8 +194,8 @@ def test_subnormal_arguments(argv, code):
     got, out, err = run_cli(argv)
     assert got == code, err
     if code == 0:
-        # J_0(x) = 1 - x^2/4 + ...
-        assert abs(json.loads(out)["outputs"]["j"] - 1.0) <= 1e-15
+        # J_0(x) = 1 - x^2/4 + ..., exactly 1 in doubles
+        assert json.loads(out)["outputs"]["j"] == 1.0
     else:
         assert out == b"" and json.loads(err)["error"] == "NumericalFailureError"
 
@@ -350,14 +350,20 @@ class TestExitCodes:
         assert obj["error"] == "IntegerFluxError"
 
     def test_resonance_is_numerical_failure(self):
-        # with the float overflows and the underflowed matching pole that
-        # once escaped as tracebacks (exit 1); an overflowing power is
-        # reported by the library as NumericalFailureError
+        # with the float overflows and the matching pole that once escaped
+        # as tracebacks (exit 1); an overflowing power is reported by the
+        # library as NumericalFailureError
         for argv, error in (
             (["fluxshell", "--l", "0", "--phi", "0.3", "--g", "1", "--p", "1",
               "--rho0", "0.01"], "ResonantError"),
+            # g at the pole of the matching ratio at x = 1, -d0/d1 of its
+            # denominator d0 + g d1
+            (["fluxshell", "--l", "1", "--phi", "0.3", "--g", "23.42252997302973", "--p", "1",
+              "--rho0", "1"], "NumericalPoleError"),
+            # the matching ratio is -1 at x = 1e250, and the limit's
+            # (x/2)^(2 nu) overflows
             (["fluxshell", "--l", "1", "--phi", "0.3", "--g", "0.5", "--p", "1",
-              "--rho0", "1e250"], "NumericalPoleError"),
+              "--rho0", "1e250"], "NumericalFailureError"),
             (["sae-ratio", "--eq", "dirac", "--alpha", "1", "--delta", "0.5",
               "--pperp", "1e300"], "NumericalFailureError"),
             # each square finite, E^2 past the doubles: once "ratio":0.0

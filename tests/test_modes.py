@@ -82,47 +82,47 @@ class TestSchrodingerModes:
             evaluate(mode, -1.0)
 
 
-# evaluate(mode, rho) as recorded when evaluate still oriented the terms and
-# signed the second Dirac component itself: reading them from `amplitudes`
-# forms each product alike, and a sum of two terms commutes exactly.  Rows:
-# kind, phi, l, a, b, p (p_perp for Dirac), rho, repr of the value.
+# evaluate(mode, rho) to the double, each within specfun's J bound of
+# 30-digit mpmath: the sum over `amplitudes` forms each product alike, and a
+# sum of two terms commutes exactly.  Rows: kind, phi, l, a, b, p (p_perp
+# for Dirac), rho, repr of the value.
 EVALUATE_REPRS = [
-    ('schrodinger', 2.3, 2, 1.0, 0.7, 1.3, 0.77, 1.1833014099121089),
-    ('schrodinger', 2.3, 2, 1.0, 0.7, 0.25, 31.0, 0.36400186059794426),
-    ('schrodinger', 2.3, 3, 1.0, -0.45, 1.3, 0.77, 0.5233382207435232),
-    ('schrodinger', 2.3, 3, 1.0, -0.45, 0.25, 31.0, 0.29280243008793266),
-    ('schrodinger', 2.3, 2, 0.0, 1.5, 1.3, 0.77, 0.9496474711218088),
-    ('schrodinger', 2.3, 2, 0.0, 1.5, 0.25, 31.0, 0.17846860093694897),
-    ('schrodinger', 2.3, 3, -2.0, 0.0, 1.3, 0.77, -1.1651496318951737),
-    ('schrodinger', 2.3, 3, -2.0, 0.0, 0.25, 31.0, -0.5278621538449616),
-    ('schrodinger', -0.4, -1, 0.8, 1.1, 1.3, 0.77, 0.8242884433309661),
-    ('schrodinger', -0.4, -1, 0.8, 1.1, 0.25, 31.0, 0.2030712904471292),
+    ('schrodinger', 2.3, 2, 1.0, 0.7, 1.3, 0.77, 1.1833014099121093),
+    ('schrodinger', 2.3, 2, 1.0, 0.7, 0.25, 31.0, 0.3640018605979385),
+    ('schrodinger', 2.3, 3, 1.0, -0.45, 1.3, 0.77, 0.5233382207435235),
+    ('schrodinger', 2.3, 3, 1.0, -0.45, 0.25, 31.0, 0.29280243008792783),
+    ('schrodinger', 2.3, 2, 0.0, 1.5, 1.3, 0.77, 0.9496474711218091),
+    ('schrodinger', 2.3, 2, 0.0, 1.5, 0.25, 31.0, 0.1784686009369501),
+    ('schrodinger', 2.3, 3, -2.0, 0.0, 1.3, 0.77, -1.1651496318951744),
+    ('schrodinger', 2.3, 3, -2.0, 0.0, 0.25, 31.0, -0.5278621538449608),
+    ('schrodinger', -0.4, -1, 0.8, 1.1, 1.3, 0.77, 0.8242884433309664),
+    ('schrodinger', -0.4, -1, 0.8, 1.1, 0.25, 31.0, 0.20307129044711605),
     ('schrodinger', -0.4, 0, 1.0, 0.0, 1.3, 0.77, 0.7093861460842691),
     ('schrodinger', -0.4, 0, 1.0, 0.0, 0.25, 31.0, 0.2861828514778428),
-    ('dirac1', 2.3, 2, 1.0, 0.7, 1.3, 0.77, 1.1511911271198911),
-    ('dirac2', 2.3, 2, 1.0, 0.7, 1.3, 0.77, 0.49042900118571003),
-    ('dirac1', 2.3, 2, 1.0, 0.7, 0.25, 31.0, 0.3154806267371236),
-    ('dirac2', 2.3, 2, 1.0, 0.7, 0.25, 31.0, 0.3088420707354059),
-    ('dirac1', 2.3, 2, 0.0, -1.2, 1.3, 0.77, -0.8881591080663176),
+    ('dirac1', 2.3, 2, 1.0, 0.7, 1.3, 0.77, 1.1511911271198918),
+    ('dirac2', 2.3, 2, 1.0, 0.7, 1.3, 0.77, 0.49042900118571037),
+    ('dirac1', 2.3, 2, 1.0, 0.7, 0.25, 31.0, 0.31548062673711996),
+    ('dirac2', 2.3, 2, 1.0, 0.7, 0.25, 31.0, 0.3088420707353986),
+    ('dirac1', 2.3, 2, 0.0, -1.2, 1.3, 0.77, -0.8881591080663181),
     ('dirac2', 2.3, 2, 0.0, -1.2, 1.3, 0.77, 0.15796425387750315),
-    ('dirac1', 2.3, 2, 0.0, -1.2, 0.25, 31.0, -0.3368598161928417),
-    ('dirac2', 2.3, 2, 0.0, -1.2, 0.25, 31.0, -0.07699027510787161),
-    ('dirac1', 2.3, 2, 0.6, 0.0, 1.3, 0.77, 0.3798589884487235),
-    ('dirac2', 2.3, 2, 0.6, 0.0, 1.3, 0.77, 0.3495448895685521),
-    ('dirac1', 2.3, 2, 0.6, 0.0, 0.25, 31.0, 0.07138744037477958),
-    ('dirac2', 2.3, 2, 0.6, 0.0, 0.25, 31.0, 0.15835864615348846),
-    ('dirac1', 2.3, 1, 0.0, 1.0, 1.3, 0.77, 0.31199903988379085),
-    ('dirac2', 2.3, 1, 0.0, 1.0, 1.3, 0.77, -0.7401325900552647),
-    ('dirac1', 2.3, 1, 0.0, 1.0, 0.25, 31.0, 0.08589145395716859),
-    ('dirac2', 2.3, 1, 0.0, 1.0, 0.25, 31.0, -0.28071651349403476),
-    ('dirac1', 2.3, 3, 1.0, 0.0, 1.3, 0.77, 0.5825748159475869),
-    ('dirac2', 2.3, 3, 1.0, 0.0, 1.3, 0.77, 0.18169163829304236),
-    ('dirac1', 2.3, 3, 1.0, 0.0, 0.25, 31.0, 0.2639310769224808),
-    ('dirac2', 2.3, 3, 1.0, 0.0, 0.25, 31.0, -0.07130119533110081),
-    ('dirac1', -0.4, -1, 0.9, 2.0, 1.3, 0.77, 1.5201647972712995),
-    ('dirac2', -0.4, -1, 0.9, 2.0, 1.3, 0.77, -0.449461093697894),
-    ('dirac1', -0.4, -1, 0.9, 2.0, 0.25, 31.0, 0.5395606874262395),
-    ('dirac2', -0.4, -1, 0.9, 2.0, 0.25, 31.0, 0.10648183783475812),
+    ('dirac1', 2.3, 2, 0.0, -1.2, 0.25, 31.0, -0.3368598161928341),
+    ('dirac2', 2.3, 2, 0.0, -1.2, 0.25, 31.0, -0.07699027510785976),
+    ('dirac1', 2.3, 2, 0.6, 0.0, 1.3, 0.77, 0.3798589884487236),
+    ('dirac2', 2.3, 2, 0.6, 0.0, 1.3, 0.77, 0.3495448895685523),
+    ('dirac1', 2.3, 2, 0.6, 0.0, 0.25, 31.0, 0.07138744037478004),
+    ('dirac2', 2.3, 2, 0.6, 0.0, 0.25, 31.0, 0.15835864615348824),
+    ('dirac1', 2.3, 1, 0.0, 1.0, 1.3, 0.77, 0.31199903988379113),
+    ('dirac2', 2.3, 1, 0.0, 1.0, 1.3, 0.77, -0.7401325900552651),
+    ('dirac1', 2.3, 1, 0.0, 1.0, 0.25, 31.0, 0.08589145395717065),
+    ('dirac2', 2.3, 1, 0.0, 1.0, 0.25, 31.0, -0.28071651349402843),
+    ('dirac1', 2.3, 3, 1.0, 0.0, 1.3, 0.77, 0.5825748159475872),
+    ('dirac2', 2.3, 3, 1.0, 0.0, 1.3, 0.77, 0.18169163829304255),
+    ('dirac1', 2.3, 3, 1.0, 0.0, 0.25, 31.0, 0.2639310769224804),
+    ('dirac2', 2.3, 3, 1.0, 0.0, 0.25, 31.0, -0.07130119533111515),
+    ('dirac1', -0.4, -1, 0.9, 2.0, 1.3, 0.77, 1.5201647972713004),
+    ('dirac2', -0.4, -1, 0.9, 2.0, 1.3, 0.77, -0.44946109369789466),
+    ('dirac1', -0.4, -1, 0.9, 2.0, 0.25, 31.0, 0.5395606874262225),
+    ('dirac2', -0.4, -1, 0.9, 2.0, 0.25, 31.0, 0.10648183783476226),
 ]
 
 
