@@ -1,8 +1,8 @@
 /* Compiled numerical kernels: the C twin of `abmodes._kernels_py`.
  *
- * Bessel J, and the G10/K21 and Filon-Legendre (Hankel) panels of
- * J_nu(p r) J_mu(pp r) r; the Python twin's docstring describes the
- * algorithms; Gamma is Python's math.gamma in both.
+ * Bessel J, and the G15 and G10/K21 panels of J_nu(p r) J_mu(pp r) r; the
+ * Python twin's docstring describes the algorithms.  Gamma is math.gamma in
+ * both; the windowed engine's Hankel panel is the Python twin's alone.
  *
  * Each function below mirrors the Python function of the same name (j_at
  * mirrors `_j`, bisect_left Python's `bisect.bisect_left`), one arithmetic
@@ -67,25 +67,9 @@ static const double G10_WEIGHT[10] = {
     0.0, 0.1494513491505806, 0.0, 0.06667134430868814, 0.0,
 };
 
-/* Gauss-Legendre nodes on [-1, 1], order 16: node x and weight for the
- * eight symmetric pairs +-x, innermost first. */
-static const double GL16_NODE[8] = {
-    0.09501250983763744, 0.2816035507792589, 0.45801677765722737,
-    0.6178762444026438, 0.755404408355003, 0.8656312023878318,
-    0.9445750230732326, 0.9894009349916499,
-};
-static const double GL16_WEIGHT[8] = {
-    0.1894506104550685, 0.18260341504492358, 0.16915651939500254,
-    0.14959598881657674, 0.12462897125553388, 0.09515851168249279,
-    0.062253523938647894, 0.027152459411754096,
-};
-
 /* J_nu(x) is summed from the ascending series for x <= HANKEL_FROM and from
  * Hankel's expansion above: the Python twin's _HANKEL_FROM. */
 #define HANKEL_FROM 12.0
-
-/* Miller's backward recurrence for j_k starts here, as in the Python twin. */
-#define MILLER_START 40
 
 /* Hankel's expansion of one order: coef[0..n] are the signed coefficients
  * c_k of P and Q, growth[k-1] and small[k-1] the running bounds of term k
@@ -261,55 +245,6 @@ static int bessel_j_(double nu, double x, double *j)
     return 0;
 }
 
-/* j_0(kappa), ..., j_15(kappa); the branches of the Python twin's spherical_j. */
-static void spherical_j(double kappa, double *j)
-{
-    for (int k = 0; k < 16; k++)
-        j[k] = 0.0;
-    if (kappa < 1e-8) {
-        double t = 1.0;
-        for (int k = 0; k < 16; k++) {
-            j[k] = t;
-            t *= kappa / (2 * k + 3);
-        }
-        return;
-    }
-    double j0 = sin(kappa) / kappa;
-    double j1 = (j0 - cos(kappa)) / kappa;
-    if (kappa > 16.0) {
-        j[0] = j0;
-        j[1] = j1;
-        for (int k = 1; k < 15; k++)
-            j[k + 1] = (2 * k + 1) / kappa * j[k] - j[k - 1];
-        return;
-    }
-    double above = 0.0, f = 1.0;
-    for (int n = MILLER_START; n > 0; n--) {
-        double below = (2 * n + 1) / kappa * f - above;
-        above = f;
-        f = below;
-        if (n <= 16)
-            j[n - 1] = f;
-        if (fabs(f) > 1e250) {
-            above *= 1e-250;
-            f *= 1e-250;
-            for (int i = n - 1; i < 16; i++)
-                j[i] *= 1e-250;
-        }
-    }
-    double scale = fabs(j0) >= fabs(j1) ? j0 / j[0] : j1 / j[1];
-    for (int k = 0; k < 16; k++)
-        j[k] *= scale;
-}
-
-static void filon_weights(double kappa, double *a)
-{
-    double j[16];
-    spherical_j(kappa, j);
-    for (int k = 0; k < 16; k++)
-        a[k] = (k & 2) == 0 ? (2 * k + 1) * j[k] : -((2 * k + 1) * j[k]);
-}
-
 /* Reads the n positional arguments as doubles into out; 0 on success. */
 static int doubles(const char *name, PyObject *const *args, Py_ssize_t nargs,
                    Py_ssize_t n, double *out)
@@ -441,100 +376,6 @@ static PyObject *py_kronrod21_product_panel(PyObject *Py_UNUSED(module),
     return Py_BuildValue("(dd)", k * h, g * h);
 }
 
-static PyObject *py_hankel_product_panel(PyObject *Py_UNUSED(module),
-                                         PyObject *const *args, Py_ssize_t nargs)
-{
-    double a[6];
-    if (doubles("hankel_product_panel", args, nargs, 6, a) < 0)
-        return NULL;
-    double nu = a[0], mu = a[1], p = a[2], pp = a[3], lo = a[4], hi = a[5];
-    double c = 0.5 * (lo + hi);
-    double h = 0.5 * (hi - lo);
-    double off_nu = (0.5 * nu + 0.25) * PI;
-    double off_mu = (0.5 * mu + 0.25) * PI;
-    double w_sum = p + pp;
-    double w_dif = p - pp;
-    double sign = 1.0;
-    if (w_dif < 0.0) {
-        w_dif = -w_dif;
-        sign = -1.0;
-    }
-    double a_s[16], a_d[16];
-    filon_weights(w_sum * h, a_s);
-    filon_weights(w_dif * h, a_d);
-    double edge = fabs(h) * GL16_NODE[7];
-    hankel_t hk_nu, hk_mu;
-    hankel_coefficients(nu, p * (c - edge), p * (c + edge), &hk_nu);
-    hankel_coefficients(mu, pp * (c - edge), pp * (c + edge), &hk_mu);
-    double cs_re = 0.0, cs_im = 0.0, ts_re = 0.0, ts_im = 0.0;
-    double cd_re = 0.0, cd_im = 0.0, td_re = 0.0, td_im = 0.0;
-    for (int i = 0; i < 8; i++) {
-        double x = GL16_NODE[i], w = GL16_WEIGHT[i];
-        double p1, q1, p2, q2;
-        double r = c - h * x;
-        hankel_pq(&hk_nu, p * r, &p1, &q1);
-        hankel_pq(&hk_mu, pp * r, &p2, &q2);
-        double s_re = p1 * p2 - q1 * q2;
-        double s_im = p1 * q2 + q1 * p2;
-        double d_re = p1 * p2 + q1 * q2;
-        double d_im = sign * (q1 * p2 - p1 * q2);
-        r = c + h * x;
-        hankel_pq(&hk_nu, p * r, &p1, &q1);
-        hankel_pq(&hk_mu, pp * r, &p2, &q2);
-        double e_s_re = p1 * p2 - q1 * q2;
-        double e_s_im = p1 * q2 + q1 * p2;
-        double e_d_re = p1 * p2 + q1 * q2;
-        double e_d_im = sign * (q1 * p2 - p1 * q2);
-        double o_s_re = e_s_re - s_re;
-        double o_s_im = e_s_im - s_im;
-        double o_d_re = e_d_re - d_re;
-        double o_d_im = e_d_im - d_im;
-        e_s_re += s_re;
-        e_s_im += s_im;
-        e_d_re += d_re;
-        e_d_im += d_im;
-        double leg_prev = 1.0, leg = x;
-        double ge_s = a_s[0], go_s = a_s[1] * x, ge_d = a_d[0], go_d = a_d[1] * x;
-        double cge_s = 0.0, cgo_s = 0.0, cge_d = 0.0, cgo_d = 0.0;
-        for (int k = 1; k < 15; k++) {
-            double next = ((2 * k + 1) * x * leg - k * leg_prev) / (k + 1);
-            leg_prev = leg;
-            leg = next;
-            if (k == 11) {
-                cge_s = ge_s;
-                cgo_s = go_s;
-                cge_d = ge_d;
-                cgo_d = go_d;
-                ge_s = go_s = ge_d = go_d = 0.0;
-            }
-            if (k & 1) {
-                ge_s += a_s[k + 1] * leg;
-                ge_d += a_d[k + 1] * leg;
-            } else {
-                go_s += a_s[k + 1] * leg;
-                go_d += a_d[k + 1] * leg;
-            }
-        }
-        cs_re += w * (e_s_re * cge_s - o_s_im * cgo_s);
-        cs_im += w * (e_s_im * cge_s + o_s_re * cgo_s);
-        cd_re += w * (e_d_re * cge_d - o_d_im * cgo_d);
-        cd_im += w * (e_d_im * cge_d + o_d_re * cgo_d);
-        ts_re += w * (e_s_re * ge_s - o_s_im * go_s);
-        ts_im += w * (e_s_im * ge_s + o_s_re * go_s);
-        td_re += w * (e_d_re * ge_d - o_d_im * go_d);
-        td_im += w * (e_d_im * ge_d + o_d_re * go_d);
-    }
-    double phase_s = off_nu + off_mu;
-    double phase_d = sign * (off_nu - off_mu);
-    double cos_s, sin_s, cos_d, sin_d;
-    cos_sin_minus(w_sum * c, cos(phase_s), sin(phase_s), &cos_s, &sin_s);
-    cos_sin_minus(w_dif * c, cos(phase_d), sin(phase_d), &cos_d, &sin_d);
-    double scale = h / (PI * (sqrt(p) * sqrt(pp)));
-    double coarse = scale * ((cos_s * cs_re - sin_s * cs_im) + (cos_d * cd_re - sin_d * cd_im));
-    double tail = scale * ((cos_s * ts_re - sin_s * ts_im) + (cos_d * td_re - sin_d * td_im));
-    return Py_BuildValue("(dd)", coarse + tail, coarse);
-}
-
 static PyMethodDef methods[] = {
     {"bessel_j", (PyCFunction)(void (*)(void))py_bessel_j, METH_FASTCALL,
      "bessel_j(nu, x, /)\n--\n\nJ_nu(x) for real order and x >= 0 (x = 0 only with nu >= 0).\n\n"
@@ -548,11 +389,6 @@ static PyMethodDef methods[] = {
      METH_FASTCALL,
      "kronrod21_product_panel(nu, mu, p, pp, lo, hi, /)\n--\n\n"
      "(Kronrod 21, Gauss 10) estimates of int_lo^hi J_nu(p r) J_mu(pp r) r dr."},
-    {"hankel_product_panel", (PyCFunction)(void (*)(void))py_hankel_product_panel,
-     METH_FASTCALL,
-     "hankel_product_panel(nu, mu, p, pp, lo, hi, /)\n--\n\n"
-     "(value, coarse) Filon-Legendre estimates of int_lo^hi J_nu(p r) J_mu(pp r) r dr, "
-     "p lo, pp lo > 12."},
     {NULL, NULL, 0, NULL},
 };
 

@@ -5,9 +5,11 @@ order, and two panels of the product integrand J_nu(p rho) J_mu(p' rho) rho:
 the embedded Gauss-Kronrod G10/K21 pair, and a Filon-Legendre panel for where
 both arguments exceed 12.
 `abmodes._kernels_c`, compiled from the hand-written `_kernels_c.c`, is the
-twin: it mirrors each function here operation for operation, so an edit here
-goes into the C as well, and `tests/test_backends.py` compares the two with
-==.  The algorithms:
+twin: it mirrors each function here operation for operation, except
+`hankel_product_panel` and `spherical_j`, so an edit here goes into the C as
+well, and `tests/test_backends.py` compares the two with ==.  The Hankel
+panel runs from here on either kernel set: only the windowed engine calls
+it, and no workload times it.  The algorithms:
 
 * Gamma: Python's `math.gamma`, exact at the integers 1 to 23, in both
   twins (the C calls the same function; libm's tgamma returns other
@@ -64,8 +66,7 @@ goes into the C as well, and `tests/test_backends.py` compares the two with
   recurrence below, rescaled below overflow and normalized by j_0 or j_1,
   and the leading term kappa^k/(2k+1)!! below 1e-8 (exact at 0); within
   5e-16 of mpmath, relative to |j_k| for kappa < 1 and to max(|j_k|,
-  1/kappa) above.  Real arithmetic only, so the C mirrors it operation for
-  operation.
+  1/kappa) above.
 
 `tests/test_specfun.py` asserts the J bounds against mpmath out to x = 1e300,
 and `tests/test_quad.py` checks the G10/K21 and 16-node tables against

@@ -30,7 +30,8 @@ a `PanelBudget`, and every bisection two; a cell that never meets its share
 bisects until the budget runs out, and exhaustion raises ConvergenceError.
 
 Where both p rho and p' rho exceed 12, `hankel_quad` takes over: the
-kernels' Filon-Legendre panel (`hankel_product_panel`) integrates Hankel's
+Python kernels' Filon-Legendre panel (`hankel_product_panel`, which has no C
+twin, so it runs in Python under either backend) integrates Hankel's
 expansion over any number of periods, so its cells double in length from
 the lower end and their number grows with the log of the range.  It
 returns a (value, coarse) pair like G10/K21, refused the same way unless the

@@ -24,7 +24,7 @@ Note the sign of the limit and of the dictionary: both are fixed here by
 requiring consistency with the matching ratio (itself verified against
 direct ODE integration) and with the orthogonality-derived coefficient
 conditions; see g_asymptotic for the historical first-order forms, kept
-verbatim for the audit.  Units: lengths in 1/M, momenta in M.
+as printed for the audit.  Units: lengths in 1/M, momenta in M.
 """
 
 import math
@@ -265,15 +265,18 @@ def g_from_alpha(
 def g_asymptotic(
     ep: ExtensionParameter, flux: FluxParameter, rho0: float, M: float = 1.0
 ) -> float:
-    """Historical first-order small-rho0 forms of the g-factor, verbatim.
+    """Historical first-order small-rho0 forms of the g-factor.
 
     Channel N:    1 + (1/a) (N-d)/(N+d) Gamma(-d)/Gamma(d) (M rho0/2)^{2d}
     Channel N+1: -1 - (1/a) (N+2-d)/(N+d) Gamma(d-1)/Gamma(1-d) (M rho0/2)^{2(1-d)}
 
-    Kept exactly as printed for the asymptotic-formula audit: the
-    first-order coefficient disagrees with the expansion of g_from_alpha
-    (see the acceptance audit fixture); the full formula is the one that
-    round-trips through limit_ratio.
+    Kept as printed for the asymptotic-formula audit: the first-order
+    coefficient disagrees with the expansion of g_from_alpha (see the
+    acceptance audit fixture); the full formula is the one that round-trips
+    through limit_ratio.  Computed as one rule in nu = `Channel.order`,
+    s (1 + (1/a) w/(N+d) Gamma(-nu)/Gamma(nu) (M rho0/2)^{2 nu}) with
+    s, w = +1, N-d or -1, N+2-d: the printed forms' doubles, since
+    d - 1 = -(1 - d) and -1 - X = -(1 + X) exactly.
     """
     if ep.is_infinite:
         raise InfiniteParameterError(
@@ -282,21 +285,19 @@ def g_asymptotic(
     if ep.alpha == 0.0:
         raise ZeroAlphaError("the first-order correction carries 1/alpha")
     _check_shell_scale(rho0, M)
+    if ep.channel is Channel.DIRAC_N:
+        raise ChannelMismatchError(
+            "the shell model is nonrelativistic; only the Schrodinger channels map"
+        )
     delta = flux.delta
     n = flux.n
+    nu = ep.channel.order(flux)
+    u = (0.5 * M * rho0) ** (2.0 * nu)
     if ep.channel is Channel.SCHRODINGER_N:
-        u = (0.5 * M * rho0) ** (2.0 * delta)
-        return 1.0 + (1.0 / ep.alpha) * ((n - delta) / (n + delta)) * (
-            gamma(-delta) / gamma(delta)
-        ) * u
-    if ep.channel is Channel.SCHRODINGER_N_PLUS_1:
-        u = (0.5 * M * rho0) ** (2.0 * (1.0 - delta))
-        return -1.0 - (1.0 / ep.alpha) * ((n + 2.0 - delta) / (n + delta)) * (
-            gamma(delta - 1.0) / gamma(1.0 - delta)
-        ) * u
-    raise ChannelMismatchError(
-        "the shell model is nonrelativistic; only the Schrodinger channels map"
-    )
+        sign, weight = 1.0, n - delta
+    else:
+        sign, weight = -1.0, n + 2.0 - delta
+    return sign * (1.0 + (1.0 / ep.alpha) * (weight / (n + delta)) * (gamma(-nu) / gamma(nu)) * u)
 
 
 @checked

@@ -242,7 +242,7 @@ def test_criterion_07_resonance_emergence():
 
 def test_criterion_08_asymptotic_formula_audit():
     entries = []
-    round_trip_worst = 0.0
+    round_trip_worst = richardson_worst = 0.0
     p = 0.9
     cases = [
         (Channel.SCHRODINGER_N, 0, 0.5, 1.0),
@@ -254,19 +254,25 @@ def test_criterion_08_asymptotic_formula_audit():
     for channel, n, delta, alpha in cases:
         f = decompose(n + delta)
         ep = ExtensionParameter.finite(channel, alpha)
-        exponent = 2.0 * delta if channel is Channel.SCHRODINGER_N else 2.0 * (1.0 - delta)
-        l = n if channel is Channel.SCHRODINGER_N else n + 1
+        # the lead terms |l| -+ nu as _dictionary_parts writes them
+        if channel is Channel.SCHRODINGER_N:
+            l, nu, lead_in, lead_out = n, delta, abs(n) - delta, abs(n) + delta
+        else:
+            l, nu = n + 1, 1.0 - delta
+            lead_in, lead_out = abs(n + 1) - 1.0 + delta, abs(n + 1) + 1.0 - delta
+        exponent = 2.0 * nu
+        lead = lead_out / (n + delta)
 
         def g_of_u(u):
             return g_from_alpha(ep, f, 2.0 * u ** (1.0 / exponent))
 
-        lead = (abs(n) + delta) / (n + delta) if channel is Channel.SCHRODINGER_N else (
-            abs(n + 1) + 1.0 - delta
-        ) / (n + delta)
+        # dg/du at u = 0 of g_from_alpha's closed form
+        coeff_full = math.gamma(-nu) * (lead_out - lead_in) / ((n + delta) * alpha * math.gamma(nu))
+        # g_from_alpha's code meets it: Richardson in u
         u = 1e-7
         d1 = (g_of_u(u) - lead) / u
         d2 = (g_of_u(u / 2.0) - lead) / (u / 2.0)
-        coeff_full = 2.0 * d2 - d1  # Richardson in u
+        richardson_worst = max(richardson_worst, abs((2.0 * d2 - d1) / coeff_full - 1.0))
         lead_printed = 1.0 if channel is Channel.SCHRODINGER_N else -1.0
         u_probe = 1e-3
         coeff_printed = (
@@ -299,14 +305,15 @@ def test_criterion_08_asymptotic_formula_audit():
         if abs(e["coefficient_full_formula"] - e["coefficient_printed_asymptotic"])
         > 0.05 * abs(e["coefficient_full_formula"])
     )
-    ok = round_trip_worst <= 1e-6 and matches_fixture
+    ok = round_trip_worst <= 1e-6 and richardson_worst <= 1e-7 and matches_fixture
     _report(
         8,
         ok,
         f"asymptotic audit: {discrepant}/{len(entries)} printed first-order "
         f"coefficients disagree with the full formula (recorded in "
-        f"fixtures/g_asymptotic_audit.json, matches: {matches_fixture}); round "
-        f"trip still exact to {round_trip_worst:.2e} (<=1e-6)",
+        f"fixtures/g_asymptotic_audit.json, matches: {matches_fixture}); "
+        f"g_from_alpha's Richardson slope meets it to {richardson_worst:.2e} (<=1e-7); "
+        f"round trip still exact to {round_trip_worst:.2e} (<=1e-6)",
     )
 
 
