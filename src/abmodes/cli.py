@@ -43,6 +43,7 @@ from .errors import AbmodesError, InvalidInputError, NumericalFailureError, chec
 from .flux import decompose
 from .fluxshell import (
     FluxShellProblem,
+    _shell_pairs,
     g_asymptotic,
     g_from_alpha,
     limit_ratio,
@@ -363,14 +364,29 @@ def _compute(args):
 
 
 def _check_finite(doc, where):
+    path = _non_finite_path(doc)
+    if path is not None:
+        raise NumericalFailureError(f"non-finite value in {where}{path}")
+
+
+def _non_finite_path(doc):
+    """Path below doc (".k", "[i]", "" for doc itself) of its first non-finite
+    float, or None; a path is formatted only for the value it refuses."""
     if isinstance(doc, dict):
-        for k, v in doc.items():
-            _check_finite(v, f"{where}.{k}")
+        items, step = doc.items(), ".{}"
     elif isinstance(doc, list):
-        for i, v in enumerate(doc):
-            _check_finite(v, f"{where}[{i}]")
-    elif isinstance(doc, float) and not math.isfinite(doc):
-        raise NumericalFailureError(f"non-finite value in {where}")
+        items, step = enumerate(doc), "[{}]"
+    else:
+        return "" if isinstance(doc, float) and not math.isfinite(doc) else None
+    for k, v in items:
+        if isinstance(v, float):
+            if not math.isfinite(v):
+                return step.format(k)
+        elif isinstance(v, (dict, list)):
+            path = _non_finite_path(v)
+            if path is not None:
+                return step.format(k) + path
+    return None
 
 
 def _emit(text: str, out):
@@ -477,12 +493,12 @@ def _run_scan(args, fixed):
         row.update(outputs)
         _check_finite(row, "scan")
         rows.append(row)
-    header = []
-    for row in rows:
-        for key in row:
-            if key not in header:
-                header.append(key)
     if args.format == "csv":
+        header = []
+        for row in rows:
+            for key in row:
+                if key not in header:
+                    header.append(key)
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(header)
@@ -504,7 +520,12 @@ def _csv_cell(v):
 
 
 def run(argv) -> int:
-    """Entry point used by tests: parse argv, execute, return the exit code."""
+    """Entry point used by tests: parse argv, execute, return the exit code.
+
+    A run starts with an empty shell memo (see fluxshell), so that its work,
+    like its output, does not depend on what ran before it in the process.
+    """
+    _shell_pairs.cache_clear()
     try:
         args, extra = _PARSER.parse_known_args(argv)
         if args.command == "scan":

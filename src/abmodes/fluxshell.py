@@ -25,8 +25,19 @@ requiring consistency with the matching ratio (itself verified against
 direct ODE integration) and with the orthogonality-derived coefficient
 conditions; see g_asymptotic for the historical first-order forms, kept
 as printed for the audit.  Units: lengths in 1/M, momenta in M.
+
+The matching takes J and J' of three orders, |l|, nu and -nu, at x, and
+none of the six values depends on g: the ratio is Moebius in g.  They are
+memoized by (|l|, nu, x) for the last 256 shells, so the rows of a scan
+that differ only in g, and solve_g's check at the g it found, compute no
+Bessel value again.  A scan whose inner grid moves the shell (p, rho0, l
+or phi) through more than 256 shells evicts each one before its next use
+and gets no hits; its values are the same doubles either way.  cli.run
+empties the memo as it starts, so a command's hits come from its own rows
+and checks, never from an earlier command in the same process.
 """
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -44,7 +55,9 @@ from .errors import (
 )
 from .flux import FluxParameter, radial_order
 from .sae import Channel, ExtensionParameter
-from .specfun import MAX_ORDER, bessel_j, bessel_j_prime, gamma
+# bessel_j_prime is called nowhere here: it stays bound as a hook point of
+# perfbench/tracer.py, which counts specfun calls through this module's names
+from .specfun import MAX_ORDER, bessel_j, bessel_j_and_prime, bessel_j_prime, gamma
 
 __all__ = [
     "FluxShellProblem",
@@ -125,11 +138,26 @@ def piecewise_solution(prob: FluxShellProblem, a: float, b: float):
     return evaluator
 
 
+@functools.lru_cache(maxsize=256)
+def _shell_pairs(order_l: float, nu: float, x: float) -> tuple:
+    """((J, J') of order |l|, of nu, of -nu), all at x = p rho0.
+
+    The memo of the module docstring; a caller that swaps the kernels
+    empties it with `_shell_pairs.cache_clear()`.
+    """
+    return (
+        bessel_j_and_prime(order_l, x),
+        bessel_j_and_prime(nu, x),
+        bessel_j_and_prime(-nu, x),
+    )
+
+
 def _matching_terms(prob: FluxShellProblem):
     """Coefficients of b/a = -(n0 + g n1)/(d0 + g d1), and the pole-test scale.
 
-    The scale is the size of the denominator's terms at prob.g.  DomainError
-    when |l| or |l - phi| passes MAX_ORDER, the cap of J'.
+    The scale is the size of the denominator's terms at prob.g, the only
+    part that reads g.  DomainError when |l| or |l - phi| passes MAX_ORDER,
+    the cap of J'.
     """
     x = prob.x
     nu = prob.nu
@@ -140,18 +168,12 @@ def _matching_terms(prob: FluxShellProblem):
             f"shell matching takes J' of orders |l| and |l - phi| up to {MAX_ORDER}: "
             f"l = {prob.l}, phi = {prob.flux.phi} needs order {order}"
         )
-    jl = bessel_j(order_l, x)
-    jl_prime = bessel_j_prime(order_l, x)
+    (jl, jl_prime), (j_nu, j_nu_prime), (j_minus, j_minus_prime) = _shell_pairs(order_l, nu, x)
     moment = (prob.flux.phi / x) * jl
-
-    def terms(order):
-        # J'_order Jl - J_order (Jl' - g moment), split into its g^0 and g^1 parts
-        j_prime, j = bessel_j_prime(order, x), bessel_j(order, x)
-        size = abs(j_prime * jl) + abs(j * (jl_prime - prob.g * moment))
-        return j_prime * jl - j * jl_prime, moment * j, size
-
-    n0, n1, _ = terms(nu)
-    d0, d1, scale = terms(-nu)
+    # J'_order Jl - J_order (Jl' - g moment), split into its g^0 and g^1 parts
+    n0, n1 = j_nu_prime * jl - j_nu * jl_prime, moment * j_nu
+    d0, d1 = j_minus_prime * jl - j_minus * jl_prime, moment * j_minus
+    scale = abs(j_minus_prime * jl) + abs(j_minus * (jl_prime - prob.g * moment))
     return n0, n1, d0, d1, scale
 
 

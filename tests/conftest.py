@@ -116,6 +116,14 @@ def fixtures_dir():
     return FIXTURES
 
 
+@pytest.fixture(autouse=True)
+def empty_shell_memo():
+    """Every test leaves fluxshell's memo empty.  A test that swaps the kernels
+    gets them back at teardown, and the memo would keep the swapped set's values."""
+    yield
+    abmodes.fluxshell._shell_pairs.cache_clear()
+
+
 # pass/fail lines collected by tests/test_acceptance.py, echoed after the run
 ACCEPTANCE_RESULTS = []
 

@@ -21,6 +21,7 @@ import subprocess
 import sys
 import sysconfig
 import time
+import types
 from functools import partial
 
 import pytest
@@ -28,7 +29,7 @@ import pytest
 from conftest import REPO, SUBNORMAL_ARGV
 
 import abmodes
-from abmodes import _backend, _kernels_py, _quad, cli, specfun
+from abmodes import _backend, _kernels_py, _quad, cli, fluxshell, specfun
 from abmodes.errors import (
     AbmodesError,
     ConvergenceError,
@@ -101,11 +102,35 @@ def test_ci_installs_the_dev_extra():
 
 
 def use_kernels(monkeypatch, kernels):
-    """Point every caller of the selected kernels at `kernels`."""
+    """Point every caller of the selected kernels at `kernels`, and empty the
+    shell memo, which holds values of the kernels it was filled with."""
     monkeypatch.setattr(specfun, "gamma_kernel", kernels.gamma)
     monkeypatch.setattr(specfun, "bessel_kernel", kernels.bessel_j)
     monkeypatch.setattr(_quad, "bessel_kernel", kernels.bessel_j)
     monkeypatch.setattr(_quad, "product_panel_kernel", kernels.kronrod21_product_panel)
+    fluxshell._shell_pairs.cache_clear()
+
+
+def test_a_kernel_swap_empties_the_shell_memo(monkeypatch):
+    # otherwise a comparison of the kernel sets through fluxshell, solve-g
+    # or scan would compare the first set's memoized doubles with themselves
+    prob = fluxshell.FluxShellProblem(
+        rho0=0.8, g=0.5, l=1, flux=abmodes.decompose(0.3), p=1.5
+    )
+    fluxshell.matching_ratio(prob)
+    orders = []
+
+    def counting(nu, x):
+        orders.append(nu)
+        return _kernels_py.bessel_j(nu, x)
+
+    use_kernels(monkeypatch, types.SimpleNamespace(
+        gamma=_kernels_py.gamma,
+        bessel_j=counting,
+        kronrod21_product_panel=_kernels_py.kronrod21_product_panel,
+    ))
+    fluxshell.matching_ratio(prob)
+    assert len(orders) == 6
 
 
 def test_gamma_agreement(kernels_c):

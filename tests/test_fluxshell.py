@@ -1,12 +1,18 @@
 """Flux-shell model: matching, small-radius limit, resonance, g dictionary."""
 
+import contextlib
+import io
 import math
 import random
+from dataclasses import replace
+from functools import partial
 
 import mpmath
 import pytest
 
+from abmodes import cli, fluxshell, specfun
 from abmodes.errors import (
+    AbmodesError,
     ChannelMismatchError,
     DegenerateDenominatorError,
     DegenerateError,
@@ -378,3 +384,85 @@ class TestSolveG:
                                    (0.0, -1.0, math.inf), (math.inf, -1.0, 1.0)):
             with pytest.raises(DomainError):
                 solve_g(prob, target, g_lo=g_lo, g_hi=g_hi)
+
+
+class TestShellMemo:
+    """A shell's six Bessel values are computed once and reused along g."""
+
+    @staticmethod
+    def outcome(call):
+        try:
+            return repr(call())
+        except AbmodesError as exc:
+            return type(exc).__name__, str(exc)
+
+    @pytest.fixture
+    def kernel_calls(self, monkeypatch):
+        """Orders of the Bessel kernel calls made while the test runs."""
+        calls = []
+        kernel = specfun.bessel_kernel
+
+        def counting(nu, x):
+            calls.append(nu)
+            return kernel(nu, x)
+
+        monkeypatch.setattr(specfun, "bessel_kernel", counting)
+        return calls
+
+    def test_a_shell_costs_six_kernel_calls_once(self, kernel_calls):
+        fluxshell._shell_pairs.cache_clear()
+        prob = problem(1, 0.3, 0.5, 1.5, 0.8)
+        target = matching_ratio(prob)
+        # J and J' of |l|, nu and -nu: two kernel calls a pair
+        assert len(kernel_calls) == 6
+        del kernel_calls[:]
+        matching_ratio(replace(prob, g=-1.3))
+        assert solve_g(replace(prob, g=0.0), target) == pytest.approx(0.5, abs=1e-12)
+        assert kernel_calls == []
+
+    def test_each_cli_run_starts_with_an_empty_memo(self, kernel_calls):
+        # a command costs the same whatever ran before it in the process
+        argv = ["fluxshell", "--l", "1", "--phi", "0.3", "--g", "0.5", "--p", "1.5", "--rho0", "0.8"]
+        counts = []
+        for _ in range(2):
+            del kernel_calls[:]
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.run(argv) == 0
+            counts.append(len(kernel_calls))
+        assert counts[0] == counts[1] >= 6
+
+    def test_same_doubles_as_a_fresh_evaluation(self, monkeypatch):
+        # shells in scan order, each swept along g and then inverted, with a
+        # warm memo and with every call computing its values anew
+        rng = random.Random(30)
+        calls = []
+        for _ in range(60):
+            l, phi = rng.randint(-4, 4), rng.uniform(-2.5, 2.5)
+            p, rho0 = rng.uniform(0.05, 3.0), 10.0 ** rng.uniform(-4.0, 1.3)
+            for g in [rng.uniform(-4.0, 4.0) for _ in range(5)]:
+                calls.append(partial(matching_ratio, problem(l, phi, g, p, rho0)))
+            calls.append(partial(solve_g, problem(l, phi, 0.0, p, rho0), rng.uniform(-2.0, 2.0)))
+        fluxshell._shell_pairs.cache_clear()
+        memo = [self.outcome(call) for call in calls]
+        assert fluxshell._shell_pairs.cache_info().hits > 0
+        monkeypatch.setattr(fluxshell, "_shell_pairs", fluxshell._shell_pairs.__wrapped__)
+        assert memo == [self.outcome(call) for call in calls]
+
+    @pytest.mark.parametrize("inner, hits", [(200, 200), (300, 0)])
+    def test_scan_past_the_memo_keeps_its_bytes(self, monkeypatch, inner, hits):
+        # the inner grid moves the shell: at 300 shells the memo evicts each
+        # one before the second g row comes back to it
+        argv = ["scan", "fluxshell", "--grid", "g=-0.7:1.9:2", "--grid", f"p=0.1:4:{inner}",
+                "--l", "1", "--phi", "0.3", "--rho0", "0.7"]
+
+        def scan():
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert cli.run(argv) == 0
+            return out.getvalue()
+
+        fluxshell._shell_pairs.cache_clear()
+        memo = scan()
+        assert fluxshell._shell_pairs.cache_info().hits == hits
+        monkeypatch.setattr(fluxshell, "_shell_pairs", fluxshell._shell_pairs.__wrapped__)
+        assert memo == scan()
