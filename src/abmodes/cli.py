@@ -17,8 +17,11 @@ or -nan, so every number the CLI prints passes back as it is.
 
 `scan` parses the swept subcommand once, with its fixed flags and the first
 grid point, and then converts each grid value once per grid, by its flag's
-type and choices as argparse would; a row is the parsed flags with the grid
-values put in.  A bad grid value therefore exits 2 before any row runs.
+type and choices as argparse would.  A bad grid value therefore exits 2
+before any row runs.  The rows share that parse's namespace and its echo:
+each row puts its grid values into the namespace and, where the echo holds
+them, into a copy of the echo, so the row holds what the single invocation
+at its point echoes and outputs.
 
 Floats are serialized with Python's shortest round-trip representation, so
 every printed number parses back to the exact double that was computed.
@@ -44,6 +47,7 @@ from .flux import decompose
 from .fluxshell import (
     FluxShellProblem,
     _shell_pairs,
+    _solve_g_condition,
     g_asymptotic,
     g_from_alpha,
     limit_ratio,
@@ -71,6 +75,9 @@ _EXIT_NUMERICAL = 3
 
 # scan holds its rows until the CSV header is known: a cap on their number
 _MAX_SCAN_ROWS = 100_000
+
+# every document's encoder; json.dumps with separators builds a new one a call
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
 
 # a float literal after a minus sign, as float() reads it: -1, -1.5, -.5,
 # -1e-3, -inf, -nan.  argparse's own matcher knows only the first three and
@@ -225,7 +232,12 @@ def _cmd_solve_g(args):
         rho0=args.rho0, g=0.0, l=args.l, flux=decompose(args.phi), p=args.p
     )
     g = solve_g(prob, args.target, args.glo, args.ghi)
-    return {"g": g}, {"residual": matching_ratio(replace(prob, g=g)) - args.target}
+    condition = _solve_g_condition(prob, args.target)
+    return {"g": g}, {
+        "residual": matching_ratio(replace(prob, g=g)) - args.target,
+        # null where g = 0, whose relative error has no bound
+        "condition": condition if math.isfinite(condition) else None,
+    }
 
 
 _COMMON = _Parser(add_help=False)
@@ -357,12 +369,6 @@ def _inputs(args):
     return {k: v for k, v in vars(args).items() if k not in skip and v is not None}
 
 
-def _compute(args):
-    """(inputs, outputs, diagnostics) of a parsed subcommand."""
-    outputs, diagnostics = args.compute(args)
-    return _inputs(args), outputs, diagnostics
-
-
 def _check_finite(doc, where):
     path = _non_finite_path(doc)
     if path is not None:
@@ -406,7 +412,7 @@ def _json_doc(command, inputs, outputs, diagnostics):
         "diagnostics": diagnostics,
     }
     _check_finite(doc, command)
-    return json.dumps(doc, separators=(",", ":")) + "\n"
+    return _ENCODER.encode(doc) + "\n"
 
 
 def _parse_grid(spec: str, max_points=math.inf):
@@ -465,10 +471,12 @@ def _run_scan(args, fixed):
         room //= len(values)
     fixed = [tok for tok in fixed if tok != "--"]
     # one parse, at the first grid point, checks the fixed flags, the grid
-    # names, the required flags and flags that take no value
-    base = vars(_PARSER.parse_args(
+    # names, the required flags and flags that take no value; every row
+    # shares its namespace and its echo
+    sub_args = _PARSER.parse_args(
         [args.sub, *fixed, *(f"--{name}={_grid_text(values[0])}" for name, values in grids)]
-    ))
+    )
+    echo = _inputs(sub_args)
     # then each grid value is converted once, by its flag's type and
     # choices, as argparse converts it.  The inner grid is converted first:
     # the first rows take the outer grid's first value, already checked, over
@@ -483,13 +491,17 @@ def _run_scan(args, fixed):
         except argparse.ArgumentError as exc:
             parser.error(str(exc))
     rows = []
-    # first grid outer, second inner; each row's namespace is the base one
-    # with the grid entries replaced, so it keeps the order of the declarations
+    # first grid outer, second inner.  A row is the echo with its grid values
+    # replaced (a grid entry the echo omits, such as sae-ratio's --p under
+    # --eq dirac, stays out), so it keeps the order of the declarations; no
+    # compute function writes to its namespace, so the rows can share it
     for point in itertools.product(*axes):
-        sub_args = dict(base)
-        sub_args.update(point)
-        inputs, outputs, _ = _compute(argparse.Namespace(**sub_args))
-        row = dict(inputs)
+        row = dict(echo)
+        for dest, value in point:
+            setattr(sub_args, dest, value)
+            if dest in row:
+                row[dest] = value
+        outputs, _ = sub_args.compute(sub_args)
         row.update(outputs)
         _check_finite(row, "scan")
         rows.append(row)
@@ -507,7 +519,7 @@ def _run_scan(args, fixed):
         _emit(buf.getvalue(), args.out)
     else:
         doc = {"version": __version__, "command": f"scan {args.sub}", "rows": rows}
-        _emit(json.dumps(doc, separators=(",", ":")) + "\n", args.out)
+        _emit(_ENCODER.encode(doc) + "\n", args.out)
     return _EXIT_OK
 
 
@@ -532,8 +544,8 @@ def run(argv) -> int:
             return _run_scan(args, extra)
         if extra:
             _PARSER.error(f"unrecognized arguments: {' '.join(extra)}")
-        inputs, outputs, diags = _compute(args)
-        _emit(_json_doc(args.command, inputs, outputs, diags), args.out)
+        outputs, diags = args.compute(args)
+        _emit(_json_doc(args.command, _inputs(args), outputs, diags), args.out)
         return _EXIT_OK
     except NumericalFailureError as exc:
         _error_line(exc)
@@ -544,13 +556,7 @@ def run(argv) -> int:
 
 
 def _error_line(exc):
-    sys.stderr.write(
-        json.dumps(
-            {"error": type(exc).__name__, "message": str(exc)},
-            separators=(",", ":"),
-        )
-        + "\n"
-    )
+    sys.stderr.write(_ENCODER.encode({"error": type(exc).__name__, "message": str(exc)}) + "\n")
 
 
 def main():

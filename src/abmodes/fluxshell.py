@@ -360,3 +360,21 @@ def solve_g(
         f"no g in [{g_lo}, {g_hi}] reaches matching_ratio = {target_ratio:.6g} "
         f"within tolerance {tol:.1e}"
     )
+
+
+def _solve_g_condition(prob_template: FluxShellProblem, target_ratio: float) -> float:
+    """Relative condition number kappa = |dg/dT| |T|/|g| of solve_g's inverse.
+
+    From g = -(n0 + T d0)/(n1 + T d1), dg/dT = (n0 d1 - n1 d0)/(n1 + T d1)^2,
+    so kappa = |T| |n0 d1 - n1 d0| / (|n1 + T d1| |n0 + T d0|).  Rounding T
+    to a double alone moves g by about kappa 2^-52 of itself.  kappa reads
+    8e10 at l = 0 with p rho0 = 2.4048, next to the first zero of J_0, where
+    the ratio is flat in g.  inf where g or the denominator is 0.  The
+    coefficients come from the shell memo, so after solve_g on the same
+    shell this computes no Bessel value.
+    """
+    n0, n1, d0, d1, _ = _matching_terms(prob_template)
+    num, den = n0 + target_ratio * d0, n1 + target_ratio * d1
+    if num == 0.0 or den == 0.0:
+        return math.inf
+    return abs(target_ratio) * abs(n0 * d1 - n1 * d0) / abs(den) / abs(num)

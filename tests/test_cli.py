@@ -2,6 +2,7 @@
 
 import csv
 import io
+import itertools
 import json
 import math
 import shlex
@@ -328,17 +329,23 @@ def test_exponent_fit_subcommand():
 
 
 def test_solve_g_subcommand():
-    code, out, _ = run_cli(
-        ["fluxshell", "--l", "1", "--phi", "0.3", "--g", "0.7", "--p", "2",
-         "--rho0", "0.5"]
-    )
+    shell = ["--l", "1", "--phi", "0.3", "--p", "2", "--rho0", "0.5"]
+    code, out, _ = run_cli(["fluxshell", "--g", "0.7", *shell])
     target = json.loads(out)["outputs"]["matching_ratio"]
-    code, out, _ = run_cli(
-        ["solve-g", "--l", "1", "--phi", "0.3", "--p", "2", "--rho0", "0.5",
-         "--target", repr(target)]
-    )
+    code, out, _ = run_cli(["solve-g", *shell, "--target", repr(target)])
     assert code == 0
-    assert json.loads(out)["outputs"]["g"] == pytest.approx(0.7, abs=1e-8)
+    doc = json.loads(out)
+    assert doc["outputs"]["g"] == pytest.approx(0.7, abs=1e-8)
+    # the condition number of the inverse, an ordinary one here
+    assert 0.0 < doc["diagnostics"]["condition"] < 10.0
+    # at g = 0 g's relative error has no bound: the condition is null, and
+    # the run still succeeds
+    code, out, _ = run_cli(["fluxshell", "--g", "0", *shell])
+    target = json.loads(out)["outputs"]["matching_ratio"]
+    code, out, err = run_cli(["solve-g", *shell, "--target", repr(target)])
+    assert code == 0, err
+    doc = json.loads(out)
+    assert (doc["outputs"]["g"], doc["diagnostics"]["condition"]) == (0.0, None)
 
 
 class TestExitCodes:
@@ -558,19 +565,65 @@ class TestScan:
         # grid point, byte for byte, with the point given as separate tokens
         gfactor = ["--channel", "n", "--enn", "0", "--delta", "0.5", "--rho0", "0.01"]
         fluxshell = ["--phi", "0.3", "--p", "1", "--rho0", "0.1"]
-        for sub, grids, fixed, rows in (
-            ("gfactor", ["alpha=0.5:1.5:3"], gfactor, 3),
-            ("fluxshell", ["l=0:2:3", "g=-1.5:-1e-05:4"], fluxshell, 12),
+        dirac = ["--eq", "dirac", "--alpha", "1", "--delta", "0.3"]
+        for sub, grids, fixed, fmt in (
+            ("gfactor", ["alpha=0.5:1.5:3"], gfactor, "json"),
+            ("fluxshell", ["l=0:2:3", "g=-1.5:-1e-05:4"], fluxshell, "json"),
+            # the echo leaves out the flags that --eq dirac does not read,
+            # a swept one (--p) included
+            ("sae-ratio", ["s=1:-1:2", "p3=-0.5:0.5:3"], dirac, "json"),
+            ("sae-ratio", ["p=0.5:2:2"], dirac, "json"),
+            # a store_true flag in the echo, and CSV cells
+            ("bessel", ["x=0.5:2:4"], ["--nu", "0.3", "--prime"], "csv"),
+            ("overlap", ["pprime=1.5:3:4"], ["--delta", "0.3", "--p", "1", "--kind", "same"],
+             "json"),
         ):
-            assert cli.run(["scan", sub, *(f"--grid={g}" for g in grids), *fixed]) == 0
-            doc = json.loads(capsys.readouterr().out)
-            assert len(doc["rows"]) == rows
-            names = [g.split("=")[0] for g in grids]
-            for row in doc["rows"]:
-                point = [tok for name in names for tok in (f"--{name}", repr(row[name]))]
-                assert cli.run([sub, *fixed, *point]) == 0
+            argv = ["scan", sub, *(f"--grid={g}" for g in grids), f"--format={fmt}", *fixed]
+            assert cli.run(argv) == 0
+            out = capsys.readouterr().out
+            if fmt == "json":
+                texts = [json.dumps(row) for row in json.loads(out)["rows"]]
+            else:
+                header, *texts = out.splitlines()
+            axes = [[(name, cli._grid_text(v)) for v in values]
+                    for name, values in map(_parse_grid, grids)]
+            points = list(itertools.product(*axes))
+            assert len(texts) == len(points)
+            for text, point in zip(texts, points):
+                tokens = [tok for name, value in point for tok in (f"--{name}", value)]
+                assert cli.run([sub, *fixed, *tokens]) == 0
                 single = json.loads(capsys.readouterr().out)
-                assert json.dumps(row) == json.dumps({**single["inputs"], **single["outputs"]})
+                expected = {**single["inputs"], **single["outputs"]}
+                if fmt == "json":
+                    assert text == json.dumps(expected)
+                else:
+                    assert header == ",".join(expected)
+                    assert text == ",".join(str(cli._csv_cell(v)) for v in expected.values())
+
+    def test_a_later_non_finite_row_ends_the_scan(self, monkeypatch, capsys):
+        # the third row's g turns NaN: exit 3 with that row's one-line error,
+        # and no row printed, in either format
+        compute = cli._SUBCOMMANDS["gfactor"].get_default("compute")
+        calls = []
+
+        def third_is_nan(args):
+            calls.append(args.alpha)
+            outputs, diagnostics = compute(args)
+            if len(calls) == 3:
+                outputs["g"] = math.nan
+            return outputs, diagnostics
+
+        monkeypatch.setitem(cli._SUBCOMMANDS["gfactor"]._defaults, "compute", third_is_nan)
+        fixed = ["--channel", "n", "--enn", "0", "--delta", "0.5", "--rho0", "0.01"]
+        for fmt in ("json", "csv"):
+            calls.clear()
+            code = cli.run(["scan", "gfactor", "--grid=alpha=0.5:1.5:5", f"--format={fmt}",
+                            *fixed])
+            out, err = capsys.readouterr()
+            assert (code, out, calls) == (3, "", [0.5, 0.75, 1.0])
+            assert len(err.splitlines()) == 1
+            assert json.loads(err) == {"error": "NumericalFailureError",
+                                       "message": "non-finite value in scan.g"}
 
     # a subcommand with its fixed flags, the grids, and the flags of the first
     # bad grid point: of the inner grid first, as a row-by-row parse meets it

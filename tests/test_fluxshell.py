@@ -376,6 +376,29 @@ class TestSolveG:
         with pytest.raises(NoBracketError):
             solve_g(problem(0, 0.3, 0.0, 1.0, 0.5), limit)
 
+    def test_condition_number(self):
+        # p rho0 = 2.4048 sits at the first zero of J_0, where the ratio is
+        # flat in g.  The target is the matching ratio at g_true rounded to a
+        # double, and that rounding alone moves g by about kappa 2^-52
+        prob = problem(0, 0.8218819058363875, 0.0, 2.7008226696467954, 0.8904075239160397)
+        target, g_true = 0.9266514189919028, -1.2106347849853307
+        kappa = fluxshell._solve_g_condition(prob, target)
+        assert 1e10 < kappa < 1e12
+        g = solve_g(prob, target, -2.202366242401722, 0.7196060969957625)
+        assert 1e-7 < abs(g - g_true) / abs(g_true) <= kappa * 2.0**-52
+        # an ordinary shell, against a central difference of the inverse
+        prob = problem(1, 0.3, 0.0, 2.0, 0.5)
+        target, h = 0.1, 1e-6
+        kappa = fluxshell._solve_g_condition(prob, target)
+        g = solve_g(prob, target)
+        slope = (solve_g(prob, target * (1 + h)) - solve_g(prob, target * (1 - h))) / (2 * h)
+        assert kappa < 10.0
+        assert kappa == pytest.approx(abs(slope / g), rel=1e-8)
+        # at g = 0 the relative error of g has no bound
+        target = matching_ratio(problem(1, 0.3, 0.0, 2.0, 0.5))
+        assert solve_g(prob, target) == 0.0
+        assert fluxshell._solve_g_condition(prob, target) == math.inf
+
     def test_bad_bracket(self):
         prob = problem(1, 0.3, 0.0, 1.0, 1e-2)
         with pytest.raises(DomainError):
