@@ -3,8 +3,10 @@
 `abmodes._kernels_c` (built by `setup.py` from the tracked C) and
 `abmodes._kernels_py` return the same doubles, which `tests/test_backends.py`
 checks with `==`; which one runs changes the speed only, never a result.
-`BACKEND` names the one in use.  The Hankel panel is the Python one under
-either backend.
+`BACKEND` names the one in use.  Only the kernels that differ between the
+twins are selected here, Bessel J and the G10/K21 product panel: Gamma is
+`math.gamma` in both, which `specfun` binds itself, and the Hankel panel has
+no C twin, so `_quad` binds the Python one.
 """
 
 from . import _kernels_py
@@ -18,8 +20,5 @@ except ImportError:
 
     BACKEND = "python"
 
-gamma_kernel = _impl.gamma
 bessel_kernel = _impl.bessel_j
 product_panel_kernel = _impl.kronrod21_product_panel
-# the C twin has no Hankel panel: only the windowed engine runs it, untimed
-hankel_panel_kernel = _kernels_py.hankel_product_panel

@@ -74,9 +74,10 @@ Legendre's nodes and the moments of [-1, 1], and `spherical_j` and the
 Hankel panel against mpmath.
 
 `gauss15_product_panel`, a 15-point Gauss panel of the same integrand, is
-used by no code in the package.  It stays, in both twins, only because the
-benchmark's kernel micro-rows time it; it goes with the next change to the
-benchmark.
+used by no code in the package.  Nor is either twin's export of `gamma`:
+`specfun` binds `math.gamma` itself.  Both stay only because the benchmark's
+kernel micro-rows time them, and go with the next change to the benchmark
+(the series keeps calling `math.gamma`; only the export goes).
 
 Domain policing (x < 0, poles, order caps) is the caller's job; `specfun`
 wraps these with validation.

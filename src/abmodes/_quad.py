@@ -56,8 +56,8 @@ Both go with the next change to the benchmark.
 import math
 import sys
 
-from ._backend import bessel_kernel, hankel_panel_kernel, product_panel_kernel
-from ._kernels_py import _GK21, _K21_CENTER
+from ._backend import bessel_kernel, product_panel_kernel
+from ._kernels_py import _GK21, _K21_CENTER, hankel_product_panel as hankel_panel_kernel
 from .errors import ConvergenceError, NumericalFailureError
 
 __all__ = ["PanelBudget", "cell", "hankel_quad", "product_quad"]

@@ -225,33 +225,25 @@ def limit_ratio(prob: FluxShellProblem) -> float:
     )
 
 
-def _check_shell_scale(rho0, M):
-    if not (0.0 < rho0 < math.inf and 0.0 < M < math.inf):
-        raise DomainError(f"rho0 and M must be positive and finite, got {rho0}, {M}")
-
-
 def _dictionary_parts(ep: ExtensionParameter, flux: FluxParameter, rho0: float, M: float):
+    """nu = `Channel.order` and u = (M rho0/2)^{2 nu}, shared by both closed forms.
+
+    Refuses, in this order: an infinite alpha (InfiniteParameterError), rho0
+    or M not positive and finite (DomainError), the Dirac channel
+    (ChannelMismatchError).
+    """
     if ep.is_infinite:
         raise InfiniteParameterError(
             "the g-factor dictionary needs a finite extension parameter"
         )
-    _check_shell_scale(rho0, M)
+    if not (0.0 < rho0 < math.inf and 0.0 < M < math.inf):
+        raise DomainError(f"rho0 and M must be positive and finite, got {rho0}, {M}")
     if ep.channel is Channel.DIRAC_N:
         raise ChannelMismatchError(
             "the shell model is nonrelativistic; only the Schrodinger channels map"
         )
-    delta = flux.delta
-    n = flux.n
     nu = ep.channel.order(flux)
-    u = (0.5 * M * rho0) ** (2.0 * nu)
-    shell = gamma(-nu) * u
-    ext = ep.alpha * gamma(nu)
-    # |l| -+ nu, written per channel: abs(n + 1) - nu can miss abs(n + 1) - 1.0 + delta by an ulp
-    if ep.channel is Channel.SCHRODINGER_N:
-        lead_in, lead_out = abs(n) - delta, abs(n) + delta
-    else:
-        lead_in, lead_out = abs(n + 1) - 1.0 + delta, abs(n + 1) + 1.0 - delta
-    return shell, ext, lead_in, lead_out, n + delta
+    return nu, (0.5 * M * rho0) ** (2.0 * nu)
 
 
 @checked
@@ -272,7 +264,17 @@ def g_from_alpha(
     where it underflows to 0 (alpha = 0 at rho0 = 5e-324).  ChannelMismatchError
     for the Dirac channel, InfiniteParameterError for an infinite alpha.
     """
-    shell, ext, lead_in, lead_out, nd = _dictionary_parts(ep, flux, rho0, M)
+    nu, u = _dictionary_parts(ep, flux, rho0, M)
+    delta = flux.delta
+    n = flux.n
+    shell = gamma(-nu) * u
+    ext = ep.alpha * gamma(nu)
+    # |l| -+ nu, written per channel: abs(n + 1) - nu can miss abs(n + 1) - 1.0 + delta by an ulp
+    if ep.channel is Channel.SCHRODINGER_N:
+        lead_in, lead_out = abs(n) - delta, abs(n) + delta
+    else:
+        lead_in, lead_out = abs(n + 1) - 1.0 + delta, abs(n + 1) + 1.0 - delta
+    nd = n + delta
     den = shell - ext
     # nd * den == 0: both parts of den underflowed, where the relative test
     # reads 0 < 0, or their product did
@@ -298,23 +300,15 @@ def g_asymptotic(
     through limit_ratio.  Computed as one rule in nu = `Channel.order`,
     s (1 + (1/a) w/(N+d) Gamma(-nu)/Gamma(nu) (M rho0/2)^{2 nu}) with
     s, w = +1, N-d or -1, N+2-d: the printed forms' doubles, since
-    d - 1 = -(1 - d) and -1 - X = -(1 + X) exactly.
+    d - 1 = -(1 - d) and -1 - X = -(1 + X) exactly.  ZeroAlphaError for
+    alpha = 0, checked first; the other refusals are g_from_alpha's, from
+    the same preamble (`_dictionary_parts`).
     """
-    if ep.is_infinite:
-        raise InfiniteParameterError(
-            "the asymptotic form needs a finite extension parameter"
-        )
     if ep.alpha == 0.0:
         raise ZeroAlphaError("the first-order correction carries 1/alpha")
-    _check_shell_scale(rho0, M)
-    if ep.channel is Channel.DIRAC_N:
-        raise ChannelMismatchError(
-            "the shell model is nonrelativistic; only the Schrodinger channels map"
-        )
+    nu, u = _dictionary_parts(ep, flux, rho0, M)
     delta = flux.delta
     n = flux.n
-    nu = ep.channel.order(flux)
-    u = (0.5 * M * rho0) ** (2.0 * nu)
     if ep.channel is Channel.SCHRODINGER_N:
         sign, weight = 1.0, n - delta
     else:

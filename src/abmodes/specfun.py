@@ -24,8 +24,12 @@ itself: `errors.checked` does, at each entry point.
 import math
 import sys
 
-from ._backend import BACKEND, bessel_kernel, gamma_kernel
+from ._backend import BACKEND, bessel_kernel
 from .errors import DomainError, NumericalFailureError, PoleError, checked
+
+# both kernel sets' Gamma; a module global, like bessel_kernel, so that a
+# tracer or a test can swap it
+gamma_kernel = math.gamma
 
 __all__ = ["BACKEND", "MAX_ORDER", "gamma", "bessel_j", "bessel_j_and_prime",
            "bessel_j_and_prime_many", "bessel_j_prime"]

@@ -175,9 +175,10 @@ def test_twins_export_the_same_kernels(kernels_c):
 
 
 def test_hankel_panel_is_the_python_one(kernels_c, monkeypatch):
-    # _backend binds the Python Hankel panel whichever kernel set imports,
-    # and _quad calls the one it binds
+    # _quad calls the Python Hankel panel and specfun math.gamma whichever
+    # kernel set imports; _backend selects only the kernels that differ
     assert _quad.hankel_panel_kernel is _kernels_py.hankel_product_panel
+    assert specfun.gamma_kernel is math.gamma
     monkeypatch.delattr(abmodes, "_kernels_c", raising=False)
     for backend, module in (("c", kernels_c), ("python", None)):
         # None in sys.modules makes the import raise ImportError
@@ -186,7 +187,10 @@ def test_hankel_panel_is_the_python_one(kernels_c, monkeypatch):
         fresh = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(fresh)
         assert fresh.BACKEND == backend
-        assert fresh.hankel_panel_kernel is _kernels_py.hankel_product_panel
+        assert sorted(name for name in vars(fresh) if name.endswith("_kernel")) == [
+            "bessel_kernel", "product_panel_kernel"
+        ]
+        assert fresh.bessel_kernel is (module or _kernels_py).bessel_j
         assert fresh.product_panel_kernel is (module or _kernels_py).kronrod21_product_panel
 
 

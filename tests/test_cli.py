@@ -388,6 +388,10 @@ class TestExitCodes:
             # scaling it back by 2^2126 overflows
             (["overlap", "--kind", "same", "--delta", "1e-320", "--p", "4.9e-324",
               "--pprime", "1e-320", "--verify"], "NumericalFailureError"),
+            # at momenta of 1e300 the finite part reads 0 with the irregular
+            # term and without it: no coefficient ratio solves the fit
+            (["exponent-fit", "--delta", "0.3", "--momenta", "1e300,1.5e300,1.7e308"],
+             "SingularFitError"),
         ):
             code, out, err = run_cli(argv)
             assert code == 3, err

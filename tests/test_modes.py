@@ -84,9 +84,10 @@ class TestSchrodingerModes:
 
 # evaluate(mode, rho) to the double, each within specfun's J bound of
 # 30-digit mpmath: the sum over `amplitudes` forms each product alike, and a
-# sum of two terms commutes exactly.  Keys: kind, phi, l, a, b, p, rho;
-# values: the double, whose repr must not move.  A test id names the key
-# only, so re-recording a value renames no test.
+# sum of two terms commutes exactly.  Keys: kind, phi, l, a, b, p, rho, with
+# p the transverse momentum p_perp of a Dirac component; values: the double,
+# whose repr must not move.  A test id names the key only, so re-recording a
+# value renames no test.
 EVALUATE_REPRS = {
     ('schrodinger', 2.3, 2, 1.0, 0.7, 1.3, 0.77): 1.1833014099121093,
     ('schrodinger', 2.3, 2, 1.0, 0.7, 0.25, 31.0): 0.3640018605979385,
@@ -100,30 +101,30 @@ EVALUATE_REPRS = {
     ('schrodinger', -0.4, -1, 0.8, 1.1, 0.25, 31.0): 0.20307129044711605,
     ('schrodinger', -0.4, 0, 1.0, 0.0, 1.3, 0.77): 0.7093861460842691,
     ('schrodinger', -0.4, 0, 1.0, 0.0, 0.25, 31.0): 0.2861828514778428,
+    ('dirac1', 2.3, 2, 1.0, 0.7, 1.3, 0.77): 1.1511911271198918,
+    ('dirac2', 2.3, 2, 1.0, 0.7, 1.3, 0.77): 0.49042900118571037,
+    ('dirac1', 2.3, 2, 1.0, 0.7, 0.25, 31.0): 0.31548062673711996,
+    ('dirac2', 2.3, 2, 1.0, 0.7, 0.25, 31.0): 0.3088420707353986,
+    ('dirac1', 2.3, 2, 0.0, -1.2, 1.3, 0.77): -0.8881591080663181,
+    ('dirac2', 2.3, 2, 0.0, -1.2, 1.3, 0.77): 0.15796425387750315,
+    ('dirac1', 2.3, 2, 0.0, -1.2, 0.25, 31.0): -0.3368598161928341,
+    ('dirac2', 2.3, 2, 0.0, -1.2, 0.25, 31.0): -0.07699027510785976,
+    ('dirac1', 2.3, 2, 0.6, 0.0, 1.3, 0.77): 0.3798589884487236,
+    ('dirac2', 2.3, 2, 0.6, 0.0, 1.3, 0.77): 0.3495448895685523,
+    ('dirac1', 2.3, 2, 0.6, 0.0, 0.25, 31.0): 0.07138744037478004,
+    ('dirac2', 2.3, 2, 0.6, 0.0, 0.25, 31.0): 0.15835864615348824,
+    ('dirac1', 2.3, 1, 0.0, 1.0, 1.3, 0.77): 0.31199903988379113,
+    ('dirac2', 2.3, 1, 0.0, 1.0, 1.3, 0.77): -0.7401325900552651,
+    ('dirac1', 2.3, 1, 0.0, 1.0, 0.25, 31.0): 0.08589145395717065,
+    ('dirac2', 2.3, 1, 0.0, 1.0, 0.25, 31.0): -0.28071651349402843,
+    ('dirac1', 2.3, 3, 1.0, 0.0, 1.3, 0.77): 0.5825748159475872,
+    ('dirac2', 2.3, 3, 1.0, 0.0, 1.3, 0.77): 0.18169163829304255,
+    ('dirac1', 2.3, 3, 1.0, 0.0, 0.25, 31.0): 0.2639310769224804,
+    ('dirac2', 2.3, 3, 1.0, 0.0, 0.25, 31.0): -0.07130119533111515,
 }
 # rows whose test ids still carry the pinned double: kind, phi, l, a, b,
 # p_perp, rho, value
 EVALUATE_DIRAC_ROWS = [
-    ('dirac1', 2.3, 2, 1.0, 0.7, 1.3, 0.77, 1.1511911271198918),
-    ('dirac2', 2.3, 2, 1.0, 0.7, 1.3, 0.77, 0.49042900118571037),
-    ('dirac1', 2.3, 2, 1.0, 0.7, 0.25, 31.0, 0.31548062673711996),
-    ('dirac2', 2.3, 2, 1.0, 0.7, 0.25, 31.0, 0.3088420707353986),
-    ('dirac1', 2.3, 2, 0.0, -1.2, 1.3, 0.77, -0.8881591080663181),
-    ('dirac2', 2.3, 2, 0.0, -1.2, 1.3, 0.77, 0.15796425387750315),
-    ('dirac1', 2.3, 2, 0.0, -1.2, 0.25, 31.0, -0.3368598161928341),
-    ('dirac2', 2.3, 2, 0.0, -1.2, 0.25, 31.0, -0.07699027510785976),
-    ('dirac1', 2.3, 2, 0.6, 0.0, 1.3, 0.77, 0.3798589884487236),
-    ('dirac2', 2.3, 2, 0.6, 0.0, 1.3, 0.77, 0.3495448895685523),
-    ('dirac1', 2.3, 2, 0.6, 0.0, 0.25, 31.0, 0.07138744037478004),
-    ('dirac2', 2.3, 2, 0.6, 0.0, 0.25, 31.0, 0.15835864615348824),
-    ('dirac1', 2.3, 1, 0.0, 1.0, 1.3, 0.77, 0.31199903988379113),
-    ('dirac2', 2.3, 1, 0.0, 1.0, 1.3, 0.77, -0.7401325900552651),
-    ('dirac1', 2.3, 1, 0.0, 1.0, 0.25, 31.0, 0.08589145395717065),
-    ('dirac2', 2.3, 1, 0.0, 1.0, 0.25, 31.0, -0.28071651349402843),
-    ('dirac1', 2.3, 3, 1.0, 0.0, 1.3, 0.77, 0.5825748159475872),
-    ('dirac2', 2.3, 3, 1.0, 0.0, 1.3, 0.77, 0.18169163829304255),
-    ('dirac1', 2.3, 3, 1.0, 0.0, 0.25, 31.0, 0.2639310769224804),
-    ('dirac2', 2.3, 3, 1.0, 0.0, 0.25, 31.0, -0.07130119533111515),
     ('dirac1', -0.4, -1, 0.9, 2.0, 1.3, 0.77, 1.5201647972713004),
     ('dirac2', -0.4, -1, 0.9, 2.0, 1.3, 0.77, -0.44946109369789466),
     ('dirac1', -0.4, -1, 0.9, 2.0, 0.25, 31.0, 0.5395606874262225),

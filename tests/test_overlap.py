@@ -20,6 +20,7 @@ from abmodes.errors import (
     EqualMomentaError,
     InsufficientSamplesError,
     NumericalFailureError,
+    SingularFitError,
 )
 from abmodes.flux import decompose
 from abmodes.modes import DiracKinematics, make_dirac_mode, make_schrodinger_mode
@@ -563,6 +564,11 @@ class TestDeltaCoefficientFit:
             assert abs(a - ref) <= 1e-12, e
         with pytest.raises(DomainError):
             fit_delta_coefficient(0.3, -0.3, 1e-200, 1e150)
+        # a finite ratio far from 1: at p'/p = 1e60 the wave columns carry
+        # 1/(pi |p - p'| sqrt(p p')), about 1e-91, and a pivot of the normal
+        # equations falls below 1e-300
+        with pytest.raises(SingularFitError, match="^normal equations are singular$"):
+            fit_delta_coefficient(0.3, -0.3, 1.0, 1e60)
 
     def test_needs_no_quadrature(self, monkeypatch):
         def refuse(*args):
@@ -607,10 +613,18 @@ class TestModeOverlap:
 
     def test_channel_mismatch(self):
         f = decompose(0.3)
-        a = make_schrodinger_mode(0, f, 1.3, 1.0, 0.0)
-        b = make_schrodinger_mode(1, f, 0.7, 1.0, 0.0)
-        with pytest.raises(ChannelMismatchError):
-            mode_overlap_finite_part(a, b)
+        # modes of two channels, and two modes of one channel, l = 3, whose
+        # order 2.7 is outside (0, 1)
+        pairs = (
+            (make_schrodinger_mode(0, f, 1.3, 1.0, 0.0),
+             make_schrodinger_mode(1, f, 0.7, 1.0, 0.0), "^modes live in different channels"),
+            (make_schrodinger_mode(3, f, 1.0, 1.0, 0.0),
+             make_schrodinger_mode(3, f, 2.0, 1.0, 0.0), r"order in \(0, 1\), got 2\.7$"),
+        )
+        for finite_part in (mode_overlap_finite_part, mode_overlap_finite_part_numeric):
+            for a, b, match in pairs:
+                with pytest.raises(ChannelMismatchError, match=match):
+                    finite_part(a, b)
 
     def test_equal_momenta(self):
         f = decompose(0.3)
@@ -714,6 +728,16 @@ class TestExponentFit:
         f = decompose(0.3)
         with pytest.raises(ChannelMismatchError):
             fit_cancelling_exponent(f, 5, [0.5, 1.0, 2.0])
+
+    def test_a_vanishing_slope_is_singular(self):
+        # at momenta of 1e300 the finite part reads 0 with the irregular
+        # term and without it, so the slope f1 - f0 at the first momentum
+        # past the reference is 0
+        f = decompose(0.3)
+        with pytest.raises(
+            SingularFitError, match=r"^cannot solve for the coefficient ratio at p = 1\.5e\+300$"
+        ):
+            fit_cancelling_exponent(f, 0, [1e300, 1.5e300, 1.7e308])
 
     def test_names_the_first_bad_momentum(self):
         # in the order given: a set of momenta with a NaN has no fixed order,
