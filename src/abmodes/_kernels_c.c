@@ -14,6 +14,9 @@
  * here computes each inline, the same product of the same doubles, which
  * costs nothing in C, and `tests/test_backends.py` checks the results
  * with ==.
+ * bessel_j takes an order and a number or a non-empty tuple of numbers, as
+ * the Python twin's does, and allocates only its result; bessel_j_, J at one
+ * double, serves gauss15_product_panel alone.
  * `setup.py` compiles this file with -ffp-contract=off, because a fused
  * multiply-add would round once where Python rounds twice.
  *
@@ -262,71 +265,56 @@ static int doubles(const char *name, PyObject *const *args, Py_ssize_t nargs,
     return 0;
 }
 
-/* (J_nu(x) for x in xs) from one expansion over [min, max] of the n > 0 xs,
- * the ends as Python's min and max take them: an x replaces the running
- * end only where it compares beyond it. */
-static PyObject *bessel_j_tuple_(double nu, const double *xs, Py_ssize_t n)
+/* J_nu at x, or at each element of a tuple x, from one expansion over the
+ * arguments' [min, max], the ends as Python's min and max take them.  The
+ * arguments are read where they are: once for the ends, once for the J. */
+static PyObject *py_bessel_j(PyObject *Py_UNUSED(module), PyObject *const *args,
+                             Py_ssize_t nargs)
 {
-    double lo = xs[0], hi = xs[0];
-    for (Py_ssize_t i = 1; i < n; i++) {
-        if (xs[i] < lo)
-            lo = xs[i];
-        if (xs[i] > hi)
-            hi = xs[i];
-    }
-    expansion_t e;
-    if (expansion(nu, lo, hi, &e) < 0)
+    if (nargs != 2) {
+        PyErr_Format(PyExc_TypeError, "bessel_j() takes exactly 2 arguments (%zd given)",
+                     nargs);
         return NULL;
-    PyObject *out = PyTuple_New(n);
-    if (out == NULL)
-        return NULL;
-    for (Py_ssize_t i = 0; i < n; i++) {
-        PyObject *j = PyFloat_FromDouble(j_at(&e, xs[i]));
-        if (j == NULL) {
-            Py_DECREF(out);
-            return NULL;
-        }
-        PyTuple_SET_ITEM(out, i, j);
     }
-    return out;
-}
-
-static PyObject *py_bessel_j_tuple(PyObject *order, PyObject *xs_tuple)
-{
-    double nu = PyFloat_AsDouble(order);
+    double nu = PyFloat_AsDouble(args[0]);
     if (nu == -1.0 && PyErr_Occurred())
         return NULL;
-    Py_ssize_t n = PyTuple_GET_SIZE(xs_tuple);
+    int is_tuple = PyTuple_Check(args[1]);
+    PyObject *const *xs = is_tuple ? &PyTuple_GET_ITEM(args[1], 0) : &args[1];
+    Py_ssize_t n = is_tuple ? PyTuple_GET_SIZE(args[1]) : 1;
     if (n == 0) {
         PyErr_SetString(PyExc_ValueError, "bessel_j() arg is an empty tuple");
         return NULL;
     }
-    double *xs = PyMem_New(double, n);
-    if (xs == NULL)
-        return PyErr_NoMemory();
-    PyObject *out = NULL;
-    Py_ssize_t i = 0;
-    for (; i < n; i++) {
-        xs[i] = PyFloat_AsDouble(PyTuple_GET_ITEM(xs_tuple, i));
-        if (xs[i] == -1.0 && PyErr_Occurred())
-            break;
+    double lo = 0.0, hi = 0.0;
+    for (Py_ssize_t i = 0; i < n; i++) {
+        double x = PyFloat_AsDouble(xs[i]);
+        if (x == -1.0 && PyErr_Occurred())
+            return NULL;
+        if (i == 0 || x < lo)
+            lo = x;
+        if (i == 0 || x > hi)
+            hi = x;
     }
-    if (i == n)
-        out = bessel_j_tuple_(nu, xs, n);
-    PyMem_Free(xs);
-    return out;
-}
-
-static PyObject *py_bessel_j(PyObject *Py_UNUSED(module), PyObject *const *args,
-                             Py_ssize_t nargs)
-{
-    if (nargs == 2 && PyTuple_Check(args[1]))
-        return py_bessel_j_tuple(args[0], args[1]);
-    double a[2];
-    double j;
-    if (doubles("bessel_j", args, nargs, 2, a) < 0 || bessel_j_(a[0], a[1], &j) < 0)
+    expansion_t e;
+    if (expansion(nu, lo, hi, &e) < 0)
         return NULL;
-    return PyFloat_FromDouble(j);
+    PyObject *out = is_tuple ? PyTuple_New(n) : NULL;
+    if (is_tuple && out == NULL)
+        return NULL;
+    for (Py_ssize_t i = 0; i < n; i++) {
+        /* an object's __float__ may fail the second time */
+        double x = PyFloat_AsDouble(xs[i]);
+        PyObject *j = x == -1.0 && PyErr_Occurred() ? NULL : PyFloat_FromDouble(j_at(&e, x));
+        if (j == NULL) {
+            Py_XDECREF(out);
+            return NULL;
+        }
+        if (!is_tuple)
+            return j;
+        PyTuple_SET_ITEM(out, i, j);
+    }
+    return out;
 }
 
 static PyObject *py_gauss15_product_panel(PyObject *Py_UNUSED(module),

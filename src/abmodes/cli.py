@@ -422,6 +422,8 @@ def _parse_grid(spec: str, max_points=math.inf):
         parts = rest.split(":")
         log = parts[0] == "log"
         lo, hi, n = float(parts[log]), float(parts[log + 1]), int(parts[log + 2])
+        if len(parts) != 3 + log:
+            raise ValueError(spec)
     except (ValueError, IndexError):
         raise _CliParseError(f"bad grid spec {spec!r} (want name=lo:hi:n)")
     if n < 1:

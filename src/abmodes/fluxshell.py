@@ -54,6 +54,7 @@ from .errors import (
     checked,
 )
 from .flux import FluxParameter, radial_order
+from .modes import _two_term
 from .sae import Channel, ExtensionParameter
 # bessel_j_prime is called nowhere here: it stays bound as a hook point of
 # perfbench/tracer.py, which counts specfun calls through this module's names
@@ -106,8 +107,9 @@ class FluxShellProblem:
 def piecewise_solution(prob: FluxShellProblem, a: float, b: float):
     """Evaluator rho -> R(rho) with the interior amplitude fixed by continuity.
 
-    Interior (rho < rho0): c J_{|l|}(p rho); exterior: a J_{+nu} + b J_{-nu}.
-    The derivative jump holds when (a, b) satisfy the matching ratio.
+    Interior (rho < rho0): c J_{|l|}(p rho); exterior: a J_{+nu} + b J_{-nu},
+    without a zero amplitude's term, as in `modes.evaluate`.  The derivative
+    jump holds when (a, b) satisfy the matching ratio.
     DegenerateError when J_{|l|}(p rho0) = 0 (continuity cannot fix c), to
     1e-13 of J's size at the shell: |J| <= 1e-13 (|J| + x |J'|), x = p rho0.
     """
@@ -117,7 +119,7 @@ def piecewise_solution(prob: FluxShellProblem, a: float, b: float):
     nu = prob.nu
     order_l = float(abs(prob.l))
     j_interior = bessel_j(order_l, x0)
-    exterior_at_shell = a * bessel_j(nu, x0) + b * bessel_j(-nu, x0)
+    exterior_at_shell = _two_term(a, b, nu, x0)
     # x J'_l = x J_{l-1} - l J_l: bessel_j_prime stops at order 5, the interior at 6
     slope = x0 * bessel_j(order_l - 1.0, x0) - order_l * j_interior
     if abs(j_interior) <= 1e-13 * (abs(j_interior) + abs(slope)):
@@ -133,7 +135,7 @@ def piecewise_solution(prob: FluxShellProblem, a: float, b: float):
         z = prob.p * rho
         if rho < prob.rho0:
             return c * bessel_j(order_l, z)
-        return a * bessel_j(nu, z) + b * bessel_j(-nu, z)
+        return _two_term(a, b, nu, z)
 
     return evaluator
 

@@ -195,13 +195,17 @@ def evaluate(mode: RadialMode, rho: float) -> float:
     rho = float(rho)
     if math.isnan(rho) or rho <= 0.0:
         raise DomainError(f"evaluate: rho must be > 0, got {rho}")
-    x = mode.p * rho
     c_pos, c_neg = mode.amplitudes
+    return _two_term(c_pos, c_neg, mode.order, mode.p * rho)
+
+
+def _two_term(a: float, b: float, order: float, x: float) -> float:
+    """a J_order(x) + b J_{-order}(x), skipping a zero amplitude's term."""
     val = 0.0
-    if c_pos != 0.0:
-        val += c_pos * bessel_j(mode.order, x)
-    if c_neg != 0.0:
-        val += c_neg * bessel_j(-mode.order, x)
+    if a != 0.0:
+        val += a * bessel_j(order, x)
+    if b != 0.0:
+        val += b * bessel_j(-order, x)
     return val
 
 

@@ -226,6 +226,31 @@ def test_underflowed_half_argument_alike(kernels_c):
         assert math.isnan(_kernels_py.bessel_j(nu, 5e-324))
 
 
+@pytest.mark.parametrize("args, error", [
+    ((0.3, ()), ValueError),
+    ((0.3, ("a", 1.0)), TypeError),
+    ((0.3, (1.0, "a")), TypeError),
+    (("a", 1.0), TypeError),
+    ((0.3,), TypeError),
+    ((0.3, 1.0, 2.0), TypeError),
+], ids=["empty-tuple", "str-first", "str-later", "str-order", "one-arg", "three-args"])
+def test_bessel_refusals_alike(kernels_c, args, error):
+    # the twins word their messages differently; the classes agree
+    for kernels in (kernels_c, _kernels_py):
+        with pytest.raises(error):
+            kernels.bessel_j(*args)
+
+
+def test_bessel_int_arguments_are_their_floats(kernels_c):
+    # an int order or argument, alone or in a tuple, gives the equal float's
+    # doubles, below and above the switch to Hankel's expansion
+    expected = _kernels_py.bessel_j(1.0, (2.0, 13.0))
+    for kernels in (kernels_c, _kernels_py):
+        assert kernels.bessel_j(1, 2) == kernels.bessel_j(1.0, 2) == expected[0]
+        assert kernels.bessel_j(1.0, 13) == expected[1]
+        assert kernels.bessel_j(1, (2, 13)) == kernels.bessel_j(1.0, (2, 13.0)) == expected
+
+
 # orders where the expansions branch: negative integers (reflected once per
 # panel) and half-integers (a Hankel coefficient is exactly 0)
 SPECIAL_ORDERS = [-5.0, -4.0, -3.0, -2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.5, 3.5, 4.5, 5.5]

@@ -711,8 +711,14 @@ class TestScan:
         assert "argument sub: invalid choice: '0.5'" in doc["message"]
 
     def test_bad_grid_spec(self):
-        code, _, err = run_cli(["scan", "gfactor", "--grid", "alpha=oops"])
-        assert code == 2
+        # a field past lo:hi:n, or past log:lo:hi:n, is refused, not dropped
+        for command, spec in [("gfactor", "alpha=oops"),
+                              ("decompose", "phi=0.1:0.9:3:7"),
+                              ("decompose", "phi=log:0.1:0.9:2:junk")]:
+            code, out, err = run_cli(["scan", command, "--grid", spec, "--format", "csv"])
+            assert code == 2
+            assert out == b""
+            assert json.loads(err)["message"] == f"bad grid spec {spec!r} (want name=lo:hi:n)"
 
     def test_out_file(self, tmp_path):
         path = tmp_path / "result.json"

@@ -120,6 +120,15 @@ class TestPiecewiseSolution:
         with pytest.raises(DegenerateError):
             piecewise_solution(prob, 1.0, 0.1)
 
+    def test_zero_amplitude_is_skipped(self):
+        # b = 0: the exterior is the pure regular J_5.5, and J_{-5.5}(1e-60),
+        # which overflows a double, is never formed, as in modes.evaluate
+        prob = problem(0, 5.5, 0.0, 1.0, 1e-60)
+        ev = piecewise_solution(prob, 1.0, 0.0)
+        assert ev(5e-61) == 0.0
+        assert ev(2e-60) == 0.0
+        assert ev(1.0) == bessel_j(5.5, 1.0) == 7.385311938594807e-05
+
     def test_zero_solution_rejected(self):
         prob = problem(0, 0.3, 0.0, 1.0, 0.5)
         with pytest.raises(DegenerateError):

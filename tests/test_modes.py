@@ -121,21 +121,17 @@ EVALUATE_REPRS = {
     ('dirac2', 2.3, 3, 1.0, 0.0, 1.3, 0.77): 0.18169163829304255,
     ('dirac1', 2.3, 3, 1.0, 0.0, 0.25, 31.0): 0.2639310769224804,
     ('dirac2', 2.3, 3, 1.0, 0.0, 0.25, 31.0): -0.07130119533111515,
+    ('dirac1', -0.4, -1, 0.9, 2.0, 1.3, 0.77): 1.5201647972713004,
+    ('dirac2', -0.4, -1, 0.9, 2.0, 1.3, 0.77): -0.44946109369789466,
+    ('dirac1', -0.4, -1, 0.9, 2.0, 0.25, 31.0): 0.5395606874262225,
+    ('dirac2', -0.4, -1, 0.9, 2.0, 0.25, 31.0): 0.10648183783476226,
 }
-# rows whose test ids still carry the pinned double: kind, phi, l, a, b,
-# p_perp, rho, value
-EVALUATE_DIRAC_ROWS = [
-    ('dirac1', -0.4, -1, 0.9, 2.0, 1.3, 0.77, 1.5201647972713004),
-    ('dirac2', -0.4, -1, 0.9, 2.0, 1.3, 0.77, -0.44946109369789466),
-    ('dirac1', -0.4, -1, 0.9, 2.0, 0.25, 31.0, 0.5395606874262225),
-    ('dirac2', -0.4, -1, 0.9, 2.0, 0.25, 31.0, 0.10648183783476226),
-]
 
 
 @pytest.mark.parametrize(
     "kind, phi, l, a, b, p, rho, value",
     [pytest.param(*key, value, id="-".join(map(str, key)))
-     for key, value in EVALUATE_REPRS.items()] + EVALUATE_DIRAC_ROWS,
+     for key, value in EVALUATE_REPRS.items()],
 )
 def test_evaluate_keeps_its_doubles(kind, phi, l, a, b, p, rho, value):
     flux = decompose(phi)
