@@ -7,6 +7,11 @@ All physical inputs are dimensionless: momenta in units of M, radii in
 units of 1/M.  Exit codes: 0 success, 2 invalid input, 3 numerical failure;
 failures print a one-line JSON error object to stderr.
 
+A command is parsed once, by its subcommand's parser alone; the top-level
+parser sees only argv whose first token names no subcommand (no argv,
+--version, -h, an unknown command or a token before the command), which it
+refuses or answers with the version or help.
+
 Every subcommand takes --out, and `scan` also --format.  `inputs` echoes
 the subcommand's own flags in the order they are declared, omitting any flag
 left at None, and --out.  The one exception is `sae-ratio`, which echoes
@@ -15,13 +20,15 @@ which holds the echo, re-run as one invocation.  A negative number is a
 value also as a separate token in exponent form (`--nu -1e-3`), or as -inf
 or -nan, so every number the CLI prints passes back as it is.
 
-`scan` parses the swept subcommand once, with its fixed flags and the first
-grid point, and then converts each grid value once per grid, by its flag's
-type and choices as argparse would.  A bad grid value therefore exits 2
-before any row runs.  The rows share that parse's namespace and its echo:
-each row puts its grid values into the namespace and, where the echo holds
-them, into a copy of the echo, so the row holds what the single invocation
-at its point echoes and outputs.
+`scan` parses the swept subcommand once, by that subcommand's parser, with
+its fixed flags and the first grid point, and then converts each grid value
+once per grid, by its flag's type and choices as argparse would.  A bad grid
+value therefore exits 2 before any row runs.  The rows share that parse's
+namespace and its echo: each row puts its grid values into the namespace
+and, where the echo holds them, into a copy of the echo, so the row holds
+what the single invocation at its point echoes and outputs.  Two grids over
+one flag are refused, since the inner grid's value would replace the outer
+one's at every row.
 
 Floats are serialized with Python's shortest round-trip representation, so
 every printed number parses back to the exact double that was computed.
@@ -256,9 +263,11 @@ def _build_parser():
     )
     subs = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
+    # each subcommand's parser sets command itself, so that it gives alone
+    # the namespace that the top-level parser gives through it
     def sub(name, fn, *parents, **kwargs):
         sp = subs.add_parser(name, parents=[_COMMON, *parents], **kwargs)
-        sp.set_defaults(compute=fn)
+        sp.set_defaults(compute=fn, command=name)
         return sp
 
     sp = sub("decompose", _cmd_decompose, help="split flux into integer and fractional parts")
@@ -351,6 +360,7 @@ def _build_parser():
         help="linear grid, or name=log:lo:hi:n for a log grid (once or twice)",
     )
     sp.add_argument("--format", default="json", choices=("json", "csv"))
+    sp.set_defaults(command="scan")
 
     return parser, subs.choices
 
@@ -469,21 +479,23 @@ def _run_scan(args, fixed):
     grids, room = [], _MAX_SCAN_ROWS
     for spec in args.grid:
         name, values = _parse_grid(spec, room)
+        if grids and grids[0][0] == name:
+            raise _CliParseError(f"scan grids sweep the same flag {name!r} twice")
         grids.append((name, values))
         room //= len(values)
     fixed = [tok for tok in fixed if tok != "--"]
     # one parse, at the first grid point, checks the fixed flags, the grid
     # names, the required flags and flags that take no value; every row
     # shares its namespace and its echo
-    sub_args = _PARSER.parse_args(
-        [args.sub, *fixed, *(f"--{name}={_grid_text(values[0])}" for name, values in grids)]
+    parser = _SUBCOMMANDS[args.sub]
+    sub_args = parser.parse_args(
+        [*fixed, *(f"--{name}={_grid_text(values[0])}" for name, values in grids)]
     )
     echo = _inputs(sub_args)
     # then each grid value is converted once, by its flag's type and
     # choices, as argparse converts it.  The inner grid is converted first:
     # the first rows take the outer grid's first value, already checked, over
     # the whole inner grid, so a bad inner value is the first bad row's error
-    parser = _SUBCOMMANDS[args.sub]
     axes = []
     for name, values in reversed(grids):
         action = parser._option_string_actions[f"--{name}"]
@@ -533,6 +545,18 @@ def _csv_cell(v):
     return v
 
 
+def _parse_known(argv):
+    """(namespace, leftover tokens) of argv, as _PARSER.parse_known_args gives.
+
+    A command goes to its subcommand's parser alone, which is where the
+    top-level parser hands the tokens after the command, unchanged; reading
+    them there too would parse every command twice.
+    """
+    if argv and argv[0] in _SUBCOMMANDS:
+        return _SUBCOMMANDS[argv[0]].parse_known_args(argv[1:])
+    return _PARSER.parse_known_args(argv)
+
+
 def run(argv) -> int:
     """Entry point used by tests: parse argv, execute, return the exit code.
 
@@ -540,8 +564,9 @@ def run(argv) -> int:
     like its output, does not depend on what ran before it in the process.
     """
     _shell_pairs.cache_clear()
+    argv = list(argv)
     try:
-        args, extra = _PARSER.parse_known_args(argv)
+        args, extra = _parse_known(argv)
         if args.command == "scan":
             return _run_scan(args, extra)
         if extra:

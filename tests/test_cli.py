@@ -720,6 +720,21 @@ class TestScan:
             assert out == b""
             assert json.loads(err)["message"] == f"bad grid spec {spec!r} (want name=lo:hi:n)"
 
+    def test_one_flag_swept_twice(self, capsys):
+        # the inner grid's value would replace the outer one's at every row,
+        # so that no row held the outer grid's values: refused before any row
+        fixed = ["--delta", "0.3", "--b-pprime", "1", "--p", "1", "--pprime", "2"]
+        for sub, name, rest in (("decompose", "phi", []), ("cancel", "b-p", fixed)):
+            code = cli.run(["scan", sub, f"--grid={name}=0.1:0.2:2", f"--grid={name}=0.3:0.4:2",
+                            "--format", "csv", *rest])
+            out, err = capsys.readouterr()
+            assert (code, out) == (2, "")
+            assert len(err.splitlines()) == 1
+            assert json.loads(err) == {
+                "error": "_CliParseError",
+                "message": f"scan grids sweep the same flag {name!r} twice",
+            }
+
     def test_out_file(self, tmp_path):
         path = tmp_path / "result.json"
         code, out, _ = run_cli(["decompose", "--phi", "2.3", "--out", str(path)])
@@ -853,3 +868,99 @@ def test_every_argv_keeps_the_contract(capsys, argv):
     if code != 0:
         assert out == "" and set(doc) == {"error", "message"}, argv
         assert doc["error"] in LIBRARY_ERRORS, argv
+
+
+# --- a command is parsed once, by its subcommand's parser alone
+
+# argv at the edges of argparse's routing: no command, "--" before, inside or
+# after it, a flag before it, --version after it, a missing value, leftover
+# tokens, and scan with "--" or an unknown flag
+EDGE_ARGV = [
+    [],
+    ["--"],
+    ["--", "decompose", "--phi", "1"],
+    ["decompose", "--", "--phi", "1"],
+    ["decompose", "--phi", "--", "1"],
+    ["decompose", "--phi", "1", "--"],
+    ["-x", "decompose", "--phi", "1"],
+    ["decompose", "--phi", "1", "--version"],
+    ["decompose", "--phi"],
+    ["decompose"],
+    ["decompose", "--phi", "1", "extra"],
+    ["decompose", "--phi", "1", "--bogus", "2"],
+    ["frobnicate", "--phi", "1"],
+    ["bessel", "--nu", "-1e-3", "--x", "-inf"],
+    ["scan", "decompose", "--grid", "phi=0:1:2", "--"],
+    ["scan", "--", "decompose", "--grid", "phi=0:1:2"],
+    ["scan", "decompose", "--grid", "phi=0:1:2", "--", "--phi", "1"],
+    ["scan", "decompose", "--grid", "phi=0:1:2", "--bogus", "1"],
+]
+
+
+def _parsed(parse, argv):
+    """What parse gives for argv: the namespace's entries (by repr, which
+    tells NaN and -0.0 apart) and the leftover tokens, or the exception's
+    class and message."""
+    try:
+        args, extra = parse(list(argv))
+    except Exception as exc:
+        return type(exc), str(exc)
+    return {k: repr(v) for k, v in vars(args).items()}, extra
+
+
+def _assert_parsed_alike(argv):
+    alone = _parsed(cli._parse_known, argv)
+    assert alone == _parsed(cli._PARSER.parse_known_args, argv), argv
+    # a scan's leftover tokens go to the swept subcommand's parser
+    if argv and argv[0] == "scan" and isinstance(alone[0], dict):
+        args, extra = cli._parse_known(argv)
+        _assert_parsed_alike([args.sub, *extra])
+
+
+@pytest.mark.parametrize("argv", EDGE_ARGV, ids=lambda argv: shlex.join(argv) or "(none)")
+def test_edge_argv_parse_alike(argv):
+    _assert_parsed_alike(argv)
+
+
+@settings(max_examples=500, derandomize=True, database=None, deadline=None)
+@given(argv=_argv())
+def test_every_argv_parses_alike(argv):
+    _assert_parsed_alike(argv)
+
+
+def test_a_command_never_reaches_the_top_level_parser(monkeypatch, capsys):
+    first = {}
+    for argv, _ in ECHO_ORDER:
+        first.setdefault(argv[0], argv)
+    assert set(first) == set(cli._SUBCOMMANDS) - {"scan"}
+    argvs = [*first.values(),
+             ["scan", "fluxshell", "--grid=l=0:1:2", "--grid=g=-0.5:0.5:3", "--phi", "0.3",
+              "--p", "1", "--rho0", "0.1"]]
+    expected = []
+    for argv in argvs:
+        assert cli.run(argv) == 0, argv
+        expected.append(capsys.readouterr().out)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the top-level parser ran")
+
+    monkeypatch.setattr(cli._PARSER, "parse_known_args", refuse)
+    monkeypatch.setattr(cli._PARSER, "parse_args", refuse)
+    for argv, out in zip(argvs, expected):
+        assert cli.run(argv) == 0, argv
+        assert capsys.readouterr() == (out, "")
+    assert len(json.loads(expected[-1])["rows"]) == 6
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([], "the following arguments are required: command"),
+    (["--"], "the following arguments are required: command"),
+    (["-x", "decompose", "--phi", "1"], "unrecognized arguments: -x"),
+    (["decompose", "--phi", "1", "--version"], "unrecognized arguments: --version"),
+])
+def test_fallback_refusals(capsys, argv, message):
+    assert cli.run(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert json.loads(err) == {"error": "_CliParseError", "message": message}
